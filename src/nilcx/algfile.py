@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .cxs import AlmostComplexStructure
 from .errors import ParseError, ValidationError
-from .lie import LieAlgebra, validate_lie
+from .lie import LieAlgebra, ValidationReport, validate_lie
 from .scalars import gr
 
 _WORD_RE = re.compile(r"\s*(\S+)")
@@ -34,9 +34,12 @@ _TERM_RE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*e(\d+)")
 
 @dataclass(frozen=True)
 class AlgebraFile:
+    """A parsed file; ``report`` is the parser's passing validation."""
+
     name: str
     algebra: LieAlgebra
     structures: tuple
+    report: ValidationReport
 
 
 def _parse_terms(text: str, lineno: int, base: int, dim: int) -> dict:
@@ -165,7 +168,9 @@ def parse_text(text: str) -> AlgebraFile:
             for i, terms in images.items()
         }
         structures.append((sname, AlmostComplexStructure.from_images(dim, cols)))
-    return AlgebraFile(name=name, algebra=algebra, structures=tuple(structures))
+    return AlgebraFile(
+        name=name, algebra=algebra, structures=tuple(structures), report=report
+    )
 
 
 def parse(path) -> AlgebraFile:

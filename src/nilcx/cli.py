@@ -33,7 +33,7 @@ from .kuranishi import (
     kuranishi_series,
     obstructions,
 )
-from .lie import ascending_series, validate_lie
+from .lie import ascending_series
 from .poly import mono_str
 from .scalars import ZERO
 
@@ -90,13 +90,12 @@ def _vector_str(entries, symbol: str) -> str:
 
 def cmd_validate(args) -> int:
     af = parse(args.file)
-    report = validate_lie(af.algebra)
     payload = {
         "schema": SCHEMA,
         "command": "validate",
         "algebra": af.name,
         "dim": af.algebra.dim,
-        "step": report.step,
+        "step": af.report.step,
         "structures": {},
     }
     for name, acs in af.structures:
@@ -113,7 +112,7 @@ def cmd_validate(args) -> int:
         return 0
     print(f"algebra {af.name} (dim {af.algebra.dim})")
     print("jacobi identity: ok")
-    print(f"nilpotent: yes, step {report.step}")
+    print(f"nilpotent: yes, step {af.report.step}")
     for name, facts in payload["structures"].items():
         print(f"structure {name}:")
         print("  J^2 = -I: ok")
@@ -225,6 +224,14 @@ def cmd_kuranishi(args) -> int:
         point = _parse_point(args.at)
         deformed = deform_structure(dc, series, point)
         rep = classify_deformation(af.algebra, deformed)
+        if not obs.vanishes_at(point):
+            live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
+            print(
+                f"note: t = ({', '.join(str(t) for t in point)}) is obstructed "
+                f"(nonzero there: {', '.join(live)}); the deformed J is not a "
+                "Kuranishi deformation",
+                file=sys.stderr,
+            )
         words = [
             ("integrable" if rep.integrable else "not integrable"),
             ("nilpotent" if rep.nilpotent else "not nilpotent"),

@@ -21,7 +21,7 @@ from .errors import (
     SelfCheckError,
     ValidationError,
 )
-from .lie import Flag, LieAlgebra, ascending_series
+from .lie import Flag, LieAlgebra, ascending_flag, ascending_series
 from .linalg import (
     Matrix,
     Vector,
@@ -29,7 +29,6 @@ from .linalg import (
     in_span,
     inverse,
     kernel_basis,
-    row_space_basis,
 )
 from .scalars import I as IMAG
 from .scalars import ONE, ZERO, GaussianRational
@@ -501,36 +500,8 @@ def j_ascending_series(
     a_l = {X : [X, g] in a_{l-1} and [JX, g] in a_{l-1}}; the structure is
     nilpotent exactly when some a_k is the whole algebra.
     """
-    from .lie import _annihilator_rows
-
-    m = algebra.dim
-    levels: list[list[Vector]] = []
-    current: list[Vector] = []
-    while True:
-        ann = _annihilator_rows(current, m)
-        rows: list[Vector] = []
-        for jdx in range(m):
-            adj = algebra.ad_matrix(jdx)
-            adj_j = adj * j.matrix
-            for nrow in ann:
-                for mat in (adj, adj_j):
-                    rows.append(
-                        tuple(
-                            sum(
-                                (nrow[k] * mat[k, col] for k in range(m)),
-                                start=ZERO,
-                            )
-                            for col in range(m)
-                        )
-                    )
-        nxt = kernel_basis(Matrix(rows)) if rows else [algebra.basis_vector(i) for i in range(m)]
-        nxt = row_space_basis(nxt)
-        if len(nxt) == len(current):
-            return Flag(tuple(tuple(lv) for lv in levels)), len(current) == m
-        current = nxt
-        levels.append(current)
-        if len(current) == m:
-            return Flag(tuple(tuple(lv) for lv in levels)), True
+    ads = [algebra.ad_matrix(jdx) for jdx in range(algebra.dim)]
+    return ascending_flag(algebra.dim, ads + [adj * j.matrix for adj in ads])
 
 
 def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:

@@ -8,8 +8,9 @@ adjoint is the conjugate transpose in the orthonormal coordinates, the
 Laplacian is dbar dbar* + dbar* dbar, and the Green's operator inverts the
 Laplacian on the orthogonal complement of its kernel.
 
-Everything is exact and deterministic; the differential, Laplacian, and
-harmonic-space caches are written once per degree and never mutated after.
+Everything is exact and deterministic; the differential, its adjoint,
+Laplacian, and harmonic-space caches are written once per degree and never
+mutated after.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ class DolbeaultComplex:
         self._chain: dict[int, tuple] = {}
         self._pos: dict[int, dict] = {}
         self._dbar: dict[int, Matrix] = {}
+        self._dbar_h: dict[int, Matrix] = {}
         self._lap: dict[int, Matrix] = {}
         self._harm: dict[int, list[Vector]] = {}
 
@@ -269,6 +271,14 @@ class DolbeaultComplex:
         self._dbar[k] = got
         return got
 
+    def _dbar_adjoint_matrix(self, k: int) -> Matrix:
+        """Conjugate transpose of dbar_k, from degree k+1 to degree k."""
+        got = self._dbar_h.get(k)
+        if got is None:
+            got = self.dbar_matrix(k).conj_transpose()
+            self._dbar_h[k] = got
+        return got
+
     def dbar(self, mu: VectorForm) -> VectorForm:
         self._own(mu)
         k = mu.degree
@@ -283,7 +293,7 @@ class DolbeaultComplex:
             raise PreconditionError("adjoint needs degree at least 1")
         if k > self.n:
             return self.zero_form(k - 1)
-        m = self.dbar_matrix(k - 1).conj_transpose()
+        m = self._dbar_adjoint_matrix(k - 1)
         return self._from_vec(k - 1, m.matvec(self._to_vec(mu)))
 
     # ------------------------------------------------------------- metric
@@ -311,11 +321,9 @@ class DolbeaultComplex:
         dim = self.chain_dim(k)
         total = Matrix.zero(dim, dim)
         if k >= 1:
-            d = self.dbar_matrix(k - 1)
-            total = total + d * d.conj_transpose()
+            total = total + self.dbar_matrix(k - 1) * self._dbar_adjoint_matrix(k - 1)
         if k < self.n:
-            d = self.dbar_matrix(k)
-            total = total + d.conj_transpose() * d
+            total = total + self._dbar_adjoint_matrix(k) * self.dbar_matrix(k)
         self._lap[k] = total
         return total
 

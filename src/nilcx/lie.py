@@ -28,8 +28,6 @@ from .linalg import (
     rank,
     row_space_basis,
     vadd,
-    vscale,
-    vzero,
 )
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -43,19 +41,20 @@ class LieAlgebra:
         """brackets: {(i, j): {k: rational}} with 1-based i < j."""
         if dim < 0:
             raise ValidationError("dimension must be nonnegative")
-        c: dict[tuple[int, int], dict[int, Fraction]] = {}
+        # real constants held as scalars, ready for bracket's inner loop
+        c: dict[tuple[int, int], dict[int, GaussianRational]] = {}
         for (i, j), comps in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValidationError(
                     f"bracket key ({i},{j}) must satisfy 1 <= i < j <= dim"
                 )
-            row: dict[int, Fraction] = {}
+            row: dict[int, GaussianRational] = {}
             for k, coef in comps.items():
                 if not (1 <= k <= dim):
                     raise ValidationError(f"bracket target e{k} out of range")
                 f = Fraction(coef)
                 if f != 0:
-                    row[k - 1] = f
+                    row[k - 1] = GaussianRational(f)
             if row:
                 c[(i - 1, j - 1)] = row
         object.__setattr__(self, "dim", dim)
@@ -70,13 +69,13 @@ class LieAlgebra:
         if i == j:
             return Fraction(0)
         if i < j:
-            return self._c.get((i, j), {}).get(k, Fraction(0))
-        return -self._c.get((j, i), {}).get(k, Fraction(0))
+            return self._c.get((i, j), {}).get(k, ZERO).re
+        return -self._c.get((j, i), {}).get(k, ZERO).re
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """Nonzero brackets with 1-based indices, for display and files."""
         return {
-            (i + 1, j + 1): {k + 1: v for k, v in sorted(comps.items())}
+            (i + 1, j + 1): {k + 1: v.re for k, v in sorted(comps.items())}
             for (i, j), comps in sorted(self._c.items())
         }
 
@@ -85,16 +84,21 @@ class LieAlgebra:
         v = [ZERO] * self.dim
         if i < j:
             for k, coef in self._c.get((i, j), {}).items():
-                v[k] = GaussianRational(coef)
+                v[k] = coef
         elif j < i:
             for k, coef in self._c.get((j, i), {}).items():
-                v[k] = GaussianRational(-coef)
+                v[k] = -coef
         return tuple(v)
 
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
         out = [ZERO] * self.dim
+        su = {k for k, x in enumerate(u) if x}
+        sv = {k for k, x in enumerate(v) if x}
         for (i, j), comps in self._c.items():
+            # skip pairs whose coefficient u_i v_j - u_j v_i is a sum of zeros
+            if not ((i in su and j in sv) or (j in su and i in sv)):
+                continue
             f = u[i] * v[j] - u[j] * v[i]
             if f:
                 for k, coef in comps.items():
@@ -155,42 +159,34 @@ def _annihilator_rows(basis: list[Vector], dim: int) -> list[Vector]:
     return kernel_basis(Matrix(basis))
 
 
-def _ascending_levels(a: LieAlgebra) -> tuple[list[list[Vector]], bool]:
-    """Levels of the ascending central series and whether it reached g."""
-    levels: list[list[Vector]] = []
+def ascending_flag(dim: int, maps: list[Matrix]) -> tuple[Flag, bool]:
+    """Ascending flag of a family of linear maps; True if it reaches the space.
+
+    V_0 = 0 and V_l = {X : M X in V_{l-1} for every M in maps}; the flag
+    stops when a level repeats. With maps {ad_j} this is the ascending
+    central series; with {ad_j, ad_j J} it is the J-ascending series.
+    """
+    levels: list[tuple[Vector, ...]] = []
     current: list[Vector] = []
     while True:
-        ann = _annihilator_rows(current, a.dim)
-        rows: list[Vector] = []
-        for j in range(a.dim):
-            adj = a.ad_matrix(j)
-            for n in ann:
-                # row of n . ad_j as a linear condition on X
-                rows.append(
-                    tuple(
-                        sum((n[k] * adj[k, col] for k in range(a.dim)), start=ZERO)
-                        for col in range(a.dim)
-                    )
-                )
+        ann = Matrix(_annihilator_rows(current, dim))
+        # each row n . M is a linear condition on X
+        rows = [row for m in maps for row in (ann * m).rows]
         if not rows:
-            nxt = [a.basis_vector(i) for i in range(a.dim)]
+            nxt = [tuple(ONE if c == r else ZERO for c in range(dim)) for r in range(dim)]
         else:
             nxt = kernel_basis(Matrix(rows))
         nxt = row_space_basis(nxt)
         if len(nxt) == len(current):
-            return levels, len(current) == a.dim
+            return Flag(tuple(levels)), len(current) == dim
         current = nxt
-        levels.append(current)
-        if len(current) == a.dim:
-            return levels, True
+        levels.append(tuple(current))
+        if len(current) == dim:
+            return Flag(tuple(levels)), True
 
 
-def validate_lie(a: LieAlgebra) -> ValidationReport:
-    """Check Jacobi on all basis triples and nilpotency.
-
-    Antisymmetry holds by construction. On success the report carries the
-    nilpotency step k (ascending series reaches g in k steps).
-    """
+def _validate(a: LieAlgebra) -> tuple[list[str], Flag | None]:
+    """Errors found, and the ascending central series when there are none."""
     errors: list[str] = []
     basis = [a.basis_vector(i) for i in range(a.dim)]
     for i in range(a.dim):
@@ -205,13 +201,22 @@ def validate_lie(a: LieAlgebra) -> ValidationReport:
                 )
                 if not is_zero_vector(s):
                     errors.append(f"jacobi violated at ({i + 1},{j + 1},{k + 1})")
-    step = None
-    if not errors:
-        levels, reached = _ascending_levels(a)
-        if reached:
-            step = len(levels)
-        else:
-            errors.append("not nilpotent")
+    if errors:
+        return errors, None
+    flag, reached = ascending_flag(a.dim, [a.ad_matrix(j) for j in range(a.dim)])
+    if not reached:
+        return ["not nilpotent"], None
+    return [], flag
+
+
+def validate_lie(a: LieAlgebra) -> ValidationReport:
+    """Check Jacobi on all basis triples and nilpotency.
+
+    Antisymmetry holds by construction. On success the report carries the
+    nilpotency step k (ascending series reaches g in k steps).
+    """
+    errors, flag = _validate(a)
+    step = flag.depth if flag is not None else None
     return ValidationReport(ok=not errors, step=step, errors=tuple(errors))
 
 
@@ -221,10 +226,10 @@ def ascending_series(a: LieAlgebra) -> Flag:
     Each successive quotient is re-checked to be abelian in the quotient;
     a failure there is a self-check error, not bad input.
     """
-    report = validate_lie(a)
-    if not report.ok:
-        raise ValidationError("; ".join(report.errors))
-    levels, _ = _ascending_levels(a)
+    errors, flag = _validate(a)
+    if errors:
+        raise ValidationError("; ".join(errors))
+    levels = flag.levels
     for ell, lv in enumerate(levels):
         below = levels[ell - 1] if ell > 0 else []
         for p in range(len(lv)):
@@ -234,7 +239,7 @@ def ascending_series(a: LieAlgebra) -> Flag:
                     raise SelfCheckError(
                         "ascending series quotient not abelian"
                     )
-    return Flag(tuple(tuple(lv) for lv in levels))
+    return flag
 
 
 def center(a: LieAlgebra) -> list[Vector]:

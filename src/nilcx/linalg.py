@@ -4,7 +4,8 @@ Kernels, solves orthogonal to the kernel, and Hermitian orthogonal
 complements; the substrate every other module computes on. All routines are
 deterministic: reduced row echelon form with leftmost pivot column and
 smallest pivot row, so identical inputs produce identical outputs, bit for
-bit.
+bit. Products and row updates loop over nonzero entries only; the
+matrices here (differentials, ad maps, Laplacians) are mostly zeros.
 
 Vectors are tuples of :class:`~nilcx.scalars.GaussianRational`; the Hermitian
 form is ``hdot(u, v) = sum u_k * conj(v_k)`` in the given coordinates.
@@ -40,6 +41,13 @@ class Matrix:
             if any(len(r) != w for r in rs):
                 raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rs)
+
+    @classmethod
+    def _of(cls, rows) -> "Matrix":
+        """Wrap rows that are already tuples of GaussianRational."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -80,11 +88,8 @@ class Matrix:
         return Matrix.from_columns(self.rows)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            [
-                [self.rows[i][j].conjugate() for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ]
+        return Matrix._of(
+            tuple(tuple(x.conjugate() for x in col) for col in zip(*self.rows))
         )
 
     def __getitem__(self, ij):
@@ -104,28 +109,31 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             ocols = other.ncols
-            return Matrix(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(self.ncols)),
-                            start=ZERO,
-                        )
-                        for j in range(ocols)
-                    ]
-                    for i in range(self.nrows)
-                ]
-            )
+            support = [_support(row) for row in other.rows]
+            out = []
+            for row in self.rows:
+                acc = [ZERO] * ocols
+                for k, a in _support(row):
+                    for j, b in support[k]:
+                        acc[j] = acc[j] + a * b
+                out.append(tuple(acc))
+            return Matrix._of(tuple(out))
         return NotImplemented
 
     def matvec(self, v: Sequence) -> Vector:
         v = tuple(_as_scalar(x) for x in v)
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(
-            sum((row[k] * v[k] for k in range(self.ncols)), start=ZERO)
-            for row in self.rows
-        )
+        nz = _support(v)
+        out = []
+        for row in self.rows:
+            acc = ZERO
+            for k, x in nz:
+                a = row[k]
+                if a:
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     def scaled(self, c) -> "Matrix":
         c = _as_scalar(c)
@@ -158,6 +166,11 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
+def _support(v: Sequence[GaussianRational]) -> list[tuple[int, GaussianRational]]:
+    """(index, entry) for the nonzero entries of v, in index order."""
+    return [(k, x) for k, x in enumerate(v) if x]
+
+
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
@@ -181,10 +194,11 @@ def is_zero_vector(v: Vector) -> bool:
 
 def hdot(u: Sequence, v: Sequence) -> GaussianRational:
     """Standard Hermitian form, linear in the first slot."""
-    return sum(
-        (_as_scalar(a) * _as_scalar(b).conjugate() for a, b in zip(u, v, strict=True)),
-        start=ZERO,
-    )
+    acc = ZERO
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            acc = acc + _as_scalar(a) * _as_scalar(b).conjugate()
+    return acc
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -208,16 +222,21 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
+        pivot_row = rows[r]
+        support = [(j, inv * x) for j, x in _support(pivot_row)]
+        for j, y in support:
+            pivot_row[j] = y
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                row = rows[i]
+                for j, y in support:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return Matrix(rows), tuple(pivots)
+    return Matrix._of(tuple(tuple(row) for row in rows)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

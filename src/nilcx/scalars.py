@@ -16,6 +16,8 @@ class GaussianRational:
 
     Immutable and hashable. Arithmetic accepts plain ``int`` and
     ``Fraction`` operands and coerces them to real Gaussian rationals.
+    Results skip products and sums with a zero operand, since most
+    coefficients in the package's sparse matrices are zero.
     """
 
     __slots__ = ("re", "im")
@@ -39,50 +41,66 @@ class GaussianRational:
         return None
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        if not self.im:
+            return self
+        return _make(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
     def inverse(self) -> "GaussianRational":
+        if not self.im:
+            if not self.re:
+                raise ZeroDivisionError("inverse of zero")
+            return _make(1 / self.re, _FZERO)
         n = self.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _make(self.re / n, -self.im / n)
 
     @property
     def is_real(self) -> bool:
         return self.im == 0
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if not o.re and not o.im:
+            return self
+        if not self.re and not self.im:
+            return o
+        return _make(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if not o.re and not o.im:
+            return self
+        if not self.re and not self.im:
+            return -o
+        return _make(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if (not a and not b) or (not c and not d):
+            return ZERO
+        if not b:
+            return _make(a * c, a * d if d else _FZERO)
+        if not d:
+            return _make(a * c, b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -111,22 +129,25 @@ class GaussianRational:
         return out
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # equal to a real int or Fraction, so hash like one
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __str__(self):
         if self.im == 0:
@@ -144,6 +165,19 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
+
+
+_FZERO = Fraction(0)
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _make(re: Fraction, im: Fraction) -> GaussianRational:
+    """A result from parts that are already normalised Fractions."""
+    z = object.__new__(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 ZERO = GaussianRational(0)

@@ -138,6 +138,43 @@ def test_kuranishi_h15_locus_point_stays_abelian(tmp_path, capsys):
     assert "classification: integrable, nilpotent, abelian" in out
 
 
+def test_kuranishi_notes_obstructed_point_on_stderr_only(tmp_path, capsys):
+    # on h15 at order 6, f3 = (4)*t2^2 + ... is nonzero at t2 = 1/10, while
+    # every obstruction vanishes at t3 = 1/10
+    path = alg_path(tmp_path, "h15")
+    outs = {}
+    for point in ("0,1/10,0,0,0", "0,0,1/10,0,0"):
+        for extra in ([], ["--json"]):
+            argv = ["kuranishi", path, "--order", "6", "--at", point, *extra]
+            rc, out, err = run(capsys, argv)
+            outs[(point, tuple(extra))] = out
+            assert rc == 0 and "note" not in out
+            if point == "0,0,1/10,0,0":
+                assert err == ""
+            else:
+                assert err == (
+                    "note: t = (0, 1/10, 0, 0, 0) is obstructed (nonzero there: f3); "
+                    "the deformed J is not a Kuranishi deformation\n"
+                )
+    # stdout is the report it was: same classification line, no new JSON key
+    text = outs[("0,1/10,0,0,0", ())]
+    assert "classification: not integrable, not nilpotent, not abelian" in text
+    doc = json.loads(outs[("0,1/10,0,0,0", ("--json",))])
+    assert set(doc) == {
+        "schema", "command", "algebra", "structure", "order", "coordinates",
+        "coefficients", "obstructions", "point", "deformed_j", "classification",
+    }
+
+
+def test_kuranishi_obstruction_note_names_every_live_polynomial(tmp_path, capsys):
+    rc, _, err = run(
+        capsys,
+        ["kuranishi", alg_path(tmp_path, "h15"), "--order", "6", "--at", "1/10,1/10,0,0,0"],
+    )
+    assert rc == 0
+    assert "(nonzero there: f2, f3)" in err
+
+
 def test_kuranishi_json_byte_identical(tmp_path, capsys):
     argv = [
         "kuranishi",

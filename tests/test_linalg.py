@@ -26,7 +26,7 @@ from nilcx.linalg import (
     vadd,
     vscale,
 )
-from nilcx.scalars import I, ONE, ZERO, gr
+from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr
 
 
 def random_matrix(rng, nr, nc, span=3):
@@ -206,3 +206,171 @@ def test_matrix_ops():
     assert m.column(1) == (I, gr(2))
     assert (m * Matrix.identity(2)) == m
     assert m.matvec((ONE, ONE)) == (ONE + I, gr(2))
+
+
+# ---------------------------------------------------------------------------
+# the zero-skipping kernel against a dense reference
+#
+# The reference works on (re, im) pairs of Fractions, visits every entry,
+# and shares no code with nilcx.linalg or nilcx.scalars.
+
+F0 = Fraction(0)
+
+
+def _pair(z):
+    return (z.re, z.im)
+
+
+def _padd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _psub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _pmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _pconj(x):
+    return (x[0], -x[1])
+
+
+def _pinv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _psum(terms):
+    acc = (F0, F0)
+    for t in terms:
+        acc = _padd(acc, t)
+    return acc
+
+
+def dense_mul(a, b):
+    return [
+        [_psum(_pmul(a[i][k], b[k][j]) for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def dense_matvec(a, v):
+    return [_psum(_pmul(row[k], v[k]) for k in range(len(v))) for row in a]
+
+
+def dense_hdot(u, v):
+    return _psum(_pmul(x, _pconj(y)) for x, y in zip(u, v))
+
+
+def dense_rref(a):
+    rows = [list(r) for r in a]
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if rows[i][c] != (F0, F0)), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = _pinv(rows[r][c])
+        rows[r] = [_pmul(inv, x) for x in rows[r]]
+        for i in range(nr):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [_psub(x, _pmul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, tuple(pivots)
+
+
+def dense_kernel(a):
+    red, pivots = dense_rref(a)
+    nc = len(a[0])
+    out = []
+    for f in (c for c in range(nc) if c not in pivots):
+        v = [(F0, F0)] * nc
+        v[f] = (Fraction(1), F0)
+        for r, p in enumerate(pivots):
+            v[p] = (-red[r][f][0], -red[r][f][1])
+        out.append(v)
+    return out
+
+
+def sparse_pairs(rng, nr, nc, blank=True):
+    """Sparse entries, real-only and complex; with ``blank``, one all-zero
+    row and one all-zero column."""
+    density = rng.choice([0, 0.1, 0.25, 0.5])
+    zero_row, zero_col = (rng.randrange(nr), rng.randrange(nc)) if blank else (-1, -1)
+
+    def part():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    out = []
+    for i in range(nr):
+        row = []
+        for j in range(nc):
+            if i == zero_row or j == zero_col or rng.random() >= density:
+                row.append((F0, F0))
+            elif rng.random() < 0.5:
+                row.append((part(), F0))
+            else:
+                row.append((part(), part()))
+        out.append(row)
+    return out
+
+
+def as_matrix(pairs):
+    return Matrix([[gr(re, im) for re, im in row] for row in pairs])
+
+
+def as_pairs(m):
+    return [[_pair(x) for x in row] for row in m.rows]
+
+
+def test_kernel_matches_dense_reference_on_sparse_matrices():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        nr, nk, nc = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        pa, pb = sparse_pairs(rng, nr, nk), sparse_pairs(rng, nk, nc)
+        a, b = as_matrix(pa), as_matrix(pb)
+        assert as_pairs(a * b) == dense_mul(pa, pb)
+        v = sparse_pairs(rng, 1, nk, blank=False)[0]
+        got = a.matvec(tuple(gr(re, im) for re, im in v))
+        assert [_pair(x) for x in got] == dense_matvec(pa, v)
+        u, w = sparse_pairs(rng, 2, nk, blank=False)
+        got = hdot(tuple(gr(*x) for x in u), tuple(gr(*x) for x in w))
+        assert _pair(got) == dense_hdot(u, w)
+        red, pivots = rref(a)
+        want_rows, want_pivots = dense_rref(pa)
+        assert pivots == want_pivots
+        assert as_pairs(red) == want_rows
+        assert [[_pair(x) for x in k] for k in kernel_basis(a)] == dense_kernel(pa)
+        for row in red.rows + tuple(kernel_basis(a)):
+            assert all(isinstance(x, GaussianRational) for x in row)
+
+
+def test_zero_short_cuts_match_dense_and_stay_scalars():
+    values = [gr(3), gr("-1/2"), gr(0, 2), gr(1, -1), gr("2/3", "5/7")]
+    for x in values:
+        px = _pair(x)
+        for z in (ZERO, gr(0, 0), 0, Fraction(0)):
+            cases = [
+                (z * x, (F0, F0)),
+                (x * z, (F0, F0)),
+                (x + z, px),
+                (z + x, px),
+                (x - z, px),
+                (z - x, (-px[0], -px[1])),
+            ]
+            for got, want in cases:
+                assert isinstance(got, GaussianRational)
+                assert _pair(got) == want
+    for x in (gr(3), gr("-1/2"), ZERO):
+        got = x.conjugate()
+        assert isinstance(got, GaussianRational)
+        assert _pair(got) == _pconj(_pair(x))
+    assert _pair(gr(1, 2).conjugate()) == (Fraction(1), Fraction(-2))

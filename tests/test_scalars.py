@@ -77,6 +77,19 @@ def test_hash_and_equality_agree():
     assert gr(1, 1) != gr(1, -1)
 
 
+def test_real_values_hash_like_the_numbers_they_equal():
+    # equal objects must hash equal, also across int and Fraction
+    assert gr(1) == 1
+    assert hash(gr(1)) == hash(1)
+    assert len({gr(1), 1}) == 1
+    assert {1: "x"}.get(gr(1)) == "x"
+    half = Fraction(1, 2)
+    assert gr(half) == half
+    assert hash(gr(half)) == hash(half)
+    assert {half: "y"}.get(gr("1/2")) == "y"
+    assert len({gr(half), half, gr(1, 2)}) == 2
+
+
 @pytest.mark.parametrize(
     "z, s",
     [
