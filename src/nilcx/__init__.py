@@ -1,94 +1,77 @@
 """nilcx: exact Dolbeault cohomology and deformations of nilpotent Lie
-algebras with abelian complex structures."""
+algebras with abelian complex structures.
+
+Public names are imported from their modules on first use, so a program
+that needs only part of the package loads only that part.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .algfile import AlgebraFile, parse, parse_text, render, render_entry
-from .catalog import CatalogEntry, get, names, verify_entry
-from .cxs import (
-    AlmostComplexStructure,
-    ComplexFrame,
-    InvariantForm,
-    adapted_frame,
-    exterior_derivative,
-    is_abelian,
-    is_integrable,
-    j_ascending_series,
-)
-from .dolbeault import CohomologySpace, DolbeaultComplex, VectorForm
-from .errors import (
-    NotSolvableError,
-    ParseError,
-    PreconditionError,
-    SelfCheckError,
-    ValidationError,
-)
-from .kuranishi import (
-    DeformationReport,
-    DeformationSeries,
-    DeformedStructure,
-    ObstructionSet,
-    classify_deformation,
-    deform_structure,
-    graded_center,
-    infinitesimal_abelian_locus,
-    kuranishi_series,
-    mc_residual,
-    obstructions,
-    schouten,
-    schouten_with_coform,
-)
-from .lie import Flag, LieAlgebra, ValidationReport, ascending_series, center, validate_lie
-from .poly import Poly
-from .scalars import GaussianRational, gr
+_MODULE_EXPORTS = {
+    "algfile": ("AlgebraFile", "parse", "parse_text", "render", "render_entry"),
+    "catalog": ("CatalogEntry", "get", "names", "verify_entry"),
+    "cxs": (
+        "AlmostComplexStructure",
+        "ComplexFrame",
+        "InvariantForm",
+        "adapted_frame",
+        "exterior_derivative",
+        "is_abelian",
+        "is_integrable",
+        "j_ascending_series",
+    ),
+    "dolbeault": ("CohomologySpace", "DolbeaultComplex", "VectorForm"),
+    "errors": (
+        "NotSolvableError",
+        "ParseError",
+        "PreconditionError",
+        "SelfCheckError",
+        "ValidationError",
+    ),
+    "kuranishi": (
+        "DeformationReport",
+        "DeformationSeries",
+        "DeformedStructure",
+        "ObstructionSet",
+        "classify_deformation",
+        "deform_structure",
+        "graded_center",
+        "infinitesimal_abelian_locus",
+        "kuranishi_series",
+        "mc_residual",
+        "obstructions",
+        "schouten",
+        "schouten_with_coform",
+    ),
+    "lie": (
+        "Flag",
+        "LieAlgebra",
+        "ValidationReport",
+        "ascending_series",
+        "center",
+        "validate_lie",
+    ),
+    "poly": ("Poly",),
+    "scalars": ("GaussianRational", "gr"),
+}
+_EXPORTS = {name: mod for mod, names in _MODULE_EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_MODULE_EXPORTS) | {"cli", "linalg"}
 
-__all__ = [
-    "AlgebraFile",
-    "AlmostComplexStructure",
-    "CatalogEntry",
-    "CohomologySpace",
-    "ComplexFrame",
-    "DeformationReport",
-    "DeformationSeries",
-    "DeformedStructure",
-    "DolbeaultComplex",
-    "Flag",
-    "GaussianRational",
-    "InvariantForm",
-    "LieAlgebra",
-    "NotSolvableError",
-    "ObstructionSet",
-    "ParseError",
-    "Poly",
-    "PreconditionError",
-    "SelfCheckError",
-    "ValidationError",
-    "ValidationReport",
-    "VectorForm",
-    "__version__",
-    "adapted_frame",
-    "ascending_series",
-    "center",
-    "classify_deformation",
-    "deform_structure",
-    "exterior_derivative",
-    "get",
-    "gr",
-    "graded_center",
-    "infinitesimal_abelian_locus",
-    "is_abelian",
-    "is_integrable",
-    "j_ascending_series",
-    "kuranishi_series",
-    "mc_residual",
-    "names",
-    "obstructions",
-    "parse",
-    "parse_text",
-    "render",
-    "render_entry",
-    "schouten",
-    "schouten_with_coform",
-    "validate_lie",
-    "verify_entry",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

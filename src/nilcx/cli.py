@@ -17,25 +17,17 @@ import sys
 from fractions import Fraction
 
 from .algfile import AlgebraFile, parse, render_entry
-from .catalog import get, names
 from .cxs import adapted_frame, is_abelian, is_integrable, j_ascending_series
-from .dolbeault import DolbeaultComplex
 from .errors import (
     NotSolvableError,
     ParseError,
     PreconditionError,
     ValidationError,
 )
-from .kuranishi import (
-    classify_deformation,
-    deform_structure,
-    infinitesimal_abelian_locus,
-    kuranishi_series,
-    obstructions,
-)
-from .lie import ascending_series
-from .poly import mono_str
-from .scalars import ZERO
+from .lie import ascending_series, vector_text as _vector_str
+
+# dolbeault, kuranishi, poly and catalog are imported by the commands that
+# use them, so validate and series do not load them
 
 SCHEMA = 1
 
@@ -79,13 +71,6 @@ def _print_rows(rows: list[list[str]], indent: str = "  ") -> None:
     for r in rows:
         cells = " ".join(c.rjust(w) for c, w in zip(r, widths))
         print(f"{indent}[{cells}]")
-
-
-def _vector_str(entries, symbol: str) -> str:
-    parts = [
-        f"({c})*{symbol}{k + 1}" for k, c in enumerate(entries) if c != ZERO
-    ]
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_validate(args) -> int:
@@ -140,6 +125,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .dolbeault import DolbeaultComplex
+
     af = parse(args.file)
     name, acs = _pick_structure(af, args.structure)
     dc = DolbeaultComplex(af.algebra, acs)
@@ -171,6 +158,15 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_kuranishi(args) -> int:
+    from .dolbeault import DolbeaultComplex
+    from .kuranishi import (
+        classify_deformation,
+        deform_structure,
+        kuranishi_series,
+        obstructions,
+    )
+    from .poly import mono_str
+
     af = parse(args.file)
     name, acs = _pick_structure(af, args.structure)
     if args.order < 1:
@@ -256,6 +252,9 @@ def cmd_kuranishi(args) -> int:
 
 
 def cmd_abelian_locus(args) -> int:
+    from .dolbeault import DolbeaultComplex
+    from .kuranishi import infinitesimal_abelian_locus
+
     af = parse(args.file)
     name, acs = _pick_structure(af, args.structure)
     dc = DolbeaultComplex(af.algebra, acs)
@@ -282,6 +281,8 @@ def cmd_abelian_locus(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import get
+
     if args.name is None:
         print("h9     dim 6, 3-step, abelian structure J")
         print("h15    dim 6, 3-step, abelian structure J")

@@ -21,14 +21,14 @@ from .errors import (
     SelfCheckError,
     ValidationError,
 )
-from .lie import Flag, LieAlgebra, ascending_flag, ascending_series
+from .lie import Flag, LieAlgebra, ascending_flag, ascending_series, vector_text
 from .linalg import (
     Matrix,
     Vector,
-    coords_in_basis,
     in_span,
     inverse,
     kernel_basis,
+    rref,
 )
 from .scalars import I as IMAG
 from .scalars import ONE, ZERO, GaussianRational
@@ -65,36 +65,25 @@ class AlmostComplexStructure:
     def from_images(cls, dim: int, images: dict[int, Vector]) -> "AlmostComplexStructure":
         """Build J from images of selected basis vectors, 0-based.
 
-        Each given J e_i = v also forces J v = -e_i; together the
-        constraints must determine J on the whole space. Incomplete or
-        inconsistent data is rejected.
+        Each given J e_i = v also forces J v = -e_i. Every constraint J d = r
+        is a row [d | r], and rows [D | D J^T] reduce to [I | J^T] above zero
+        rows when they determine J. A pivot right of the bar means two
+        constraints disagree (inconsistent); fewer than dim pivots leave J
+        undetermined (incomplete).
         """
-        pairs: list[tuple[Vector, Vector]] = []
+        rows = []
         for i, v in sorted(images.items()):
-            e = tuple(ONE if c == i else ZERO for c in range(dim))
-            v = tuple(GaussianRational(x) if not isinstance(x, GaussianRational) else x for x in v)
-            pairs.append((e, v))
-            pairs.append((v, tuple(-x for x in e)))
-        # keep an independent set of domain vectors; a dependent constraint
-        # must agree with what the kept ones already imply
-        base: list[Vector] = []
-        imgs: list[Vector] = []
-        for d, r in pairs:
-            if in_span(d, base):
-                coeffs = coords_in_basis(d, base)
-                implied = [ZERO] * dim
-                for c, w in zip(coeffs, imgs, strict=True):
-                    implied = [x + c * y for x, y in zip(implied, w)]
-                if tuple(implied) != r:
-                    raise ValidationError("J images inconsistent")
-            else:
-                base.append(d)
-                imgs.append(r)
-        if len(base) < dim:
+            e = [ONE if c == i else ZERO for c in range(dim)]
+            v = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
+            rows.append(e + v)
+            rows.append(v + [-x for x in e])
+        red, pivots = rref(Matrix(rows))
+        if pivots and pivots[-1] >= dim:
+            raise ValidationError("J images inconsistent")
+        if len(pivots) < dim:
             raise ValidationError("J images incomplete")
-        dmat = Matrix.from_columns(base)
-        rmat = Matrix.from_columns(imgs)
-        return cls(rmat * inverse(dmat))
+        # the reduced rows hold J^T, so they are J's columns
+        return cls(Matrix.from_columns([row[dim:] for row in red.rows[:dim]]))
 
     def apply(self, v: Vector) -> Vector:
         return self.matrix.matvec(v)
@@ -323,9 +312,11 @@ class ComplexFrame:
         return hit
 
     def check_against(self, j: AlmostComplexStructure) -> None:
-        for v in self.vectors:
+        for i, v in enumerate(self.vectors):
             if j.matrix.matvec(v) != tuple(IMAG * x for x in v):
-                raise SelfCheckError("frame vector is not a (1,0)-vector of J")
+                raise SelfCheckError(
+                    f"frame vector is not a (1,0)-vector of J: X{i + 1}"
+                )
 
 
 @dataclass(frozen=True)
@@ -516,7 +507,10 @@ def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFram
         lv = list(flag.level(ell))
         for b in lv:
             if not in_span(j.matrix.matvec(b), lv):
-                raise PreconditionError("J does not preserve ascending series")
+                raise PreconditionError(
+                    f"J does not preserve ascending series: level {ell} basis "
+                    f"vector {vector_text(b, 'e')} is mapped outside the level"
+                )
     chosen: list[Vector] = []
     span: list[Vector] = []
     levels: list[int] = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import PreconditionError, SelfCheckError, ValidationError
 from .linalg import (
@@ -27,15 +28,24 @@ from .linalg import (
     kernel_basis,
     rank,
     row_space_basis,
-    vadd,
 )
 from .scalars import ONE, ZERO, GaussianRational
 
 
-class LieAlgebra:
-    """Finite-dimensional real Lie algebra with rational constants."""
+def vector_text(entries, symbol: str) -> str:
+    """``(c1)*e1 + (c2)*e2 ...`` over the nonzero coordinates, or ``0``."""
+    parts = [f"({c})*{symbol}{k + 1}" for k, c in enumerate(entries) if c]
+    return " + ".join(parts) if parts else "0"
 
-    __slots__ = ("dim", "name", "_c")
+
+class LieAlgebra:
+    """Finite-dimensional real Lie algebra with rational constants.
+
+    Immutable; the result of its validation is computed once and kept in
+    the private ``_checked`` slot.
+    """
+
+    __slots__ = ("dim", "name", "_c", "_checked")
 
     def __init__(self, dim: int, brackets, name: str = ""):
         """brackets: {(i, j): {k: rational}} with 1-based i < j."""
@@ -60,6 +70,7 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, nm, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -185,28 +196,42 @@ def ascending_flag(dim: int, maps: list[Matrix]) -> tuple[Flag, bool]:
             return Flag(tuple(levels)), True
 
 
-def _validate(a: LieAlgebra) -> tuple[list[str], Flag | None]:
-    """Errors found, and the ascending central series when there are none."""
-    errors: list[str] = []
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            for k in range(j + 1, a.dim):
-                s = vadd(
-                    vadd(
-                        a.bracket(a.bracket(basis[i], basis[j]), basis[k]),
-                        a.bracket(a.bracket(basis[j], basis[k]), basis[i]),
-                    ),
-                    a.bracket(a.bracket(basis[k], basis[i]), basis[j]),
-                )
-                if not is_zero_vector(s):
-                    errors.append(f"jacobi violated at ({i + 1},{j + 1},{k + 1})")
-    if errors:
-        return errors, None
-    flag, reached = ascending_flag(a.dim, [a.ad_matrix(j) for j in range(a.dim)])
-    if not reached:
-        return ["not nilpotent"], None
-    return [], flag
+def _jacobi_violations(a: LieAlgebra) -> list[str]:
+    """One message per basis triple i < j < k where Jacobi fails.
+
+    Sums [[e_x, e_y], e_z] over the three cyclic orders straight from the
+    sparse structure constants, over Fraction.
+    """
+    br: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), comps in a._c.items():
+        br[(i, j)] = {k: x.re for k, x in comps.items()}
+        br[(j, i)] = {k: -x.re for k, x in comps.items()}
+    errors = []
+    for i, j, k in combinations(range(a.dim), 3):
+        total: dict[int, Fraction] = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            # [[e_x, e_y], e_z] = sum_m c^m_xy [e_m, e_z]
+            for m, c in br.get((x, y), {}).items():
+                for l, d in br.get((m, z), {}).items():
+                    total[l] = total.get(l, 0) + c * d
+        if any(total.values()):
+            errors.append(f"jacobi violated at ({i + 1},{j + 1},{k + 1})")
+    return errors
+
+
+def _validate(a: LieAlgebra) -> tuple[tuple[str, ...], Flag | None]:
+    """Errors found, and the ascending central series when there are none.
+
+    Computed on the first call for an algebra and kept on it.
+    """
+    if a._checked is None:
+        errors, flag = tuple(_jacobi_violations(a)), None
+        if not errors:
+            flag, reached = ascending_flag(a.dim, [a.ad_matrix(j) for j in range(a.dim)])
+            if not reached:
+                errors, flag = ("not nilpotent",), None
+        object.__setattr__(a, "_checked", (errors, flag))
+    return a._checked
 
 
 def validate_lie(a: LieAlgebra) -> ValidationReport:
@@ -217,7 +242,7 @@ def validate_lie(a: LieAlgebra) -> ValidationReport:
     """
     errors, flag = _validate(a)
     step = flag.depth if flag is not None else None
-    return ValidationReport(ok=not errors, step=step, errors=tuple(errors))
+    return ValidationReport(ok=not errors, step=step, errors=errors)
 
 
 def ascending_series(a: LieAlgebra) -> Flag:
@@ -229,16 +254,16 @@ def ascending_series(a: LieAlgebra) -> Flag:
     errors, flag = _validate(a)
     if errors:
         raise ValidationError("; ".join(errors))
-    levels = flag.levels
-    for ell, lv in enumerate(levels):
-        below = levels[ell - 1] if ell > 0 else []
-        for p in range(len(lv)):
-            for q in range(p + 1, len(lv)):
-                w = a.bracket(lv[p], lv[q])
-                if not is_zero_vector(w) and not in_span(w, below):
-                    raise SelfCheckError(
-                        "ascending series quotient not abelian"
-                    )
+    for ell, lv in enumerate(flag.levels, start=1):
+        below = list(flag.level(ell - 1))
+        nonzero = [
+            w for u, v in combinations(lv, 2) if not is_zero_vector(w := a.bracket(u, v))
+        ]
+        # the echelon basis below is independent: rank grows iff a bracket leaves it
+        if nonzero and rank(Matrix(below + nonzero)) > len(below):
+            raise SelfCheckError(
+                f"ascending series quotient not abelian at level {ell}"
+            )
     return flag
 
 

@@ -341,3 +341,24 @@ def test_module_runs_as_script():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("h9")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["series"], ["cohomology", "--degree", "1"], ["kuranishi", "--order", "2"]],
+)
+def test_each_command_runs_one_jacobi_pass(tmp_path, capsys, monkeypatch, argv):
+    import nilcx.lie as lie
+
+    path = alg_path(tmp_path, "h15")
+    passes = []
+    real = lie._jacobi_violations
+
+    def counted(a):
+        passes.append(a.name)
+        return real(a)
+
+    monkeypatch.setattr(lie, "_jacobi_violations", counted)
+    rc, out, _ = run(capsys, [argv[0], path, *argv[1:]])
+    assert rc == 0 and out
+    assert passes == ["h15"]

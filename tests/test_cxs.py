@@ -28,9 +28,14 @@ from nilcx.cxs import (
     omegabar_form,
     structure_coefficients,
 )
-from nilcx.errors import PreconditionError, ValidationError
+from nilcx.errors import (
+    NotSolvableError,
+    PreconditionError,
+    SelfCheckError,
+    ValidationError,
+)
 from nilcx.lie import LieAlgebra, ascending_series
-from nilcx.linalg import Matrix, row_space_basis
+from nilcx.linalg import Matrix, in_span, inverse, row_space_basis
 from nilcx.scalars import GaussianRational, gr
 
 I = gr(0, 1)
@@ -427,3 +432,76 @@ def test_frame_rejects_dependent_vectors():
     v = (gr(1), gr(0, -1), gr(0), gr(0), gr(0), gr(0))
     with pytest.raises(ValidationError):
         ComplexFrame(a, [v, v, v])
+
+
+# ------------------------------------------------ J from images, errors named
+
+
+def _conjugate_of_standard(rng, m):
+    """P J0 P^-1 for the standard J0 and a random invertible rational P."""
+    while True:
+        p = Matrix(
+            [[gr(Fraction(rng.randint(-3, 3), rng.choice([1, 2]))) for _ in range(m)] for _ in range(m)]
+        )
+        try:
+            p_inv = inverse(p)
+        except NotSolvableError:
+            continue
+        j0 = pair_j(m, [(a, a + 1) for a in range(0, m, 2)])
+        return AlmostComplexStructure(p * j0.matrix * p_inv)
+
+
+def test_from_images_one_index_per_pair_matches_all_columns():
+    rng = random.Random(20261020)
+    for case in range(35):
+        m = 2 * (1 + case % 4)
+        j = _conjugate_of_standard(rng, m)
+        everything = {i: j.matrix.column(i) for i in range(m)}
+        assert AlmostComplexStructure.from_images(m, everything) == j
+        # keep e_i only when it lies outside the span of the pairs kept so far
+        kept, span = {}, []
+        for i in rng.sample(range(m), m):
+            if not in_span(unit(m, i), span):
+                kept[i] = everything[i]
+                span += [unit(m, i), everything[i]]
+        assert len(kept) == m // 2
+        assert AlmostComplexStructure.from_images(m, kept) == j
+        # drop a pair: incomplete; a fixed line or a swapped pair: inconsistent
+        if m >= 4:
+            short = dict(list(kept.items())[1:])
+            with pytest.raises(ValidationError, match="incomplete"):
+                AlmostComplexStructure.from_images(m, short)
+            a, b = rng.sample(range(m), 2)
+            c = gr(Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])))
+            for bad in ({a: tuple(c * x for x in unit(m, a))}, {a: unit(m, b), b: unit(m, a)}):
+                with pytest.raises(ValidationError, match="inconsistent"):
+                    AlmostComplexStructure.from_images(m, bad)
+
+
+def test_series_preservation_error_names_level_and_vector():
+    with pytest.raises(PreconditionError) as info:
+        adapted_frame(n10(), jst(2, 1))
+    assert str(info.value) == (
+        "J does not preserve ascending series: level 1 basis vector "
+        "(1)*e6 is mapped outside the level"
+    )
+
+
+def test_frame_check_names_the_failing_vector():
+    f = adapted_frame(h9(), j_std6())
+    # same pairs as the standard J, with the top pair's orientation flipped
+    other = pair_j(6, [(1, 0), (2, 3), (4, 5)])
+    with pytest.raises(SelfCheckError, match=r"frame vector is not a \(1,0\)-vector of J: X3$"):
+        f.check_against(other)
+
+
+def test_quotient_check_names_the_level(monkeypatch):
+    import nilcx.lie as lie
+
+    a = h9()
+    top = tuple(unit(6, i) for i in range(6))
+    center = (unit(6, 5),)
+    # a flag whose level 2 is the whole algebra: [e1, e2] = e3 is not central
+    monkeypatch.setattr(lie, "ascending_flag", lambda dim, maps: (lie.Flag((center, top)), True))
+    with pytest.raises(SelfCheckError, match="ascending series quotient not abelian at level 2$"):
+        ascending_series(a)

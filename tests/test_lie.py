@@ -1,5 +1,9 @@
 """Validation, ascending series, center, and quotients of nilpotent algebras."""
 
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from nilcx.errors import ValidationError
@@ -189,3 +193,150 @@ def test_ad_matrix_shape_and_action():
     ad1 = a.ad_matrix(0)
     assert ad1.matvec(unit(6, 1)) == a.bracket_basis(0, 1)
     assert rank(Matrix(ad1.rows)) == 2
+
+
+# ------------------------------------------- validation: memo and sparse Jacobi
+
+
+def test_validation_is_kept_and_the_algebra_stays_immutable():
+    a = h15()
+    first = validate_lie(a)
+    assert validate_lie(a) == first
+    assert ascending_series(a).dims == (2, 4, 6)
+    for name in ("_checked", "dim", "fresh"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(a, name, None)
+    assert validate_lie(a) == first
+
+
+def _dense_constants(dim, table):
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), comps in table.items():
+        for k, x in comps.items():
+            c[i - 1][j - 1][k - 1] += Fraction(x)
+            c[j - 1][i - 1][k - 1] -= Fraction(x)
+    return c
+
+
+def _dense_bracket(c, u, v):
+    n = len(u)
+    return [
+        sum(u[i] * v[j] * c[i][j][k] for i in range(n) for j in range(n) if u[i] and v[j])
+        for k in range(n)
+    ]
+
+
+def _echelon(rows):
+    """Independent rows spanning the same space, by Fraction elimination."""
+    rows = [list(r) for r in rows if any(r)]
+    out = []
+    while rows:
+        piv = rows.pop()
+        col = next(k for k, x in enumerate(piv) if x)
+        out.append(piv)
+        rows = [
+            r2
+            for r in rows
+            if any(r2 := [x - r[col] / piv[col] * y for x, y in zip(r, piv)])
+        ]
+    return out
+
+
+def _dense_errors(dim, table):
+    """validate_lie's errors by brackets of dense brackets over Fraction."""
+    c = _dense_constants(dim, table)
+    e = [[Fraction(int(a == b)) for b in range(dim)] for a in range(dim)]
+
+    def br(u, v):
+        return _dense_bracket(c, u, v)
+
+    errors = []
+    for i, j, k in combinations(range(dim), 3):
+        terms = (
+            br(br(e[i], e[j]), e[k]),
+            br(br(e[j], e[k]), e[i]),
+            br(br(e[k], e[i]), e[j]),
+        )
+        if any(sum(col) for col in zip(*terms)):
+            errors.append(f"jacobi violated at ({i + 1},{j + 1},{k + 1})")
+    if errors:
+        return tuple(errors)
+    # lower central series g > [g, g] > ... reaches 0 iff nilpotent
+    level = e
+    while level:
+        nxt = _echelon([br(x, w) for x in e for w in level])
+        if len(nxt) == len(level):
+            return ("not nilpotent",)
+        level = nxt
+    return ()
+
+
+def _to_table(c):
+    n = len(c)
+    return {
+        (i + 1, j + 1): {k + 1: c[i][j][k] for k in range(n) if c[i][j][k]}
+        for i, j in combinations(range(n), 2)
+        if any(c[i][j])
+    }
+
+
+def _sheared(rng, dim, table):
+    """The same algebra on a basis f_a = e_a + t e_b, a few shears deep."""
+    for _ in range(3):
+        a, b = rng.sample(range(dim), 2)
+        t = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        c = _dense_constants(dim, table)
+        f = [[Fraction(int(x == y)) for y in range(dim)] for x in range(dim)]
+        f[a][b] = t
+        new = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for x in range(dim):
+            for y in range(dim):
+                w = _dense_bracket(c, f[x], f[y])
+                # e_a = f_a - t f_b, so coordinates in f differ only at b
+                w[b] -= t * w[a]
+                new[x][y] = w
+        table = _to_table(new)
+    return table
+
+
+def _random_table(rng, dim, upper):
+    table = {}
+    for i, j in combinations(range(1, dim + 1), 2):
+        targets = range(j + 1, dim + 1) if upper else range(1, dim + 1)
+        if targets and rng.random() < 0.35:
+            ks = rng.sample(list(targets), min(len(targets), rng.choice([1, 2])))
+            table[(i, j)] = {k: Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2])) for k in ks}
+    return table
+
+
+# valid algebras of dimension 3 or 4, padded with an abelian factor
+_SEEDS = [
+    (3, {(1, 2): {3: 1}}),  # Heisenberg: nilpotent
+    (4, {(1, 2): {3: 1}, (1, 3): {4: 1}}),  # filiform: nilpotent
+    (2, {(1, 2): {2: 1}}),  # affine line: solvable, not nilpotent
+    (3, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}),  # so(3)
+]
+
+
+def test_sparse_jacobi_matches_dense_reference():
+    rng = random.Random(20261019)
+    outcomes = set()
+    for case in range(90):
+        dim = rng.randint(3, 7)
+        kind = case % 3
+        if kind == 0:
+            table = _random_table(rng, dim, upper=False)
+        elif kind == 1:
+            table = _random_table(rng, dim, upper=True)
+        else:
+            _, base = rng.choice([s for s in _SEEDS if s[0] <= dim])
+            table = _sheared(rng, dim, base)
+            if rng.random() < 0.3 and table:
+                key = rng.choice(sorted(table))
+                k = rng.choice(sorted(table[key]))
+                table[key] = {**table[key], k: table[key][k] + 1}
+        want = _dense_errors(dim, table)
+        got = validate_lie(LieAlgebra(dim, table)).errors
+        assert got == want, (dim, table)
+        outcomes.add("jacobi" if want and want[0].startswith("jacobi") else want)
+    assert outcomes == {"jacobi", ("not nilpotent",), ()}
