@@ -16,7 +16,7 @@ raise :class:`~nilcx.errors.ValidationError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cxs import AlmostComplexStructure
@@ -32,14 +32,10 @@ _J_HEAD_RE = re.compile(r"\s*e(\d+)\s*=")
 _TERM_RE = re.compile(r"(-?\d+(?:/\d+)?)\s*\*\s*e(\d+)")
 
 
-@dataclass(frozen=True)
-class AlgebraFile:
+class AlgebraFile(namedtuple("AlgebraFile", "name algebra structures report")):
     """A parsed file; ``report`` is the parser's passing validation."""
 
-    name: str
-    algebra: LieAlgebra
-    structures: tuple
-    report: ValidationReport
+    __slots__ = ()
 
 
 def _parse_terms(text: str, lineno: int, base: int, dim: int) -> dict:

@@ -16,7 +16,6 @@ every entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cxs import (
@@ -25,9 +24,7 @@ from .cxs import (
     is_integrable,
     j_ascending_series,
 )
-from .dolbeault import DolbeaultComplex
 from .errors import SelfCheckError, ValidationError
-from .kuranishi import infinitesimal_abelian_locus
 from .lie import LieAlgebra, center, validate_lie
 from .linalg import Matrix
 from .scalars import ONE, ZERO, gr
@@ -79,7 +76,6 @@ _N10_DIFFERENTIALS = {
 _N10_DIM = 10
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     """A named algebra with its structures and an expected-facts record.
 
@@ -89,13 +85,28 @@ class CatalogEntry:
     parameterized families and is None otherwise.
     """
 
-    name: str
-    algebra: LieAlgebra
-    structures: tuple
-    facts: dict
-    structure_facts: dict
-    display: tuple
-    params: tuple | None = None
+    __slots__ = ("name", "algebra", "structures", "facts", "structure_facts", "display", "params")
+
+    def __init__(
+        self,
+        name: str,
+        algebra: LieAlgebra,
+        structures: tuple,
+        facts: dict,
+        structure_facts: dict,
+        display: tuple,
+        params: tuple | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "structures", structures)
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "structure_facts", structure_facts)
+        object.__setattr__(self, "display", display)
+        object.__setattr__(self, "params", params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CatalogEntry is immutable")
 
 
 def names() -> tuple[str, ...]:
@@ -301,6 +312,10 @@ def verify_entry(entry: CatalogEntry) -> dict:
     The structure classifications always run; the cohomology and locus
     facts run when the entry records them (they need an abelian structure).
     """
+    # imported here so that fetching an entry loads no Dolbeault layer
+    from .dolbeault import DolbeaultComplex
+    from .kuranishi import infinitesimal_abelian_locus
+
     live: dict = {}
     report = validate_lie(entry.algebra)
     if not report.ok:

@@ -164,6 +164,7 @@ def cmd_kuranishi(args) -> int:
         deform_structure,
         kuranishi_series,
         obstructions,
+        residual_by_degree,
     )
     from .poly import mono_str
 
@@ -220,14 +221,26 @@ def cmd_kuranishi(args) -> int:
         point = _parse_point(args.at)
         deformed = deform_structure(dc, series, point)
         rep = classify_deformation(af.algebra, deformed)
+        at = ", ".join(str(t) for t in point)
         if not obs.vanishes_at(point):
             live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
             print(
-                f"note: t = ({', '.join(str(t) for t in point)}) is obstructed "
+                f"note: t = ({at}) is obstructed "
                 f"(nonzero there: {', '.join(live)}); the deformed J is not a "
                 "Kuranishi deformation",
                 file=sys.stderr,
             )
+        else:
+            residual = residual_by_degree(dc, series, point)
+            if residual:
+                d, term = next(iter(residual.items()))
+                print(
+                    f"note: the order-{args.order} series does not solve the "
+                    f"Maurer-Cartan equation at t = ({at}): dbar Phi(t) + 1/2 "
+                    f"{{Phi(t), Phi(t)}} has the nonzero degree-{d} term {term}; "
+                    "the classification is of the truncated structure",
+                    file=sys.stderr,
+                )
         words = [
             ("integrable" if rep.integrable else "not integrable"),
             ("nilpotent" if rep.nilpotent else "not nilpotent"),
@@ -241,7 +254,7 @@ def cmd_kuranishi(args) -> int:
             "nilpotent": rep.nilpotent,
         }
         if not args.json:
-            print("at t = (" + ", ".join(str(t) for t in point) + ")")
+            print(f"at t = ({at})")
             print("deformed J matrix:")
             _print_rows(_matrix_rows(deformed.j_new.matrix))
             print("classification: " + ", ".join(words))

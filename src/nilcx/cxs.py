@@ -12,7 +12,8 @@ would catch a global flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import (
@@ -319,14 +320,39 @@ class ComplexFrame:
                 )
 
 
-@dataclass(frozen=True)
-class IntegrabilityResult:
-    ok: bool
-    witness_index: int | None = None
-    witness_component: InvariantForm | None = None
+class IntegrabilityResult(namedtuple("IntegrabilityResult", "ok algebra j", defaults=(None, None))):
+    """Outcome of :func:`is_integrable`; true exactly when J is integrable.
+
+    On failure ``witness_index`` and ``witness_component`` name the first
+    coframe form w^i of the eigen-frame whose differential has a (0,2)
+    part, and that part. They are computed from the frame when read.
+    """
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
+
+    @property
+    def witness_index(self) -> int | None:
+        return self._witness()[0]
+
+    @property
+    def witness_component(self) -> InvariantForm | None:
+        return self._witness()[1]
+
+    def _witness(self):
+        if self.ok:
+            return None, None
+        frame = eigen_frame(self.algebra, self.j)
+        for i in range(frame.n):
+            bad = exterior_derivative(self.algebra, frame, omega_form(frame.n, i)).get((0, 2))
+            if bad is not None:
+                return i, bad
+        raise SelfCheckError(
+            "Nijenhuis tensor is nonzero but no coframe differential of the "
+            f"eigen-frame has a (0,2) part ({self.algebra!r}, {self.j!r})"
+        )
 
 
 def eigen_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:
@@ -439,48 +465,72 @@ def exterior_derivative(
     return out
 
 
-def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityResult:
-    """True iff no (1,0)-coframe differential has a (0,2) part.
+def _rational_columns(j: AlmostComplexStructure) -> list[dict[int, Fraction]]:
+    """J e_a as sparse {index: Fraction} vectors; J is real."""
+    rows = j.matrix.rows
+    return [{r: row[c].re for r, row in enumerate(rows) if row[c]} for c in range(j.dim)]
 
-    On failure the witness carries the offending coframe index and the
-    nonzero (0,2) component.
+
+def _combine(u: dict, v: dict, sign: int) -> dict:
+    """u + sign * v on sparse rational vectors, zeros dropped."""
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _pair_parts(algebra: LieAlgebra, cols: list[dict]):
+    """(R, S) for each basis pair a < b, over Fraction.
+
+    R = [Je_a, Je_b] - [e_a, e_b] and S = [Je_a, e_b] + [e_a, Je_b], so
+    that [X - iJX, Y - iJY] = -R - iS for X = e_a, Y = e_b. Both are
+    bilinear, so their vanishing on basis pairs is vanishing everywhere.
     """
-    frame = eigen_frame(algebra, j)
-    for i in range(frame.n):
-        comps = exterior_derivative(algebra, frame, omega_form(frame.n, i))
-        bad = comps.get((0, 2))
-        if bad is not None and not bad.is_zero():
-            return IntegrabilityResult(False, i, bad)
-    return IntegrabilityResult(True)
+    br = algebra.rational_bracket
+    one = Fraction(1)
+    for a, b in combinations(range(algebra.dim), 2):
+        ea, eb = {a: one}, {b: one}
+        yield (
+            _combine(br(cols[a], cols[b]), br(ea, eb), -1),
+            _combine(br(cols[a], eb), br(ea, cols[b]), 1),
+        )
+
+
+def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityResult:
+    """True iff the Nijenhuis tensor vanishes on every basis pair.
+
+    N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] = R - J S, computed
+    over Fraction on the sparse structure constants. On failure the
+    result's witness is read off the eigen-frame.
+    """
+    cols = _rational_columns(j)
+    for r, s in _pair_parts(algebra, cols):
+        js: dict = {}
+        for k, c in s.items():
+            for t, x in cols[k].items():
+                js[t] = js.get(t, 0) + c * x
+        if _combine(r, js, -1):
+            return IntegrabilityResult(False, algebra, j)
+    return IntegrabilityResult(True, algebra, j)
 
 
 def is_abelian(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
-    """[J e_i, J e_j] = [e_i, e_j] for all pairs.
+    """[J e_a, J e_b] = [e_a, e_b] for all pairs, over Fraction.
 
-    The bidegree characterization (every d w^i is pure (1,1)) is computed
-    independently; disagreement raises a self-check error.
+    The second real route, [J e_a, e_b] + [e_a, J e_b] = 0 (the imaginary
+    part of the bracket of two (1,0)-vectors), is computed too; it is
+    equivalent for any J with J^2 = -I, so disagreement raises a
+    self-check error.
     """
-    by_bracket = True
-    m = algebra.dim
-    jm = j.matrix
-    for a in range(m):
-        for b in range(a + 1, m):
-            lhs = algebra.bracket(jm.column(a), jm.column(b))
-            if lhs != algebra.bracket_basis(a, b):
-                by_bracket = False
-                break
-        if not by_bracket:
-            break
-    frame = eigen_frame(algebra, j)
-    by_type = True
-    for i in range(frame.n):
-        comps = exterior_derivative(algebra, frame, omega_form(frame.n, i))
-        if (2, 0) in comps or (0, 2) in comps:
-            by_type = False
-            break
-    if by_bracket != by_type:
-        raise SelfCheckError("abelianness criteria disagree")
-    return by_bracket
+    parts = list(_pair_parts(algebra, _rational_columns(j)))
+    by_real = not any(r for r, _ in parts)
+    by_imag = not any(s for _, s in parts)
+    if by_real != by_imag:
+        raise SelfCheckError(
+            f"abelianness criteria disagree on {algebra!r}: [Je_a, Je_b] = [e_a, e_b] "
+            f"says {by_real}, [Je_a, e_b] + [e_a, Je_b] = 0 says {by_imag}"
+        )
+    return by_real
 
 
 def j_ascending_series(

@@ -9,13 +9,13 @@ Laplacian is dbar dbar* + dbar* dbar, and the Green's operator inverts the
 Laplacian on the orthogonal complement of its kernel.
 
 Everything is exact and deterministic; the differential, its adjoint,
-Laplacian, and harmonic-space caches are written once per degree and never
-mutated after.
+Laplacian, harmonic-space and Green-matrix caches are written once per
+degree and never mutated after.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -27,11 +27,11 @@ from .linalg import (
     Vector,
     gram_schmidt,
     hdot,
+    inverse,
     is_zero_vector,
     kernel_basis,
     orthogonal_complement,
     row_space_basis,
-    solve_in_image,
 )
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -139,12 +139,12 @@ def basis_vector_form(frame: ComplexFrame, anti, a: int) -> VectorForm:
     return VectorForm(frame, len(anti), {(anti, a): ONE})
 
 
-@dataclass(frozen=True)
-class CohomologySpace:
-    degree: int
-    dimension: int
-    harmonic_basis: tuple[VectorForm, ...]
-    gram: Matrix
+class CohomologySpace(
+    namedtuple("CohomologySpace", "degree dimension harmonic_basis gram")
+):
+    """Harmonic representatives of one degree, unnormalized, with their Gram matrix."""
+
+    __slots__ = ()
 
 
 class DolbeaultComplex:
@@ -184,6 +184,7 @@ class DolbeaultComplex:
         self._dbar_h: dict[int, Matrix] = {}
         self._lap: dict[int, Matrix] = {}
         self._harm: dict[int, list[Vector]] = {}
+        self._green: dict[int, Matrix] = {}
 
     # ------------------------------------------------------------ chains
 
@@ -247,7 +248,10 @@ class DolbeaultComplex:
 
     def dbar_matrix(self, k: int) -> Matrix:
         if not 0 <= k < self.n:
-            raise PreconditionError("no differential at this degree")
+            raise PreconditionError(
+                f"no differential at this degree: dbar_{k} (differentials are "
+                f"dbar_0..dbar_{self.n - 1})"
+            )
         got = self._dbar.get(k)
         if got is not None:
             return got
@@ -312,9 +316,12 @@ class DolbeaultComplex:
 
     # ------------------------------------------- Laplacian, Green, Hodge
 
-    def laplacian_matrix(self, k: int) -> Matrix:
+    def _check_degree(self, k: int) -> None:
         if not 0 <= k <= self.n:
-            raise PreconditionError("degree out of range")
+            raise PreconditionError(f"degree out of range: {k} (degrees are 0..{self.n})")
+
+    def laplacian_matrix(self, k: int) -> Matrix:
+        self._check_degree(k)
         got = self._lap.get(k)
         if got is not None:
             return got
@@ -358,8 +365,7 @@ class DolbeaultComplex:
 
     def cohomology(self, k: int) -> CohomologySpace:
         """Harmonic representatives of degree k, unnormalized, with Gram."""
-        if not 0 <= k <= self.n:
-            raise PreconditionError("degree out of range")
+        self._check_degree(k)
         vecs = self._harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
         gram = Matrix([[hdot(u, w) for w in vecs] for u in vecs])
@@ -375,10 +381,44 @@ class DolbeaultComplex:
                 out = out + self._from_vec(mu.degree, h).scaled(c)
         return out
 
+    def green_matrix(self, k: int) -> Matrix:
+        """G_k = L_k^+, the Moore-Penrose inverse of the Laplacian.
+
+        With P_k the orthogonal projector onto the harmonic space,
+        L_k + P_k is invertible and G_k = (L_k + P_k)^{-1} - P_k: zero on
+        harmonics, and G_k b is the x orthogonal to them with
+        L_k x = b - H b. Built once per degree; for k >= 1 the identity
+        dbar*_{k-1} G_k = G_{k-1} dbar*_{k-1} is checked when it is built.
+        """
+        got = self._green.get(k)
+        if got is not None:
+            return got
+        self._check_degree(k)
+        dim = self.chain_dim(k)
+        proj = [[ZERO] * dim for _ in range(dim)]
+        for h in self._harmonic_vectors(k):
+            norm = hdot(h, h)
+            for r, x in enumerate(h):
+                if x:
+                    row = proj[r]
+                    for c, y in enumerate(h):
+                        if y:
+                            row[c] = row[c] + x * y.conjugate() / norm
+        proj = Matrix(proj)
+        got = inverse(self.laplacian_matrix(k) + proj) - proj
+        if k >= 1:
+            adj = self._dbar_adjoint_matrix(k - 1)
+            if adj * got != self.green_matrix(k - 1) * adj:
+                raise SelfCheckError(
+                    f"Green operator does not commute with the adjoint in degree {k}: "
+                    f"dbar*_{k - 1} G_{k} != G_{k - 1} dbar*_{k - 1} "
+                    f"({adj.nrows}x{adj.ncols} adjoint, {dim}x{dim} G_{k})"
+                )
+        self._green[k] = got
+        return got
+
     def green(self, mu: VectorForm) -> VectorForm:
         """Green's operator: zero on harmonics, inverts the Laplacian off them."""
         self._own(mu)
         k = mu.degree
-        rest = mu - self.harmonic_projection(mu)
-        x = solve_in_image(self.laplacian_matrix(k), self._to_vec(rest))
-        return self._from_vec(k, x)
+        return self._from_vec(k, self.green_matrix(k).matvec(self._to_vec(mu)))

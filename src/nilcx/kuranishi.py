@@ -20,7 +20,7 @@ other way, wrapped without provenance) are accepted by the classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cxs import (
@@ -32,7 +32,7 @@ from .cxs import (
     j_ascending_series,
 )
 from .dolbeault import DolbeaultComplex, VectorForm
-from .errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
+from .errors import NotSolvableError, PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import Matrix, Vector, inverse, kernel_basis
 from .poly import (
@@ -144,7 +144,6 @@ def schouten_with_coform(dc: DolbeaultComplex, mu: VectorForm, cof: InvariantFor
     return InvariantForm(0, 2, dc.n, out)
 
 
-@dataclass(frozen=True, eq=False)
 class DeformationSeries:
     """Truncated deformation series Phi(t) = sum_m t^m phi_m.
 
@@ -154,24 +153,35 @@ class DeformationSeries:
     records the inner products of the unnormalized parameter directions.
     """
 
-    dolbeault: DolbeaultComplex
-    params: int
-    order: int
-    coeffs: dict
-    basis_gram: Matrix
+    __slots__ = ("dolbeault", "params", "order", "coeffs", "basis_gram")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(
+        self,
+        dolbeault: DolbeaultComplex,
+        params: int,
+        order: int,
+        coeffs: dict,
+        basis_gram: Matrix,
+    ):
+        if order < 1:
             raise ValidationError("order must be at least 1")
-        for mono, f in self.coeffs.items():
-            if len(mono) != self.params:
+        for mono, f in coeffs.items():
+            if len(mono) != params:
                 raise ValidationError("monomial arity does not match parameter count")
             d = mono_degree(mono)
-            if not 1 <= d <= self.order:
+            if not 1 <= d <= order:
                 raise ValidationError("coefficient degree outside series order")
             if f.degree != 1:
                 raise ValidationError("series coefficients must have degree 1")
-            self.dolbeault._own(f)
+            dolbeault._own(f)
+        object.__setattr__(self, "dolbeault", dolbeault)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "basis_gram", basis_gram)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DeformationSeries is immutable")
 
     def by_degree(self, r: int) -> list[tuple[Monomial, VectorForm]]:
         return sorted(
@@ -190,23 +200,19 @@ class DeformationSeries:
         return out
 
 
-@dataclass(frozen=True)
-class ObstructionSet:
+class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
     """One polynomial per degree-2 harmonic direction, truncated at order.
 
     A parameter point is unobstructed (to this order) exactly when every
     polynomial vanishes there.
     """
 
-    params: int
-    order: int
-    polys: tuple
+    __slots__ = ()
 
     def vanishes_at(self, t_point) -> bool:
         return all(not p.evaluate(t_point) for p in self.polys)
 
 
-@dataclass(frozen=True, eq=False)
 class DeformedStructure:
     """An almost complex structure J obtained by deforming, plus provenance.
 
@@ -214,11 +220,24 @@ class DeformedStructure:
     a deformation run; the classifier only looks at ``j_new``.
     """
 
-    t_point: tuple
-    j_new: AlmostComplexStructure
-    algebra: LieAlgebra
-    base_j: AlmostComplexStructure | None = None
-    series: DeformationSeries | None = None
+    __slots__ = ("t_point", "j_new", "algebra", "base_j", "series")
+
+    def __init__(
+        self,
+        t_point: tuple,
+        j_new: AlmostComplexStructure,
+        algebra: LieAlgebra,
+        base_j: AlmostComplexStructure | None = None,
+        series: DeformationSeries | None = None,
+    ):
+        object.__setattr__(self, "t_point", t_point)
+        object.__setattr__(self, "j_new", j_new)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "base_j", base_j)
+        object.__setattr__(self, "series", series)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DeformedStructure is immutable")
 
     @property
     def provenance(self):
@@ -226,21 +245,20 @@ class DeformedStructure:
         return (self.algebra, self.base_j, self.series, order)
 
 
-@dataclass(frozen=True)
-class DeformationReport:
-    integrable: bool
-    abelian: bool
-    nilpotent: bool
+class DeformationReport(namedtuple("DeformationReport", "integrable abelian nilpotent")):
+    """Verdicts of :func:`classify_deformation` on a deformed structure."""
+
+    __slots__ = ()
 
 
 def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     """Build the deformation series to the requested total degree.
 
     The linear term runs over the degree-1 harmonic basis, one parameter
-    per basis form. Each higher coefficient applies the Green operator and
-    the adjoint to the accumulated bracket of lower terms; the two operator
-    orders are computed separately and must agree, which exercises the
-    commutation of the Green operator with the adjoint on every term.
+    per basis form. Each higher coefficient is -1/2 dbar*(G acc) for the
+    accumulated bracket acc of lower terms: one matvec with the cached
+    degree-2 Green matrix, whose commutation with the adjoint is checked
+    once when it is built.
     """
     if order < 1:
         raise PreconditionError("order must be at least 1")
@@ -265,11 +283,7 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
                     acc[m] = acc[m] + br if m in acc else br
         fresh = []
         for m in sorted(acc):
-            first = dc.dbar_adjoint(dc.green(acc[m]))
-            second = dc.green(dc.dbar_adjoint(acc[m]))
-            if first != second:
-                raise SelfCheckError("Green operator does not commute with the adjoint")
-            phi = first.scaled(-HALF)
+            phi = dc.dbar_adjoint(dc.green(acc[m])).scaled(-HALF)
             if not phi.is_zero():
                 coeffs[m] = phi
                 fresh.append((m, phi))
@@ -330,6 +344,31 @@ def _owned_series(dc: DolbeaultComplex, series: DeformationSeries):
         raise ValidationError("series does not belong to this complex")
 
 
+def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> dict:
+    """dbar Phi(t) + 1/2 {Phi(t), Phi(t)} with nothing cut, split by degree in t.
+
+    Phi_s(t) is the degree-s part of the evaluated series; degree d
+    collects dbar Phi_d(t) and 1/2 {Phi_s(t), Phi_u(t)} for s + u = d.
+    Only the nonzero parts are returned, by increasing degree; none means
+    the evaluated series solves the Maurer-Cartan equation exactly at t.
+    """
+    _owned_series(dc, series)
+    pt = coerce_point(t_point, series.params)
+    parts: dict = {}
+    for m, f in sorted(series.coeffs.items()):
+        w = mono_eval(m, pt)
+        if w:
+            s = mono_degree(m)
+            parts[s] = parts[s] + f.scaled(w) if s in parts else f.scaled(w)
+    table = _contraction_table(dc)
+    out = {s: dc.dbar(f) for s, f in parts.items()}
+    for s, fs in parts.items():
+        for u, fu in parts.items():
+            br = _schouten_core(dc, table, fs, fu).scaled(HALF)
+            out[s + u] = out[s + u] + br if s + u in out else br
+    return {d: v for d, v in sorted(out.items()) if not v.is_zero()}
+
+
 def mc_residual(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> VectorForm:
     """dbar Phi(t) + 1/2 {Phi(t), Phi(t)}, truncated past total degree order.
 
@@ -339,17 +378,10 @@ def mc_residual(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> Vec
     evaluated series solves the structure equation to the stated order at
     that point.
     """
-    _owned_series(dc, series)
-    pt = coerce_point(t_point, series.params)
     acc = dc.zero_form(2)
-    for m, f in sorted(series.coeffs.items()):
-        w = mono_eval(m, pt)
-        if w:
-            acc = acc + dc.dbar(f).scaled(w)
-    for m, v in sorted(_bracket_convolution(series, series.order).items()):
-        w = mono_eval(m, pt)
-        if w:
-            acc = acc + v.scaled(w * HALF)
+    for d, v in residual_by_degree(dc, series, t_point).items():
+        if d <= series.order:
+            acc = acc + v
     return acc
 
 
@@ -380,7 +412,9 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
         binv = inverse(basis)
     except NotSolvableError:
         raise PreconditionError(
-            "parameter too large: deformed (0,1)-space degenerate"
+            "parameter too large: deformed (0,1)-space degenerate at t = ("
+            + ", ".join(str(x) for x in pt)
+            + ")"
         ) from None
     eig = GaussianRational(0, 1)
     scaled_rows = [

@@ -14,7 +14,7 @@ pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,10 +42,11 @@ class LieAlgebra:
     """Finite-dimensional real Lie algebra with rational constants.
 
     Immutable; the result of its validation is computed once and kept in
-    the private ``_checked`` slot.
+    the private ``_checked`` slot. ``_q`` holds the same constants over
+    Fraction for both index orders, for the sparse rational brackets.
     """
 
-    __slots__ = ("dim", "name", "_c", "_checked")
+    __slots__ = ("dim", "name", "_c", "_q", "_checked")
 
     def __init__(self, dim: int, brackets, name: str = ""):
         """brackets: {(i, j): {k: rational}} with 1-based i < j."""
@@ -67,9 +68,14 @@ class LieAlgebra:
                     row[k - 1] = GaussianRational(f)
             if row:
                 c[(i - 1, j - 1)] = row
+        q: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j), row in c.items():
+            q[(i, j)] = {k: x.re for k, x in row.items()}
+            q[(j, i)] = {k: -x.re for k, x in row.items()}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, nm, value):
@@ -77,11 +83,7 @@ class LieAlgebra:
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
         """c^k_ij, 0-based, antisymmetry applied."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._c.get((i, j), {}).get(k, ZERO).re
-        return -self._c.get((j, i), {}).get(k, ZERO).re
+        return self._q.get((i, j), {}).get(k, Fraction(0))
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """Nonzero brackets with 1-based indices, for display and files."""
@@ -116,6 +118,22 @@ class LieAlgebra:
                     out[k] = out[k] + f * coef
         return tuple(out)
 
+    def rational_bracket(self, u: dict, v: dict) -> dict:
+        """Bracket of sparse rational vectors {index: Fraction}, 0-based.
+
+        Works on the Fraction constants and returns the nonzero entries.
+        """
+        out: dict[int, Fraction] = {}
+        q = self._q
+        for i, x in u.items():
+            for j, y in v.items():
+                comps = q.get((i, j))
+                if comps:
+                    xy = x * y
+                    for k, c in comps.items():
+                        out[k] = out.get(k, 0) + xy * c
+        return {k: c for k, c in out.items() if c}
+
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of X -> [e_i, X], 0-based."""
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
@@ -131,19 +149,18 @@ class LieAlgebra:
         return f"LieAlgebra({label}, {len(self._c)} brackets)"
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "levels")):
     """Increasing chain of rational subspaces 0 < V_1 < ... < V_k = g.
 
     Each level is a canonical echelon basis; ``dims`` lists the nonzero
     levels' dimensions.
     """
 
-    levels: tuple[tuple[Vector, ...], ...]
-    dims: tuple[int, ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(len(lv) for lv in self.levels))
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(len(lv) for lv in self.levels)
 
     def level(self, ell: int) -> tuple[Vector, ...]:
         """V_ell, 1-based; level(0) is the zero subspace."""
@@ -156,11 +173,10 @@ class Flag:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    step: int | None
-    errors: tuple[str, ...]
+class ValidationReport(namedtuple("ValidationReport", "ok step errors")):
+    """Outcome of :func:`validate_lie`: the nilpotency step when ok, else the errors."""
+
+    __slots__ = ()
 
 
 def _annihilator_rows(basis: list[Vector], dim: int) -> list[Vector]:
@@ -202,10 +218,7 @@ def _jacobi_violations(a: LieAlgebra) -> list[str]:
     Sums [[e_x, e_y], e_z] over the three cyclic orders straight from the
     sparse structure constants, over Fraction.
     """
-    br: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), comps in a._c.items():
-        br[(i, j)] = {k: x.re for k, x in comps.items()}
-        br[(j, i)] = {k: -x.re for k, x in comps.items()}
+    br = a._q
     errors = []
     for i, j, k in combinations(range(a.dim), 3):
         total: dict[int, Fraction] = {}

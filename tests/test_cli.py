@@ -175,6 +175,38 @@ def test_kuranishi_obstruction_note_names_every_live_polynomial(tmp_path, capsys
     assert "(nonzero there: f2, f3)" in err
 
 
+def test_kuranishi_notes_a_truncated_series_on_stderr_only(tmp_path, capsys):
+    # every n10 obstruction vanishes at this point, but along t2 and t11 the
+    # series never ends, so the order-2 Phi(t) leaves a cubic residual
+    point = "0,1/10,0,0,0,0,0,0,0,0,1/10,0,0,0"
+    rc, out, err = run(
+        capsys, ["kuranishi", alg_path(tmp_path, "n10", s=1, t=0), "--order", "2", "--at", point]
+    )
+    assert rc == 0 and "note" not in out
+    assert out.endswith("classification: not integrable, nilpotent, not abelian\n")
+    assert err == (
+        "note: the order-2 series does not solve the Maurer-Cartan equation at "
+        "t = (0, 1/10, 0, 0, 0, 0, 0, 0, 0, 0, 1/10, 0, 0, 0): dbar Phi(t) + 1/2 "
+        "{Phi(t), Phi(t)} has the nonzero degree-3 term (-1/500+1/500i)*wb3^wb4 ox X2; "
+        "the classification is of the truncated structure\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name,order,point",
+    [
+        ("h15", "2", "0,0,1/10,0,0"),
+        ("h15", "2", "1/10,0,1/10,0,0"),
+        ("h15", "6", "1/10,0,1/10,0,0"),
+        ("h9", "6", "1/10,0,0"),
+        ("h9", "2", "1/3,-1/7,1/2"),
+    ],
+)
+def test_kuranishi_is_silent_where_the_series_ends(tmp_path, capsys, name, order, point):
+    rc, _, err = run(capsys, ["kuranishi", alg_path(tmp_path, name), "--order", order, "--at", point])
+    assert rc == 0 and err == ""
+
+
 def test_kuranishi_json_byte_identical(tmp_path, capsys):
     argv = [
         "kuranishi",
@@ -289,6 +321,7 @@ def test_exit_code_degenerate_deformation(tmp_path, capsys):
     )
     assert rc == 3
     assert "parameter too large" in err
+    assert err.endswith("at t = (1, 0, 0, 0, 0)\n")
 
 
 def test_exit_code_series_frame_precondition(tmp_path, capsys):

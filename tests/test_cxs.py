@@ -505,3 +505,83 @@ def test_quotient_check_names_the_level(monkeypatch):
     monkeypatch.setattr(lie, "ascending_flag", lambda dim, maps: (lie.Flag((center, top)), True))
     with pytest.raises(SelfCheckError, match="ascending series quotient not abelian at level 2$"):
         ascending_series(a)
+
+
+# ------------------------------------- real structure tests vs the frame
+
+
+def _frame_oracle(a, j):
+    """(integrable, abelian) from the types of d w^i on the eigen-frame."""
+    frame = eigen_frame(a, j)
+    types = set()
+    for i in range(frame.n):
+        types |= set(exterior_derivative(a, frame, omega_form(frame.n, i)))
+    return (0, 2) not in types, not types & {(2, 0), (0, 2)}
+
+
+def _rational_conjugate(j, rng):
+    """P J P^-1 for a seeded rational P: unit triangular times a permutation."""
+    m = j.dim
+    perm = list(range(m))
+    rng.shuffle(perm)
+    rows = []
+    for r in range(m):
+        row = [gr(0)] * m
+        row[perm[r]] = gr(1)
+        for c in range(m):
+            if perm[c] > perm[r] and rng.random() < 0.3:
+                row[perm[c]] = gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        rows.append(row)
+    p = Matrix(rows)
+    return AlmostComplexStructure(p * j.matrix * inverse(p))
+
+
+def test_real_structure_tests_match_the_frame_oracle():
+    from nilcx.catalog import get
+
+    rng = random.Random(20261020)
+    cases = [(e.algebra, j) for e in (get("h9"), get("h15"), get("torus", n=2)) for _, j in e.structures]
+    cases.append((filiform4(), pair_j(4, [(0, 1), (2, 3)])))
+    grid = [Fraction(x) for x in (-2, -1, 0, Fraction(1, 2), 1, 3)]
+    cases += [(n10(), jst(s, t)) for s in grid for t in grid if s * s != t * t][::3]
+    cases += [(a, _rational_conjugate(j, rng)) for a, j in list(cases) for _ in range(2)]
+    seen = set()
+    for a, j in cases:
+        got = (bool(is_integrable(a, j)), is_abelian(a, j))
+        assert got == _frame_oracle(a, j), (a, j.matrix)
+        seen.add(got)
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_abelian_routes_disagree_on_a_forged_operator():
+    # J = 0 passes no J^2 = -I check: [Je_a, Je_b] - [e_a, e_b] = -[e_a, e_b]
+    # is nonzero on h9 while [Je_a, e_b] + [e_a, Je_b] is zero everywhere
+    forged = object.__new__(AlmostComplexStructure)
+    object.__setattr__(forged, "dim", 6)
+    object.__setattr__(forged, "matrix", Matrix.zero(6, 6))
+    with pytest.raises(SelfCheckError, match="abelianness criteria disagree"):
+        is_abelian(h9(), forged)
+
+
+def test_integrability_witness_is_read_from_the_frame_on_demand(monkeypatch):
+    import nilcx.cxs as cxs
+
+    a, j = filiform4(), pair_j(4, [(0, 1), (2, 3)])
+    real_frame = cxs.eigen_frame
+
+    def no_frame(*args):
+        raise AssertionError("eigen-frame built")
+
+    monkeypatch.setattr(cxs, "eigen_frame", no_frame)
+    res = is_integrable(a, j)
+    assert not res and is_abelian(a, j) is False and is_integrable(h9(), j_std6())
+    monkeypatch.setattr(cxs, "eigen_frame", real_frame)
+    frame = eigen_frame(a, j)
+    firsts = [i for i in range(2) if (0, 2) in exterior_derivative(a, frame, omega_form(2, i))]
+    assert res.witness_index == firsts[0] == 1
+    assert res.witness_component == exterior_derivative(a, frame, omega_form(2, 1))[(0, 2)]
+    ok = is_integrable(h9(), j_std6())
+    assert ok.witness_index is None and ok.witness_component is None
+    # a failed verdict the frame cannot back up is a self-check error
+    with pytest.raises(SelfCheckError, match="no coframe differential"):
+        type(res)(False, h9(), j_std6()).witness_index

@@ -21,8 +21,8 @@ import pytest
 from conftest import abelian, filiform4, h9, h15, jst, n10, pair_j, j_std6
 
 from nilcx.dolbeault import DolbeaultComplex, VectorForm, basis_vector_form
-from nilcx.errors import PreconditionError, ValidationError
-from nilcx.linalg import Matrix, rank, row_space_basis
+from nilcx.errors import PreconditionError, SelfCheckError, ValidationError
+from nilcx.linalg import Matrix, hdot, rank, row_space_basis, solve_in_image
 from nilcx.scalars import gr
 
 I = gr(0, 1)
@@ -448,3 +448,85 @@ def test_cohomology_degree_out_of_range():
         dc.cohomology(4)
     with pytest.raises(PreconditionError, match="degree"):
         dc.cohomology(-1)
+
+
+# ------------------------------------------------------ the Green matrix
+
+
+def _projector(dc, k):
+    """Orthogonal projector onto the harmonic space, from its basis."""
+    dim = dc.chain_dim(k)
+    rows = [[gr(0)] * dim for _ in range(dim)]
+    for h in dc.cohomology(k).harmonic_basis:
+        v = dc._to_vec(h)
+        norm = hdot(v, v)
+        for r in range(dim):
+            for c in range(dim):
+                rows[r][c] = rows[r][c] + v[r] * v[c].conjugate() / norm
+    return Matrix(rows)
+
+
+def _dc_n10():
+    return DolbeaultComplex(n10(), jst(1, 0))
+
+
+@pytest.mark.parametrize(
+    "build,degrees",
+    [
+        (dc_h9, range(4)),
+        (dc_h15, range(4)),
+        (lambda: DolbeaultComplex(abelian(6), j_std6()), range(4)),
+        (_dc_n10, (1, 2)),
+    ],
+    ids=["h9", "h15", "torus3", "n10"],
+)
+def test_green_matrix_is_the_old_kernel_solve(build, degrees):
+    dc = build()
+    rng = random.Random(20261021)
+    for k in degrees:
+        g, lap, proj = dc.green_matrix(k), dc.laplacian_matrix(k), _projector(dc, k)
+        dim = dc.chain_dim(k)
+        assert lap * g == Matrix.identity(dim) - proj
+        for h in dc.cohomology(k).harmonic_basis:
+            assert not any(g.matvec(dc._to_vec(h)))
+        for _ in range(2 if dim > 30 else 4):
+            v = dc._to_vec(rand_form(dc, k, rng))
+            rest = tuple(a - b for a, b in zip(v, proj.matvec(v)))
+            assert g.matvec(v) == solve_in_image(lap, rest)
+        if k >= 1:
+            adj = dc.dbar_matrix(k - 1).conj_transpose()
+            assert adj * g == dc.green_matrix(k - 1) * adj
+
+
+def test_green_matrix_is_built_once_per_degree():
+    dc = dc_h15()
+    rng = random.Random(5)
+    g = dc.green_matrix(2)
+    for _ in range(3):
+        dc.green(rand_form(dc, 2, rng))
+    assert dc.green_matrix(2) is g
+
+
+def test_green_commutation_failure_names_degree_and_shape():
+    dc = dc_h9()
+    # a wrong G_1 in the cache: building G_2 must refuse it
+    dc._green[1] = Matrix.identity(dc.chain_dim(1))
+    with pytest.raises(SelfCheckError) as info:
+        dc.green_matrix(2)
+    assert str(info.value) == (
+        "Green operator does not commute with the adjoint in degree 2: "
+        "dbar*_1 G_2 != G_1 dbar*_1 (9x9 adjoint, 9x9 G_2)"
+    )
+
+
+def test_degree_errors_name_the_degree():
+    dc = dc_h9()
+    with pytest.raises(PreconditionError) as info:
+        dc.dbar_matrix(3)
+    assert str(info.value) == (
+        "no differential at this degree: dbar_3 (differentials are dbar_0..dbar_2)"
+    )
+    for call in (dc.laplacian_matrix, dc.cohomology, dc.green_matrix):
+        with pytest.raises(PreconditionError) as info:
+            call(4)
+        assert str(info.value) == "degree out of range: 4 (degrees are 0..3)"

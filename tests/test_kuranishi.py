@@ -34,10 +34,11 @@ from nilcx.kuranishi import (
     kuranishi_series,
     mc_residual,
     obstructions,
+    residual_by_degree,
     schouten,
     schouten_with_coform,
 )
-from nilcx.poly import Poly, mono_degree
+from nilcx.poly import Poly, mono_degree, mono_eval
 from nilcx.scalars import gr
 
 
@@ -390,6 +391,66 @@ def test_mc_residual_pin_off_the_flat_locus():
     )
 
 
+def _residual_reference(dc, ser, pt, cap):
+    """sum_m t^m dbar phi_m + 1/2 sum_{|m| <= cap} t^m {phi_a, phi_b}, pair by pair."""
+    pt = tuple(gr(x) for x in pt)
+    acc = dc.zero_form(2)
+    for m, f in ser.coeffs.items():
+        acc = acc + dc.dbar(f).scaled(mono_eval(m, pt))
+    for ma, fa in ser.coeffs.items():
+        for mb, fb in ser.coeffs.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if mono_degree(m) <= cap:
+                acc = acc + schouten(dc, fa, fb).scaled(mono_eval(m, pt) * gr(Fraction(1, 2)))
+    return acc
+
+
+def test_residual_by_degree_splits_the_untruncated_residual():
+    rng = random.Random(20261022)
+    for dc, order in ((dc_h15(), 3), (dc_h9(), 2), (dc_torus(), 2)):
+        ser = kuranishi_series(dc, order=order)
+        for _ in range(4):
+            pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(ser.params))
+            parts = residual_by_degree(dc, ser, pt)
+            assert list(parts) == sorted(parts)
+            assert all(not v.is_zero() for v in parts.values())
+            total = sum(parts.values(), dc.zero_form(2))
+            phi = ser.evaluate(pt)
+            # the whole residual costs one bracket of the evaluated series
+            assert total == dc.dbar(phi) + schouten(dc, phi, phi).scaled(Fraction(1, 2))
+            assert total == _residual_reference(dc, ser, pt, 2 * order)
+            assert mc_residual(dc, ser, pt) == _residual_reference(dc, ser, pt, order)
+            # degree d scales as lambda^d under t -> lambda t
+            scaled = residual_by_degree(dc, ser, tuple(2 * x for x in pt))
+            assert scaled == {d: v.scaled(2**d) for d, v in parts.items()}
+
+
+def test_residual_by_degree_names_the_truncation_of_the_n10_series():
+    dc = DolbeaultComplex(n10(), jst(1, 0))
+    ser = kuranishi_series(dc, order=2)
+    pt = tuple(Fraction(1, 10) if i in (1, 10) else 0 for i in range(14))
+    assert obstructions(ser).vanishes_at(pt)
+    assert mc_residual(dc, ser, pt).is_zero()
+    parts = residual_by_degree(dc, ser, pt)
+    assert min(parts) == 3
+    assert str(parts[3]) == "(-1/500+1/500i)*wb3^wb4 ox X2"
+
+
+def test_residual_by_degree_vanishes_where_the_series_ends():
+    dc15, dc9 = dc_h15(), dc_h9()
+    for order in (2, 6):
+        ser = kuranishi_series(dc15, order=order)
+        for pt in ((0, 0, Fraction(1, 10), 0, 0), (Fraction(1, 10), 0, Fraction(1, 10), 0, 0)):
+            assert residual_by_degree(dc15, ser, pt) == {}
+        ser9 = kuranishi_series(dc9, order=order)
+        for pt in ((Fraction(1, 10), 0, 0), (Fraction(1, 3), Fraction(-1, 7), Fraction(1, 2))):
+            assert residual_by_degree(dc9, ser9, pt) == {}
+    # at order 1 the t1*t3 coefficient of h15 is missing
+    ser1 = kuranishi_series(dc15, order=1)
+    parts = residual_by_degree(dc15, ser1, (Fraction(1, 10), 0, Fraction(1, 10), 0, 0))
+    assert list(parts) == [2]
+
+
 def test_mc_residual_zero_on_flat_locus():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=4)
@@ -466,8 +527,9 @@ def test_deform_h15_obstructed_direction_not_integrable():
 def test_deform_degenerate_parameter_raises():
     dc = dc_h9()
     ser = kuranishi_series(dc, order=2)
-    with pytest.raises(PreconditionError, match="parameter too large"):
+    with pytest.raises(PreconditionError, match="parameter too large") as info:
         deform_structure(dc, ser, (1, 0, 0))
+    assert str(info.value).endswith("degenerate at t = (1, 0, 0)")
 
 
 def test_deform_provenance():

@@ -4,6 +4,7 @@ subcommand loads only the modules it runs."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,31 @@ def test_cohomology_loads_dolbeault_only(h15_file):
     assert not loaded & {"nilcx.kuranishi", "nilcx.poly", "nilcx.catalog"}
 
 
+def test_catalog_loads_no_dolbeault_layer():
+    code = (
+        "import sys\n"
+        "from nilcx.cli import main\n"
+        "main(['catalog'])\n"
+        "import nilcx\n"
+        "nilcx.get('h15')\n"
+        "print('loaded', *sorted(m for m in sys.modules if m.startswith('nilcx')))\n"
+    )
+    loaded = set(_python(code).splitlines()[-1].split()[1:])
+    assert {"nilcx.catalog", "nilcx.lie", "nilcx.cxs"} <= loaded
+    assert not loaded & {"nilcx.dolbeault", "nilcx.kuranishi", "nilcx.poly"}
+
+
+def test_kuranishi_job_imports_no_dataclasses(h15_file):
+    code = (
+        "import sys\n"
+        "from nilcx.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('loaded', rc, *sorted(sys.modules.keys() & {'dataclasses', 'inspect', 'ast', 'dis'}))\n"
+    )
+    last = _python(code, "kuranishi", h15_file, "--order", "2", "--at", "0,0,1/10,0,0")
+    assert last.splitlines()[-1].split() == ["loaded", "0"]
+
+
 def test_public_names_are_unchanged_and_resolve():
     assert nilcx.__all__ == PUBLIC
     listed = dir(nilcx)
@@ -100,3 +126,89 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nilcx.no_such_name
     assert not hasattr(nilcx, "Matrix")
+
+
+def _records():
+    """(value records built twice from fresh inputs, identity records)."""
+    from nilcx.algfile import AlgebraFile
+    from nilcx.catalog import get as fetch
+    from nilcx.cxs import is_integrable
+    from nilcx.dolbeault import DolbeaultComplex
+    from nilcx.kuranishi import (
+        DeformedStructure,
+        classify_deformation,
+        deform_structure,
+        kuranishi_series,
+        obstructions,
+    )
+    from nilcx.lie import ascending_series, validate_lie
+
+    def build():
+        entry = fetch("h15")
+        a, j = entry.algebra, entry.structures[0][1]
+        dc = DolbeaultComplex(a, j)
+        series = kuranishi_series(dc, order=2)
+        deformed = deform_structure(dc, series, (0, 0, Fraction(1, 10), 0, 0))
+        report = validate_lie(a)
+        values = [
+            report,
+            ascending_series(a),
+            dc.cohomology(1),
+            obstructions(series),
+            classify_deformation(a, deformed),
+        ]
+        return entry, series, deformed, values
+
+    entry, series, deformed, values = build()
+    _, _, _, again = build()
+    a, j = entry.algebra, entry.structures[0][1]
+    twins = list(zip(values, again)) + [
+        (
+            AlgebraFile(name="h15", algebra=a, structures=entry.structures, report=values[0]),
+            AlgebraFile("h15", a, entry.structures, again[0]),
+        ),
+        (is_integrable(a, j), is_integrable(a, j)),
+    ]
+    hand_fed = DeformedStructure(t_point=(), j_new=j, algebra=a)
+    return twins, [entry, series, deformed, hand_fed]
+
+
+def test_records_are_immutable_and_value_records_hash_by_value():
+    twins, identities = _records()
+    names = {type(x).__name__ for x, _ in twins} | {type(x).__name__ for x in identities}
+    assert names == {
+        "AlgebraFile", "ValidationReport", "Flag", "CohomologySpace", "ObstructionSet",
+        "DeformationReport", "IntegrabilityResult", "CatalogEntry", "DeformationSeries",
+        "DeformedStructure",
+    }
+    for x, y in twins:
+        assert x is not y and x == y and hash(x) == hash(y)
+        field = x._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            x.extra = 1
+    for x in identities:
+        field = type(x).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            x.extra = 1
+    entry, series, deformed, hand_fed = identities
+    # identity records compare by identity, as the dataclasses did (eq=False)
+    twin = type(hand_fed)(t_point=(), j_new=hand_fed.j_new, algebra=hand_fed.algebra)
+    assert hand_fed == hand_fed and hand_fed != twin
+    assert entry.params is None
+    assert deformed.provenance == (entry.algebra, entry.structures[0][1], series, 2)
+    assert hand_fed.provenance == (entry.algebra, None, None, None)
+
+
+def test_records_keep_defaults_and_keyword_construction():
+    from nilcx.cxs import IntegrabilityResult
+    from nilcx.lie import Flag
+
+    ok = IntegrabilityResult(ok=True)
+    assert ok and ok.witness_index is None and ok.witness_component is None
+    assert not IntegrabilityResult(False)
+    flag = Flag(levels=(("a", "b"), ("a", "b", "c")))
+    assert flag.dims == (2, 3) and flag.depth == 2 and flag.level(0) == ()
