@@ -24,9 +24,9 @@ from .errors import (
 )
 from .lie import Flag, LieAlgebra, ascending_flag, ascending_series, vector_text
 from .linalg import (
+    EchelonBasis,
     Matrix,
     Vector,
-    in_span,
     inverse,
     kernel_basis,
     rref,
@@ -554,25 +554,25 @@ def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFram
     """
     flag = ascending_series(algebra)
     for ell in range(1, flag.depth + 1):
-        lv = list(flag.level(ell))
+        lv = flag.level(ell)
+        level = EchelonBasis(lv)
         for b in lv:
-            if not in_span(j.matrix.matvec(b), lv):
+            if j.matrix.matvec(b) not in level:
                 raise PreconditionError(
                     f"J does not preserve ascending series: level {ell} basis "
                     f"vector {vector_text(b, 'e')} is mapped outside the level"
                 )
     chosen: list[Vector] = []
-    span: list[Vector] = []
+    span = EchelonBasis()
     levels: list[int] = []
     for ell in range(1, flag.depth + 1):
         for b in flag.level(ell):
-            if in_span(b, span):
+            if not span.add(b):
                 continue
             jb = j.matrix.matvec(b)
-            if in_span(jb, span + [b]):
+            if not span.add(jb):
                 raise SelfCheckError("J pairs collapse inside a level")
             chosen.append(tuple(x - IMAG * y for x, y in zip(b, jb)))
-            span.extend([b, jb])
             levels.append(ell)
     frame = ComplexFrame(algebra, chosen, levels=levels)
     frame.check_against(j)

@@ -27,9 +27,11 @@ from .linalg import (
     Vector,
     gram_schmidt,
     hdot,
+    hdot_support,
     inverse,
     is_zero_vector,
     kernel_basis,
+    nonzero_entries,
     orthogonal_complement,
     row_space_basis,
 )
@@ -368,7 +370,8 @@ class DolbeaultComplex:
         self._check_degree(k)
         vecs = self._harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
-        gram = Matrix([[hdot(u, w) for w in vecs] for u in vecs])
+        supports = [nonzero_entries(w) for w in vecs]
+        gram = Matrix([[hdot_support(u, s) for s in supports] for u in vecs])
         return CohomologySpace(k, len(basis), basis, gram)
 
     def harmonic_projection(self, mu: VectorForm) -> VectorForm:

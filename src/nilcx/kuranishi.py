@@ -273,12 +273,17 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
         by_degree[1].append((mono, h))
     for r in range(2, order + 1):
         acc: dict = {}
-        for s in range(1, r):
-            for ma, fa in by_degree[s]:
-                for mb, fb in by_degree[r - s]:
+        # the bracket is symmetric: each unordered pair once, distinct pairs twice
+        for s in range(1, r // 2 + 1):
+            lower, upper = by_degree[s], by_degree[r - s]
+            for x, (ma, fa) in enumerate(lower):
+                for y in range(x if s == r - s else 0, len(upper)):
+                    mb, fb = upper[y]
                     br = _schouten_core(dc, table, fa, fb)
                     if br.is_zero():
                         continue
+                    if s != r - s or x != y:
+                        br = br.scaled(2)
                     m = mono_add(ma, mb)
                     acc[m] = acc[m] + br if m in acc else br
         fresh = []
@@ -305,16 +310,20 @@ def _bracket_convolution(series: DeformationSeries, cap: int) -> dict:
     """
     dc = series.dolbeault
     table = _contraction_table(dc)
-    entries = sorted(series.coeffs.items())
+    entries = [(m, mono_degree(m), f) for m, f in sorted(series.coeffs.items())]
     out: dict = {}
-    for ma, fa in entries:
-        for mb, fb in entries:
-            m = mono_add(ma, mb)
-            if mono_degree(m) > cap:
+    # the bracket is symmetric: each unordered pair once, distinct pairs twice
+    for x, (ma, da, fa) in enumerate(entries):
+        for y in range(x, len(entries)):
+            mb, db, fb = entries[y]
+            if da + db > cap:
                 continue
             br = _schouten_core(dc, table, fa, fb)
             if br.is_zero():
                 continue
+            if x != y:
+                br = br.scaled(2)
+            m = mono_add(ma, mb)
             out[m] = out[m] + br if m in out else br
     return out
 

@@ -109,11 +109,11 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
             ocols = other.ncols
-            support = [_support(row) for row in other.rows]
+            support = [nonzero_entries(row) for row in other.rows]
             out = []
             for row in self.rows:
                 acc = [ZERO] * ocols
-                for k, a in _support(row):
+                for k, a in nonzero_entries(row):
                     for j, b in support[k]:
                         acc[j] = acc[j] + a * b
                 out.append(tuple(acc))
@@ -124,7 +124,7 @@ class Matrix:
         v = tuple(_as_scalar(x) for x in v)
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
-        nz = _support(v)
+        nz = nonzero_entries(v)
         out = []
         for row in self.rows:
             acc = ZERO
@@ -166,13 +166,9 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def _support(v: Sequence[GaussianRational]) -> list[tuple[int, GaussianRational]]:
+def nonzero_entries(v: Sequence[GaussianRational]) -> list[tuple[int, GaussianRational]]:
     """(index, entry) for the nonzero entries of v, in index order."""
     return [(k, x) for k, x in enumerate(v) if x]
-
-
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vsub(u: Vector, v: Vector) -> Vector:
@@ -182,10 +178,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
 def vscale(c, v: Vector) -> Vector:
     c = _as_scalar(c)
     return tuple(c * x for x in v)
-
-
-def vzero(n: int) -> Vector:
-    return (ZERO,) * n
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -198,6 +190,16 @@ def hdot(u: Sequence, v: Sequence) -> GaussianRational:
     for a, b in zip(u, v, strict=True):
         if a and b:
             acc = acc + _as_scalar(a) * _as_scalar(b).conjugate()
+    return acc
+
+
+def hdot_support(v: Sequence, support: Sequence[tuple[int, GaussianRational]]) -> GaussianRational:
+    """hdot(v, u) for the u whose nonzero entries are ``support = nonzero_entries(u)``."""
+    acc = ZERO
+    for k, x in support:
+        a = v[k]
+        if a:
+            acc = acc + a * x.conjugate()
     return acc
 
 
@@ -223,7 +225,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inverse()
         pivot_row = rows[r]
-        support = [(j, inv * x) for j, x in _support(pivot_row)]
+        support = [(j, inv * x) for j, x in nonzero_entries(pivot_row)]
         for j, y in support:
             pivot_row[j] = y
         for i in range(nr):
@@ -307,6 +309,45 @@ def row_space_basis(vectors: Sequence[Vector]) -> list[Vector]:
     return [red.rows[i] for i in range(len(pivots))]
 
 
+class EchelonBasis:
+    """A span built one vector at a time, tested by one reduction per vector.
+
+    Each row is kept as its nonzero entries, scaled to 1 at its pivot and
+    reduced at the pivot of every earlier row, so reducing a vector
+    against the rows in order leaves it zero at every pivot; the
+    remainder is zero exactly when the vector lies in the span.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors: Iterable[Vector] = ()):
+        self._rows: list[tuple[int, list]] = []
+        for v in vectors:
+            self.add(v)
+
+    def _remainder(self, v: Sequence[GaussianRational]) -> list[GaussianRational]:
+        w = list(v)
+        for p, entries in self._rows:
+            f = w[p]
+            if f:
+                for k, x in entries:
+                    w[k] = w[k] - f * x
+        return w
+
+    def __contains__(self, v: Sequence[GaussianRational]) -> bool:
+        return not any(self._remainder(v))
+
+    def add(self, v: Sequence[GaussianRational]) -> bool:
+        """Extend the span by v; False, and no change, when v is already in it."""
+        entries = nonzero_entries(self._remainder(v))
+        if not entries:
+            return False
+        p, lead = entries[0]
+        inv = lead.inverse()
+        self._rows.append((p, [(k, inv * x) for k, x in entries]))
+        return True
+
+
 def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
     if is_zero_vector(v):
         return True
@@ -331,24 +372,27 @@ def orthogonal_complement(
     spans span(inside), and the mutual Gram matrix is exactly zero.
     """
     inside_basis = row_space_basis(inside)
+    inside_span = EchelonBasis(inside_basis)
     for sv in s:
-        if not in_span(sv, inside_basis):
+        if sv not in inside_span:
             raise PreconditionError("span(S) not contained in span(inside)")
     if not inside_basis:
         return []
     if not s:
         return list(inside_basis)
     # coefficients x with v = sum x_j b_j, constrained by <v, s_i> = 0
-    cons = Matrix(
-        [[hdot(bj, si) for bj in inside_basis] for si in s]
+    cons = Matrix._of(
+        tuple(tuple(hdot_support(bj, nonzero_entries(si)) for bj in inside_basis) for si in s)
     )
-    coeffs = kernel_basis(cons)
+    supports = [nonzero_entries(bj) for bj in inside_basis]
     out = []
-    for cv in coeffs:
-        v = vzero(len(inside_basis[0]))
-        for c, bj in zip(cv, inside_basis, strict=True):
-            v = vadd(v, vscale(c, bj))
-        out.append(v)
+    for cv in kernel_basis(cons):
+        v = [ZERO] * len(inside_basis[0])
+        for c, support in zip(cv, supports, strict=True):
+            if c:
+                for k, x in support:
+                    v[k] = v[k] + c * x
+        out.append(tuple(v))
     return out
 
 
@@ -369,13 +413,25 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
-    """Orthogonalize without normalizing; input must be independent."""
+    """Orthogonalize without normalizing; input must be independent.
+
+    Each output keeps its support and squared norm, so a projection runs
+    over that support only and is skipped when its coefficient is zero.
+    """
     out: list[Vector] = []
+    done: list[tuple[list, GaussianRational]] = []
     for v in vectors:
-        w = v
-        for u in out:
-            w = vsub(w, vscale(hdot(v, u) / hdot(u, u), u))
-        if is_zero_vector(w):
+        w = list(v)
+        for support, norm_sq in done:
+            c = hdot_support(v, support)
+            if c:
+                f = c / norm_sq
+                for k, x in support:
+                    w[k] = w[k] - f * x
+        w = tuple(w)
+        support = nonzero_entries(w)
+        if not support:
             raise PreconditionError("gram_schmidt input not independent")
         out.append(w)
+        done.append((support, hdot_support(w, support)))
     return out

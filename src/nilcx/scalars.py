@@ -7,6 +7,7 @@ floating point anywhere, so rank decisions and zero tests are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rat = int | Fraction
 
@@ -14,104 +15,131 @@ Rat = int | Fraction
 class GaussianRational:
     """A complex number ``re + im*i`` with ``re``, ``im`` rational.
 
+    Held as one integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``,
+    canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have
+    equal triples. Each operation is integer arithmetic plus at most one
+    ``math.gcd``; ``re`` and ``im`` build their ``Fraction`` on request.
     Immutable and hashable. Arithmetic accepts plain ``int`` and
     ``Fraction`` operands and coerces them to real Gaussian rationals.
-    Results skip products and sums with a zero operand, since most
-    coefficients in the package's sparse matrices are zero.
+    Sums with a zero operand return the other operand unchanged, since
+    most coefficients in the package's sparse matrices are zero.
     """
 
-    __slots__ = ("re", "im")
-
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat | str = 0, im: Rat | str = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            x, y = Fraction(re), Fraction(im)
+            a = x.numerator * y.denominator
+            b = y.numerator * x.denominator
+            d = x.denominator * y.denominator
+            g = gcd(a, b, d)
+            a, b, d = a // g, b // g, d // g
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        if not self.im:
+        if not self._b:
             return self
-        return _make(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        if not self.im:
-            if not self.re:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
                 raise ZeroDivisionError("inverse of zero")
-            return _make(1 / self.re, _FZERO)
-        n = self.norm_sq()
-        return _make(self.re / n, -self.im / n)
+            # gcd(a, d) = 1 already
+            return _new(d, 0, a) if a > 0 else _new(-d, 0, -a)
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __add__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.re and not o.im:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e = other._a, other._b
+        if not c and not e:
             return self
-        if not self.re and not self.im:
-            return o
-        return _make(self.re + o.re, self.im + o.im)
+        a, b = self._a, self._b
+        if not a and not b:
+            return other
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.re and not o.im:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e = other._a, other._b
+        if not c and not e:
             return self
-        if not self.re and not self.im:
-            return -o
-        return _make(self.re - o.re, self.im - o.im)
+        a, b = self._a, self._b
+        d, f = self._d, other._d
+        if not a and not b:
+            return _new(-c, -e, f)
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if (not a and not b) or (not c and not d):
-            return ZERO
-        if not b:
-            return _make(a * c, a * d if d else _FZERO)
-        if not d:
-            return _make(a * c, b * c)
-        return _make(a * c - b * d, a * d + b * c)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b:
+            if e:
+                return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+            return _reduced(a * c, b * c, self._d * other._d)
+        if e:
+            return _reduced(a * c, a * e, self._d * other._d)
+        return _reduced(a * c, 0, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -129,55 +157,89 @@ class GaussianRational:
         return out
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        o = other if type(other) is GaussianRational else self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # equal to a real int or Fraction, so hash like one
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            # a real value's a/d is already in lowest terms
+            return str(a) if d == 1 else f"{a}/{d}"
+        if b == d:
             ims = "i"
-        elif self.im == -1:
+        elif b == -d:
             ims = "-i"
         else:
-            ims = f"{self.im}i"
-        if self.re == 0:
+            ims = _rat_text(b, d) + "i"
+        if not a:
             return ims
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{ims}"
+        return _rat_text(a, d) + ("+" if b > 0 else "") + ims
 
     def __repr__(self):
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({_rat_text(self._a, self._d)}, {_rat_text(self._b, self._d)})"
 
 
-_FZERO = Fraction(0)
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_object_new = object.__new__
 
 
-def _make(re: Fraction, im: Fraction) -> GaussianRational:
-    """A result from parts that are already normalised Fractions."""
-    z = object.__new__(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d from a triple that is already canonical."""
+    z = _object_new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
     return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b i)/d for any d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _new(a, b, d)
+
+
+def _coerce(x) -> GaussianRational | None:
+    if type(x) is int:
+        return _new(x, 0, 1)
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _new(x.numerator, 0, x.denominator)
+    return None
+
+
+def _rat_text(n: int, d: int) -> str:
+    """n/d as ``str(Fraction(n, d))`` prints it, without building one."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 ZERO = GaussianRational(0)

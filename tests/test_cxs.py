@@ -519,9 +519,8 @@ def _frame_oracle(a, j):
     return (0, 2) not in types, not types & {(2, 0), (0, 2)}
 
 
-def _rational_conjugate(j, rng):
-    """P J P^-1 for a seeded rational P: unit triangular times a permutation."""
-    m = j.dim
+def _rational_basis_change(m, rng):
+    """A seeded rational P: unit triangular times a permutation."""
     perm = list(range(m))
     rng.shuffle(perm)
     rows = []
@@ -532,8 +531,69 @@ def _rational_conjugate(j, rng):
             if perm[c] > perm[r] and rng.random() < 0.3:
                 row[perm[c]] = gr(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
         rows.append(row)
-    p = Matrix(rows)
+    return Matrix(rows)
+
+
+def _rational_conjugate(j, rng):
+    """P J P^-1 for a seeded rational P."""
+    p = _rational_basis_change(j.dim, rng)
     return AlmostComplexStructure(p * j.matrix * inverse(p))
+
+
+def _conjugate_pair(a, j, rng):
+    """(g, J) in the basis f_i = P e_i for a seeded rational P."""
+    p = _rational_basis_change(a.dim, rng)
+    p_inv = inverse(p)
+    cols = p.columns()
+    brackets = {}
+    for x in range(a.dim):
+        for y in range(x + 1, a.dim):
+            w = p_inv.matvec(a.bracket(cols[x], cols[y]))
+            if any(w):
+                brackets[(x + 1, y + 1)] = {k + 1: c.re for k, c in enumerate(w) if c}
+    return LieAlgebra(a.dim, brackets), AlmostComplexStructure(p_inv * j.matrix * p)
+
+
+def _reference_frame(a, j):
+    """adapted_frame's vectors and levels with each membership by in_span, or
+    None when J moves a series level."""
+    flag = ascending_series(a)
+    for ell in range(1, flag.depth + 1):
+        lv = list(flag.level(ell))
+        if any(not in_span(j.matrix.matvec(b), lv) for b in lv):
+            return None
+    chosen, span, levels = [], [], []
+    for ell in range(1, flag.depth + 1):
+        for b in flag.level(ell):
+            if in_span(b, span):
+                continue
+            jb = j.matrix.matvec(b)
+            assert not in_span(jb, span + [b])
+            chosen.append(tuple(x - I * y for x, y in zip(b, jb)))
+            span += [b, jb]
+            levels.append(ell)
+    return tuple(chosen), tuple(levels)
+
+
+def test_adapted_frame_matches_the_in_span_reference():
+    from nilcx.catalog import get
+
+    rng = random.Random(20261021)
+    entries = [get("h9"), get("h15"), get("torus", n=2), get("torus", n=3), get("n10", s=1, t=0)]
+    cases = [(e.algebra, j) for e in entries for _, j in e.structures]
+    cases.append((n10(), jst(2, 1)))
+    cases += [_conjugate_pair(a, j, rng) for a, j in list(cases) for _ in range(3)]
+    outcomes = set()
+    for a, j in cases:
+        want = _reference_frame(a, j)
+        if want is None:
+            with pytest.raises(PreconditionError, match="J does not preserve ascending series: level"):
+                adapted_frame(a, j)
+        else:
+            f = adapted_frame(a, j)
+            assert (f.vectors, f.levels) == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_real_structure_tests_match_the_frame_oracle():

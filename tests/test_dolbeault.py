@@ -399,10 +399,14 @@ def test_torus_cohomology_is_whole_chain_space():
 
 
 def test_gram_matrices_diagonal_positive():
-    for build in (dc_h9, dc_h15):
+    for build in (dc_h9, dc_h15, dc_torus):
         dc = build()
         for k in range(dc.n + 1):
-            g = dc.cohomology(k).gram
+            space = dc.cohomology(k)
+            g = space.gram
+            # the Gram built over supports is the dense Hermitian Gram
+            vecs = [dc._to_vec(h) for h in space.harmonic_basis]
+            assert g == Matrix([[hdot(u, w) for w in vecs] for u in vecs])
             for i in range(g.nrows):
                 for j in range(g.ncols):
                     if i == j:

@@ -300,6 +300,69 @@ def test_series_evaluate_on_flat_directions_is_linear():
     assert ser.evaluate(pt) == expected
 
 
+def _ordered_pair_reference(dc, order):
+    """Series coefficients and obstruction polynomials with every ordered
+    pair of terms bracketed, through the public operators."""
+    coh = dc.cohomology(1)
+    p = coh.dimension
+    by_degree = {1: [(tuple(int(i == k) for i in range(p)), h) for k, h in enumerate(coh.harmonic_basis)]}
+    coeffs = dict(by_degree[1])
+    for r in range(2, order + 1):
+        acc = {}
+        for s in range(1, r):
+            for ma, fa in by_degree[s]:
+                for mb, fb in by_degree[r - s]:
+                    m = tuple(x + y for x, y in zip(ma, mb))
+                    acc[m] = acc[m] + schouten(dc, fa, fb) if m in acc else schouten(dc, fa, fb)
+        by_degree[r] = []
+        for m in sorted(acc):
+            phi = dc.dbar_adjoint(dc.green(acc[m])).scaled(gr(Fraction(-1, 2)))
+            if not phi.is_zero():
+                coeffs[m] = phi
+                by_degree[r].append((m, phi))
+    conv = {}
+    for ma, fa in coeffs.items():
+        for mb, fb in coeffs.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if mono_degree(m) <= order + 1:
+                conv[m] = conv[m] + schouten(dc, fa, fb) if m in conv else schouten(dc, fa, fb)
+    polys = tuple(
+        Poly(p, {m: dc.inner_product(v, gamma) for m, v in conv.items()})
+        for gamma in dc.cohomology(2).harmonic_basis
+    )
+    return coeffs, polys
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (dc_h9, 6),
+        (dc_h15, 6),
+        (lambda: DolbeaultComplex(abelian(6), j_std6()), 3),
+        (lambda: DolbeaultComplex(n10(), jst(1, 0)), 2),
+    ],
+)
+def test_series_and_obstructions_match_the_ordered_pair_reference(build, order):
+    dc = build()
+    ser = kuranishi_series(dc, order=order)
+    coeffs, polys = _ordered_pair_reference(dc, order)
+    assert ser.coeffs == coeffs
+    assert obstructions(ser).polys == polys
+
+
+def test_each_symmetric_bracket_is_computed_once(monkeypatch):
+    import nilcx.kuranishi as kur
+
+    calls = []
+    core = kur._schouten_core
+    monkeypatch.setattr(kur, "_schouten_core", lambda *args: calls.append(1) or core(*args))
+    ser = kuranishi_series(dc_h15(), order=6)
+    in_series = len(calls)
+    obstructions(ser)
+    # 199 and 265 calls when every ordered pair was bracketed
+    assert (in_series, len(calls) - in_series) == (105, 138)
+
+
 # --------------------------------------------------------- obstructions
 
 

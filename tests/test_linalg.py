@@ -10,6 +10,7 @@ import pytest
 
 from nilcx.errors import NotSolvableError, PreconditionError
 from nilcx.linalg import (
+    EchelonBasis,
     Matrix,
     coords_in_basis,
     gram_schmidt,
@@ -23,8 +24,8 @@ from nilcx.linalg import (
     row_space_basis,
     rref,
     solve_in_image,
-    vadd,
     vscale,
+    vsub,
 )
 from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr
 
@@ -183,7 +184,7 @@ def test_row_space_basis_canonical():
 
 def test_in_span_and_coords():
     basis = [(ONE, ZERO, ZERO), (ZERO, ONE, ONE)]
-    v = vadd(vscale(gr(2), basis[0]), vscale(I, basis[1]))
+    v = tuple(gr(2) * a + I * b for a, b in zip(*basis))
     assert in_span(v, basis)
     assert coords_in_basis(v, basis) == (gr(2), I)
     assert not in_span((ZERO, ONE, ZERO), basis)
@@ -374,3 +375,52 @@ def test_zero_short_cuts_match_dense_and_stay_scalars():
         assert isinstance(got, GaussianRational)
         assert _pair(got) == _pconj(_pair(x))
     assert _pair(gr(1, 2).conjugate()) == (Fraction(1), Fraction(-2))
+
+
+def textbook_gram_schmidt(vectors):
+    out = []
+    for v in vectors:
+        w = v
+        for u in out:
+            w = vsub(w, vscale(hdot(v, u) / hdot(u, u), u))
+        if is_zero_vector(w):
+            raise PreconditionError("gram_schmidt input not independent")
+        out.append(w)
+    return out
+
+
+def test_gram_schmidt_matches_the_textbook_routine():
+    rng = random.Random(20261018)
+    for _ in range(80):
+        nv, n = rng.randint(1, 6), rng.randint(1, 7)
+        vs = [tuple(gr(*x) for x in row) for row in sparse_pairs(rng, nv, n, blank=False)]
+        # unit vectors and repeated supports, as the harmonic bases have them
+        if rng.random() < 0.3:
+            vs = [tuple(ONE if c == r else ZERO for c in range(n)) for r in rng.sample(range(n), min(n, nv))]
+        try:
+            want = textbook_gram_schmidt(vs)
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="not independent"):
+                gram_schmidt(vs)
+            continue
+        got = gram_schmidt(vs)
+        assert got == want
+        assert all(type(w) is tuple for w in got)
+
+
+def test_echelon_basis_membership_matches_in_span():
+    rng = random.Random(20261019)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        vs = [tuple(gr(*x) for x in row) for row in sparse_pairs(rng, rng.randint(1, 8), n, blank=False)]
+        span, kept = EchelonBasis(), []
+        for v in vs:
+            assert (v in span) == in_span(v, kept)
+            assert span.add(v) == (not in_span(v, kept))
+            if not in_span(v, kept):
+                kept.append(v)
+            assert v in span
+        assert not kept or rank(Matrix(kept)) == len(kept)
+        probe = tuple(gr(*x) for x in sparse_pairs(rng, 1, n, blank=False)[0])
+        assert (probe in span) == in_span(probe, kept)
+        assert (probe in EchelonBasis(row_space_basis(vs))) == in_span(probe, vs)

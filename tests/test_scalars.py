@@ -1,5 +1,6 @@
 """Field arithmetic for exact complex rationals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -110,3 +111,141 @@ def test_immutability():
     z = gr(1)
     with pytest.raises(AttributeError):
         z.re = Fraction(2)
+
+
+# ------------------------------------- the integer kernel against Fraction pairs
+
+
+def _pair(z):
+    return (z.re, z.im)
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _ref_inv(x):
+    a, b = x
+    n = a * a + b * b
+    return (a / n, -b / n)
+
+
+def _ref_text(re, im):
+    """str() of a value as the Fraction-pair representation printed it."""
+    if im == 0:
+        return str(re)
+    if im == 1:
+        ims = "i"
+    elif im == -1:
+        ims = "-i"
+    else:
+        ims = f"{im}i"
+    if re == 0:
+        return ims
+    sign = "+" if im > 0 else ""
+    return f"{re}{sign}{ims}"
+
+
+def _canonical(z):
+    from math import gcd
+
+    a, b, d = z._a, z._b, z._d
+    return type(a) is int and type(b) is int and type(d) is int and d > 0 and gcd(a, b, d) == 1
+
+
+def _rand_rat(rng):
+    # zero, integers and shared denominators come up often, as in the package
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5))
+    return Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 4, 6, 9, 12, 35]))
+
+
+def test_kernel_matches_fraction_pairs_on_every_operation():
+    rng = random.Random(20261018)
+    ops = [
+        (lambda z, w: z + w, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+        (lambda z, w: z - w, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+        (lambda z, w: z * w, _ref_mul),
+    ]
+    for _ in range(400):
+        x = (_rand_rat(rng), _rand_rat(rng))
+        y = (_rand_rat(rng), _rand_rat(rng))
+        z, w = gr(*x), gr(*y)
+        assert _canonical(z) and _pair(z) == x
+        results = [(op(z, w), ref(x, y)) for op, ref in ops]
+        results += [(-z, (-x[0], -x[1])), (+z, x), (z.conjugate(), (x[0], -x[1]))]
+        results += [(z**e, x if e == 1 else _ref_mul(x, x)) for e in (1, 2)]
+        results.append((z**0, (1, 0)))
+        if any(y):
+            results.append((z / w, _ref_mul(x, _ref_inv(y))))
+            results.append((w.inverse(), _ref_inv(y)))
+        for got, want in results:
+            assert _canonical(got), (x, y, got)
+            assert _pair(got) == want, (x, y, got)
+        assert z.norm_sq() == x[0] ** 2 + x[1] ** 2
+        assert isinstance(z.norm_sq(), Fraction)
+        assert (z == w) == (x == y)
+        assert bool(z) == any(x)
+        assert z.is_real == (x[1] == 0)
+
+
+def test_kernel_mixes_with_int_and_fraction_operands():
+    rng = random.Random(7)
+    for _ in range(200):
+        x = (_rand_rat(rng), _rand_rat(rng))
+        z = gr(*x)
+        for q in (rng.randint(-6, 6), _rand_rat(rng)):
+            got = [z + q, q + z, z - q, q - z, z * q, q * z]
+            want = [
+                (x[0] + q, x[1]),
+                (x[0] + q, x[1]),
+                (x[0] - q, x[1]),
+                (q - x[0], -x[1]),
+                (x[0] * q, x[1] * q),
+                (x[0] * q, x[1] * q),
+            ]
+            if q:
+                got.append(z / q)
+                want.append((x[0] / q, x[1] / q))
+            if any(x):
+                got.append(q / z)
+                want.append(_ref_mul((Fraction(q), Fraction(0)), _ref_inv(x)))
+            for g, w in zip(got, want):
+                assert _canonical(g) and _pair(g) == w, (x, q, g)
+
+
+def test_text_is_the_fraction_pair_text():
+    rng = random.Random(11)
+    specials = [(0, 0), (0, 1), (0, -1), (3, 0), (-3, 0), (0, Fraction(1, 7)), (0, Fraction(-1, 7))]
+    specials += [(Fraction(1, 2), 1), (Fraction(-1, 2), -1), (2, Fraction(-1, 3)), (Fraction(5, 4), Fraction(5, 4))]
+    values = [(Fraction(a), Fraction(b)) for a, b in specials]
+    values += [(_rand_rat(rng), _rand_rat(rng)) for _ in range(300)]
+    for re, im in values:
+        z = gr(re, im)
+        assert str(z) == _ref_text(re, im)
+        assert repr(z) == f"GaussianRational({re}, {im})"
+    # results of arithmetic print the same way as the values they equal
+    assert str(gr("1/6", "1/6") * gr(3, 3)) == "i"
+    assert str(gr("1/2", "1/3") + gr("1/2", "-1/3")) == "1"
+
+
+def test_equality_and_hash_across_int_and_fraction():
+    rng = random.Random(5)
+    for _ in range(200):
+        q = _rand_rat(rng)
+        z = gr(q)
+        assert z == q and q == z and hash(z) == hash(q)
+        if q.denominator == 1:
+            n = int(q)
+            assert z == n and hash(z) == hash(n)
+        assert {q: 1}.get(z) == 1
+        w = gr(q, _rand_rat(rng) or 1)
+        assert w != q and w != z
+        assert hash(w) == hash(gr(w.re, w.im))
+    # one value reached by different routes has one triple and one hash
+    a = gr("2/3", "1/6") * gr(3) - gr(1, "1/2")
+    assert a == gr(1) and hash(a) == hash(1) and _canonical(a)
