@@ -37,13 +37,11 @@ _MODULE_EXPORTS = {
         "ObstructionSet",
         "classify_deformation",
         "deform_structure",
-        "graded_center",
         "infinitesimal_abelian_locus",
         "kuranishi_series",
         "mc_residual",
         "obstructions",
         "schouten",
-        "schouten_with_coform",
     ),
     "lie": (
         "Flag",

@@ -2,19 +2,18 @@
 
 Integrability and abelianness tests, the J-ascending series with its
 nilpotency verdict, adapted (1,0)-frames ordered along the ascending central
-series, and an exact Chevalley-Eilenberg calculus on invariant forms with
-(p,q) type decomposition.
+series, and the differential of an invariant 1-form split by (p,q) type.
 
 Sign convention, pinned once for the whole package: for an invariant 1-form,
-d a(X, Y) = -a([X, Y]). The structure-coefficient reconstruction self-check
-would catch a global flip.
+d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
+checks it against the algebra's brackets, so a global flip fails there.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import (
     NotSolvableError,
@@ -85,9 +84,6 @@ class AlmostComplexStructure:
             raise ValidationError("J images incomplete")
         # the reduced rows hold J^T, so they are J's columns
         return cls(Matrix.from_columns([row[dim:] for row in red.rows[:dim]]))
-
-    def apply(self, v: Vector) -> Vector:
-        return self.matrix.matvec(v)
 
     def __eq__(self, other):
         if not isinstance(other, AlmostComplexStructure):
@@ -168,43 +164,6 @@ class InvariantForm:
             self.p, self.q, self.n, {k: c * v for k, v in self.coeffs.items()}
         )
 
-    def conjugate(self) -> "InvariantForm":
-        # conj(w^I ^ wb^K) = wb^I ^ w^K = (-1)^{|I||K|} w^K ^ wb^I
-        sign = -ONE if (self.p * self.q) % 2 else ONE
-        return InvariantForm(
-            self.q,
-            self.p,
-            self.n,
-            {
-                (anti, hol): sign * c.conjugate()
-                for (hol, anti), c in self.coeffs.items()
-            },
-        )
-
-    def wedge(self, other: "InvariantForm") -> "InvariantForm":
-        if self.n != other.n:
-            raise ValidationError("frame size mismatch")
-        p, q = self.p + other.p, self.q + other.q
-        out: dict = {}
-        for (h1, a1), c1 in self.coeffs.items():
-            for (h2, a2), c2 in other.coeffs.items():
-                hs, hsign = _merge_sorted(h1, h2)
-                if hs is None:
-                    continue
-                asrt, asign = _merge_sorted(a1, a2)
-                if asrt is None:
-                    continue
-                # move other's hol block past self's anti block
-                cross = -ONE if (other.p * self.q) % 2 else ONE
-                key = (hs, asrt)
-                val = c1 * c2 * cross
-                if hsign < 0:
-                    val = -val
-                if asign < 0:
-                    val = -val
-                out[key] = out.get(key, ZERO) + val
-        return InvariantForm(p, q, self.n, out)
-
     def items(self):
         return sorted(self.coeffs.items())
 
@@ -219,27 +178,6 @@ class InvariantForm:
 
     def __repr__(self):
         return f"InvariantForm({self.p},{self.q}): {self}"
-
-
-def _merge_sorted(a: tuple, b: tuple):
-    """Merge two strictly increasing tuples; (None, 0) on collision.
-
-    Returns the merged tuple and the sign of the permutation that sorts
-    the concatenation.
-    """
-    merged = list(a + b)
-    sign = 1
-    # insertion sort with inversion counting; tuples are tiny
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(len(merged) - 1):
-        if merged[i] == merged[i + 1]:
-            return None, 0
-    return tuple(merged), sign
 
 
 def omega_form(n: int, i: int) -> InvariantForm:
@@ -260,7 +198,7 @@ class ComplexFrame:
     vectors of each level prefix span the complexified series member.
     """
 
-    __slots__ = ("algebra", "n", "vectors", "levels", "_basis", "_basis_inv", "_brackets")
+    __slots__ = ("algebra", "n", "vectors", "levels", "_basis_inv", "_brackets")
 
     def __init__(self, algebra: LieAlgebra, vectors, levels=None):
         vectors = tuple(tuple(x for x in v) for v in vectors)
@@ -278,16 +216,11 @@ class ComplexFrame:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "levels", tuple(levels) if levels is not None else None)
-        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_basis_inv", basis_inv)
         object.__setattr__(self, "_brackets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexFrame is immutable")
-
-    def omega(self, i: int) -> Vector:
-        """Row covector of w^i in real coordinates."""
-        return self._basis_inv.rows[i]
 
     def frame_vector(self, a: int) -> Vector:
         """Frame basis element by label: 0..n-1 are X, n..2n-1 are conj X."""
@@ -298,9 +231,6 @@ class ComplexFrame:
     def to_frame(self, v: Vector) -> Vector:
         """Coordinates of a complexified vector in (X_1..X_n, conj...)."""
         return self._basis_inv.matvec(v)
-
-    def from_frame(self, coords: Vector) -> Vector:
-        return self._basis.matvec(coords)
 
     def frame_bracket(self, a: int, b: int) -> Vector:
         """[Z_a, Z_b] in frame coordinates, cached."""
@@ -373,96 +303,34 @@ def eigen_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:
     return ComplexFrame(algebra, vecs)
 
 
-def evaluate_form(form: InvariantForm, frame_vectors: list[Vector]) -> GaussianRational:
-    """Evaluate on vectors given in frame coordinates (length 2n)."""
-    r = form.p + form.q
-    if len(frame_vectors) != r:
-        raise ValidationError("wrong number of arguments")
-    total = ZERO
-    for (hol, anti), c in form.coeffs.items():
-        labels = list(hol) + [form.n + k for k in anti]
-        acc = ZERO
-        for perm in permutations(range(r)):
-            sign = _perm_sign(perm)
-            prod = ONE
-            for a, b in enumerate(perm):
-                prod = prod * frame_vectors[b][labels[a]]
-                if not prod:
-                    break
-            if prod:
-                acc = acc + (prod if sign > 0 else -prod)
-        total = total + c * acc
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _eval_on_labels(form: InvariantForm, labels: tuple[int, ...]) -> GaussianRational:
-    # evaluation on frame basis elements by label, with sorting sign
-    seq = list(labels)
-    sg = 1
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sg = -sg
-            j -= 1
-    for i in range(len(seq) - 1):
-        if seq[i] == seq[i + 1]:
-            return ZERO
-    hol = tuple(x for x in seq if x < form.n)
-    anti = tuple(x - form.n for x in seq if x >= form.n)
-    if len(hol) != form.p or len(anti) != form.q:
-        return ZERO
-    c = form.coeffs.get((hol, anti), ZERO)
-    return c if sg > 0 else -c
-
-
 def exterior_derivative(
     algebra: LieAlgebra, frame: ComplexFrame, form: InvariantForm
 ) -> dict[tuple[int, int], InvariantForm]:
-    """Chevalley-Eilenberg differential, decomposed by bidegree.
+    """Differential of an invariant 1-form, decomposed by bidegree.
 
-    d a(Z_0,...,Z_r) = sum_{s<t} (-1)^{s+t} a([Z_s, Z_t], ...rest...),
-    which for 1-forms is d a(X, Y) = -a([X, Y]). Only nonzero components
-    are returned.
+    d a(Z_s, Z_t) = -a([Z_s, Z_t]) on frame labels s < t, with labels
+    0..n-1 for X and n..2n-1 for conj X. Only nonzero components are
+    returned.
     """
+    if form.p + form.q != 1:
+        raise PreconditionError(
+            f"exterior derivative needs a 1-form, got a ({form.p},{form.q})-form"
+        )
     n = frame.n
-    r = form.p + form.q + 1
-    out: dict[tuple[int, int], dict] = {}
-    for p2 in range(min(n, r) + 1):
-        q2 = r - p2
-        if q2 < 0 or q2 > n:
-            continue
-        comp: dict = {}
-        for hol in combinations(range(n), p2):
-            for anti in combinations(range(n), q2):
-                labels = list(hol) + [n + k for k in anti]
-                val = ZERO
-                for s in range(r):
-                    for t in range(s + 1, r):
-                        w = frame.frame_bracket(labels[s], labels[t])
-                        rest = [labels[u] for u in range(r) if u != s and u != t]
-                        inner = ZERO
-                        for c in range(2 * n):
-                            if w[c]:
-                                inner = inner + w[c] * _eval_on_labels(
-                                    form, tuple([c] + rest)
-                                )
-                        if inner:
-                            val = val + (-inner if (s + t) % 2 else inner)
-                if val:
-                    comp[(hol, anti)] = val
-        if comp:
-            out[(p2, q2)] = InvariantForm(p2, q2, n, comp)
-    return out
+    # a(Z_c) by frame label
+    values = [(hol[0] if hol else n + anti[0], c) for (hol, anti), c in form.coeffs.items()]
+    parts: dict = {}
+    for s, t in combinations(range(2 * n), 2):
+        w = frame.frame_bracket(s, t)
+        val = ZERO
+        for c, x in values:
+            if w[c]:
+                val = val + w[c] * x
+        if val:
+            hol = tuple(u for u in (s, t) if u < n)
+            anti = tuple(u - n for u in (s, t) if u >= n)
+            parts.setdefault((len(hol), len(anti)), {})[(hol, anti)] = -val
+    return {pq: InvariantForm(*pq, n, comp) for pq, comp in sorted(parts.items())}
 
 
 def _rational_columns(j: AlmostComplexStructure) -> list[dict[int, Fraction]]:
@@ -579,45 +447,6 @@ def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFram
     return frame
 
 
-def structure_coefficients(
-    algebra: LieAlgebra, j: AlmostComplexStructure, frame: ComplexFrame
-) -> dict[tuple[int, int, int], GaussianRational]:
-    """Coefficients A with d w^i = sum_jk A[i,j,k] w^j ^ wb^k, 0-based.
-
-    Computed by direct bracket evaluation, then verified against the full
-    exterior derivative; a (2,0) or (0,2) remainder means the structure is
-    not abelian and is reported as such.
-    """
-    n = frame.n
-    coeffs: dict[tuple[int, int, int], GaussianRational] = {}
-    for jj in range(n):
-        for k in range(n):
-            w = algebra.bracket(frame.vectors[jj], _conj_vector(frame.vectors[k]))
-            t = frame.to_frame(w)
-            for i in range(n):
-                if t[i]:
-                    coeffs[(i, jj, k)] = -t[i]
-    for i in range(n):
-        comps = exterior_derivative(algebra, frame, omega_form(n, i))
-        for (p, q), comp in comps.items():
-            if (p, q) not in ((1, 1),) and not comp.is_zero():
-                raise ValidationError("nonzero (2,0) or (0,2) part")
-        got = comps.get((1, 1), InvariantForm(1, 1, n, {}))
-        want = InvariantForm(
-            1,
-            1,
-            n,
-            {
-                ((jj,), (k,)): c
-                for (ii, jj, k), c in coeffs.items()
-                if ii == i
-            },
-        )
-        if got != want:
-            raise SelfCheckError("structure coefficients fail reconstruction")
-    return coeffs
-
-
 def antiholomorphic_differentials(
     algebra: LieAlgebra, frame: ComplexFrame
 ) -> list[InvariantForm]:
@@ -630,15 +459,3 @@ def antiholomorphic_differentials(
             raise ValidationError("nonzero (0,2) part in a conjugate coframe differential")
         out.append(comps.get((1, 1), InvariantForm(1, 1, frame.n, {})))
     return out
-
-
-def check_dbar_closed_conjugates(
-    algebra: LieAlgebra, j: AlmostComplexStructure, frame: ComplexFrame
-) -> bool:
-    """Every conjugate coframe form has d-image with no (0,2) part."""
-    for ell in range(frame.n):
-        comps = exterior_derivative(algebra, frame, omegabar_form(frame.n, ell))
-        bad = comps.get((0, 2))
-        if bad is not None and not bad.is_zero():
-            return False
-    return True

@@ -15,7 +15,7 @@ then inspects with the usual integrability and bracket tests; nothing about
 the deformed structure is inferred from the series itself.
 
 Hand-fed instances of :class:`DeformedStructure` (a structure obtained some
-other way, wrapped without provenance) are accepted by the classifier.
+other way, wrapped with its algebra) are accepted by the classifier.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .cxs import (
     AlmostComplexStructure,
-    InvariantForm,
     antiholomorphic_differentials,
     is_abelian,
     is_integrable,
@@ -123,46 +122,17 @@ def _coform_core(dc: DolbeaultComplex, table: dict, mu: VectorForm, ell: int, we
     return out
 
 
-def schouten_with_coform(dc: DolbeaultComplex, mu: VectorForm, cof: InvariantForm) -> InvariantForm:
-    """Bracket of a degree-1 vector form against a scalar (0,1)-form.
-
-    The vector leg contracts into the coform's differential:
-    {wb^i (x) A, wb} = wb^i ^ (A _| d wb), a scalar (0,2)-form. Vanishing
-    against every conjugate coframe form is the infinitesimal version of
-    staying abelian.
-    """
-    if mu.degree != 1:
-        raise PreconditionError("vector part must have degree 1")
-    dc._own(mu)
-    if cof.p != 0 or cof.q != 1 or cof.n != dc.n:
-        raise ValidationError("coform must be a (0,1)-form on the same frame")
-    table = _contraction_table(dc)
-    out: dict = {}
-    for (_, anti), cw in cof.coeffs.items():
-        for key, val in _coform_core(dc, table, mu, anti[0], cw).items():
-            out[key] = out.get(key, ZERO) + val
-    return InvariantForm(0, 2, dc.n, out)
-
-
 class DeformationSeries:
     """Truncated deformation series Phi(t) = sum_m t^m phi_m.
 
     ``coeffs`` maps exponent tuples (one slot per parameter) to degree-1
     vector forms; zero coefficients are omitted. Linear coefficients are
-    harmonic, higher ones orthogonal to every harmonic form. ``basis_gram``
-    records the inner products of the unnormalized parameter directions.
+    harmonic, higher ones orthogonal to every harmonic form.
     """
 
-    __slots__ = ("dolbeault", "params", "order", "coeffs", "basis_gram")
+    __slots__ = ("dolbeault", "params", "order", "coeffs")
 
-    def __init__(
-        self,
-        dolbeault: DolbeaultComplex,
-        params: int,
-        order: int,
-        coeffs: dict,
-        basis_gram: Matrix,
-    ):
+    def __init__(self, dolbeault: DolbeaultComplex, params: int, order: int, coeffs: dict):
         if order < 1:
             raise ValidationError("order must be at least 1")
         for mono, f in coeffs.items():
@@ -178,7 +148,6 @@ class DeformationSeries:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "basis_gram", basis_gram)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformationSeries is immutable")
@@ -214,35 +183,20 @@ class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
 
 
 class DeformedStructure:
-    """An almost complex structure J obtained by deforming, plus provenance.
+    """An almost complex structure J on an algebra, with the point it came from.
 
-    ``base_j`` and ``series`` stay None for structures wrapped from outside
-    a deformation run; the classifier only looks at ``j_new``.
+    The classifier only looks at ``j_new``.
     """
 
-    __slots__ = ("t_point", "j_new", "algebra", "base_j", "series")
+    __slots__ = ("t_point", "j_new", "algebra")
 
-    def __init__(
-        self,
-        t_point: tuple,
-        j_new: AlmostComplexStructure,
-        algebra: LieAlgebra,
-        base_j: AlmostComplexStructure | None = None,
-        series: DeformationSeries | None = None,
-    ):
+    def __init__(self, t_point: tuple, j_new: AlmostComplexStructure, algebra: LieAlgebra):
         object.__setattr__(self, "t_point", t_point)
         object.__setattr__(self, "j_new", j_new)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "base_j", base_j)
-        object.__setattr__(self, "series", series)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformedStructure is immutable")
-
-    @property
-    def provenance(self):
-        order = self.series.order if self.series is not None else None
-        return (self.algebra, self.base_j, self.series, order)
 
 
 class DeformationReport(namedtuple("DeformationReport", "integrable abelian nilpotent")):
@@ -293,13 +247,7 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
                 coeffs[m] = phi
                 fresh.append((m, phi))
         by_degree[r] = fresh
-    return DeformationSeries(
-        dolbeault=dc,
-        params=nparams,
-        order=order,
-        coeffs=coeffs,
-        basis_gram=coh.gram,
-    )
+    return DeformationSeries(dolbeault=dc, params=nparams, order=order, coeffs=coeffs)
 
 
 def _bracket_convolution(series: DeformationSeries, cap: int) -> dict:
@@ -430,9 +378,7 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
         [(eig if i < n else -eig) * x for x in binv.rows[i]] for i in range(2 * n)
     ]
     j_new = AlmostComplexStructure(basis * Matrix(scaled_rows))
-    return DeformedStructure(
-        t_point=pt, j_new=j_new, algebra=dc.algebra, base_j=dc.j, series=series
-    )
+    return DeformedStructure(t_point=pt, j_new=j_new, algebra=dc.algebra)
 
 
 def classify_deformation(algebra: LieAlgebra, deformed: DeformedStructure) -> DeformationReport:
@@ -466,29 +412,4 @@ def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
         m = Matrix([rows_by_key[k] for k in sorted(rows_by_key)])
     else:
         m = Matrix.zero(1, coh.dimension)
-    return kernel_basis(m)
-
-
-def graded_center(dc: DolbeaultComplex) -> list[Vector]:
-    """Elements bracketing to zero against every vector and coframe form.
-
-    An element is a pair (vector part, coform part); the returned vectors
-    have 2n slots, frame coefficients of the vector part first, conjugate
-    coframe coefficients of the coform part last. Vector-vector and
-    coform-coform brackets vanish identically, so only the mixed
-    contractions constrain anything.
-    """
-    n = dc.n
-    table = _contraction_table(dc)
-    rows_by_key: dict = {}
-    for (ell, a), qs in table.items():
-        for q, c in qs.items():
-            row = rows_by_key.setdefault(("v", ell, q), [ZERO] * (2 * n))
-            row[a] = row[a] + c
-            row = rows_by_key.setdefault(("w", a, q), [ZERO] * (2 * n))
-            row[n + ell] = row[n + ell] + c
-    if rows_by_key:
-        m = Matrix([rows_by_key[k] for k in sorted(rows_by_key)])
-    else:
-        m = Matrix.zero(1, 2 * n)
     return kernel_basis(m)

@@ -18,12 +18,10 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import PreconditionError, SelfCheckError, ValidationError
+from .errors import SelfCheckError, ValidationError
 from .linalg import (
     Matrix,
     Vector,
-    coords_in_basis,
-    in_span,
     is_zero_vector,
     kernel_basis,
     rank,
@@ -138,11 +136,6 @@ class LieAlgebra:
         """Matrix of X -> [e_i, X], 0-based."""
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
         return Matrix.from_columns(cols) if cols else Matrix([])
-
-    def basis_vector(self, i: int) -> Vector:
-        v = [ZERO] * self.dim
-        v[i] = ONE
-        return tuple(v)
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
@@ -291,63 +284,3 @@ def center(a: LieAlgebra) -> list[Vector]:
         rows.extend(adj.rows)
     sol = kernel_basis(Matrix(rows))
     return row_space_basis(sol)
-
-
-def complement_indices(subspace: list[Vector], dim: int) -> list[int]:
-    """Standard basis vectors extending the subspace to the whole space.
-
-    Greedy echelon extension in index order; deterministic.
-    """
-    chosen: list[int] = []
-    base = list(subspace)
-    r = rank(Matrix(base)) if base else 0
-    for j in range(dim):
-        ej = tuple(ONE if c == j else ZERO for c in range(dim))
-        cand = base + [ej]
-        if rank(Matrix(cand)) > r:
-            base = cand
-            r += 1
-            chosen.append(j)
-        if r == dim:
-            break
-    return chosen
-
-
-def quotient(a: LieAlgebra, v: list[Vector]) -> LieAlgebra:
-    """Quotient algebra g/V for an ideal V, on a complementary basis.
-
-    Raises "not an ideal" when [g, V] is not contained in span(V). The
-    result's Jacobi identity is re-verified.
-    """
-    vbasis = row_space_basis(v)
-    for i in range(a.dim):
-        for w in vbasis:
-            bw = a.bracket(a.basis_vector(i), w)
-            if not in_span(bw, vbasis):
-                raise ValidationError("not an ideal")
-    comp = complement_indices(vbasis, a.dim)
-    qdim = len(comp)
-    # coordinates: full basis is (complement e_j's, then V-basis)
-    full = [a.basis_vector(j) for j in comp] + list(vbasis)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for p in range(qdim):
-        for q in range(p + 1, qdim):
-            w = a.bracket(a.basis_vector(comp[p]), a.basis_vector(comp[q]))
-            if is_zero_vector(w):
-                continue
-            coords = coords_in_basis(w, full)
-            comps: dict[int, Fraction] = {}
-            for t in range(qdim):
-                x = coords[t]
-                if x:
-                    if not x.is_real:
-                        raise SelfCheckError("quotient constants not real")
-                    comps[t + 1] = x.re
-            if comps:
-                brackets[(p + 1, q + 1)] = comps
-    name = f"{a.name}/ideal" if a.name else "quotient"
-    out = LieAlgebra(qdim, brackets, name=name)
-    rep = validate_lie(out)
-    if any(e.startswith("jacobi") for e in rep.errors):
-        raise SelfCheckError("quotient violates Jacobi")
-    return out

@@ -84,9 +84,6 @@ class Matrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.rows)
-
     def conj_transpose(self) -> "Matrix":
         return Matrix._of(
             tuple(tuple(x.conjugate() for x in col) for col in zip(*self.rows))
@@ -354,12 +351,6 @@ def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
     if not basis:
         return False
     return rank(Matrix(list(basis) + [v])) == rank(Matrix(list(basis)))
-
-
-def coords_in_basis(v: Vector, basis: Sequence[Vector]) -> Vector:
-    """Coefficients of v in the given basis; raises if v is outside."""
-    m = Matrix.from_columns(basis)
-    return solve_in_image(m, v)
 
 
 def orthogonal_complement(

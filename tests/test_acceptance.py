@@ -13,12 +13,21 @@ non-nilpotency claim contradicts the bundled ten-dimensional equations,
 whose center holds a J-invariant plane.  It is not skipped, so the
 disagreement stays visible in every run; the printed FAIL line carries
 the computed facts.
+
+Criterion 2 also checks the paper's rule for the deformations that stay
+abelian: at every unobstructed point of a small grid, {Phi(t), wb^l} = 0
+for all l exactly when the deformed J is abelian.  The unnumbered seeded
+test beside criterion 6 checks invariants that hold for any correct
+implementation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import h9, h15, j_std6, unit
+from nilcx.algfile import parse_text, render
 from nilcx.catalog import get
 from nilcx.cli import _vector_str
 from nilcx.cxs import (
@@ -29,6 +38,8 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex
 from nilcx.kuranishi import (
+    _coform_core,
+    _contraction_table,
     classify_deformation,
     deform_structure,
     infinitesimal_abelian_locus,
@@ -134,7 +145,41 @@ def test_criterion_2():
         flat_forms.append(to_vec(dc15, f))
     if not span_equal(flat_forms, [to_vec(dc15, g) for g in expected[:3]]):
         failures.append("flat subspace differs from the expected three directions")
-    report(2, failures, "3-dim locus in both cases; h15 cut out by the two non-flat coordinates")
+
+    # the paper's stay-abelian rule at unobstructed grid points: the deformed
+    # J is abelian exactly when {Phi(t), wb^l} = 0 for every l
+    grid = (F(-1, 10), F(0), F(1, 10))
+    points = 0
+    outcomes = set()
+    for name, dc in (("h9", dc9), ("h15", dc15)):
+        series = kuranishi_series(dc, order=6)
+        obs = obstructions(series)
+        table = _contraction_table(dc)
+        for pt in itertools.product(grid, repeat=series.params):
+            if not any(pt) or not obs.vanishes_at(pt):
+                continue
+            phi = series.evaluate(pt)
+            # the bracket dict can hold cancelled zero entries: test values
+            rule = all(
+                not c
+                for ell in range(dc.n)
+                for c in _coform_core(dc, table, phi, ell, 1).values()
+            )
+            abelian = is_abelian(dc.algebra, deform_structure(dc, series, pt).j_new)
+            points += 1
+            outcomes.add(abelian)
+            if rule != abelian:
+                failures.append(f"{name} at t = {pt}: coform rule says {rule}, is_abelian {abelian}")
+    if points != 106:
+        failures.append(f"{points} unobstructed grid points, expected 106")
+    if outcomes != {True, False}:
+        failures.append(f"stay-abelian outcomes {sorted(outcomes)}, expected both")
+    report(
+        2,
+        failures,
+        "3-dim locus in both cases; h15 cut out by the two non-flat coordinates; "
+        f"stay-abelian rule agrees with is_abelian at {points} unobstructed points",
+    )
 
 
 def test_criterion_3():
@@ -171,9 +216,9 @@ def nijenhuis_vanishes(algebra, j):
     """
     jm = j.matrix
     for a in range(algebra.dim):
-        x, jx = algebra.basis_vector(a), jm.column(a)
+        x, jx = unit(algebra.dim, a), jm.column(a)
         for b in range(a + 1, algebra.dim):
-            y, jy = algebra.basis_vector(b), jm.column(b)
+            y, jy = unit(algebra.dim, b), jm.column(b)
             mixed = jm.matvec(
                 [p + q for p, q in zip(algebra.bracket(jx, y), algebra.bracket(x, jy))]
             )
@@ -437,6 +482,33 @@ def test_criterion_6():
         failures.extend(run_property_suite(tag, alg, acs, rng, heavy=heavy))
 
     report(6, failures, f"{len(suites)} structure suites, all exact identities hold")
+
+
+@pytest.mark.parametrize("name", ["h9", "h15", "kodaira6", "torus3"])
+def test_seeded_conjugates_keep_the_invariants(name):
+    """Facts no implementation choice can move, on two seeded conjugates:
+    the Euler characteristic of the Dolbeault complex is 0, dim H^k is
+    that of the template, and render -> parse -> render is byte-stable."""
+    template = {
+        "h9": (h9(), j_std6()),
+        "h15": (h15(), j_std6()),
+        "kodaira6": (kodaira6(), j_std6()),
+        "torus3": (get("torus", n=3).algebra, get("torus", n=3).structures[0][1]),
+    }[name]
+    rng = random.Random(f"invariants:{name}")
+
+    def dims(algebra, acs):
+        dc = DolbeaultComplex(algebra, acs)
+        return [dc.cohomology(k).dimension for k in range(dc.n + 1)]
+
+    want = dims(*template)
+    assert sum((-1) ** k * d for k, d in enumerate(want)) == 0
+    for _ in range(2):
+        alg, acs = conjugated_pair(rng, *template)
+        assert dims(alg, acs) == want
+        text = render(name, alg, [("J", acs)])
+        parsed = parse_text(text)
+        assert render(parsed.name, parsed.algebra, parsed.structures) == text
 
 
 def test_criterion_7():

@@ -1,4 +1,4 @@
-"""Validation, ascending series, center, and quotients of nilpotent algebras."""
+"""Validation, ascending series and center of nilpotent algebras."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,6 @@ from nilcx.lie import (
     LieAlgebra,
     ascending_series,
     center,
-    quotient,
     validate_lie,
 )
 from nilcx.linalg import Matrix, in_span, rank
@@ -129,7 +128,7 @@ def test_series_brackets_drop_a_level():
         below = list(flag.level(ell - 1))
         for v in flag.level(ell):
             for j in range(a.dim):
-                w = a.bracket(v, a.basis_vector(j))
+                w = a.bracket(v, unit(a.dim, j))
                 assert in_span(w, below) or all(not x for x in w)
 
 
@@ -144,42 +143,6 @@ def test_center_matches_first_series_level():
 
 def test_center_abelian_is_everything():
     assert len(center(abelian(7))) == 7
-
-
-def test_quotient_by_second_level_is_abelian():
-    a = h9()
-    flag = ascending_series(a)
-    q = quotient(a, list(flag.level(2)))
-    assert q.dim == 2
-    assert validate_lie(q).step == 1
-
-
-def test_quotient_by_zero_is_same_algebra():
-    a = h9()
-    q = quotient(a, [])
-    assert q.dim == a.dim
-    assert q.bracket_table() == a.bracket_table()
-
-
-def test_quotient_by_whole_algebra_is_zero():
-    a = h9()
-    q = quotient(a, [a.basis_vector(i) for i in range(6)])
-    assert q.dim == 0
-
-
-def test_quotient_requires_ideal():
-    # span{e1} is not an ideal of h9: [e2, e1] = -e3 lands outside
-    with pytest.raises(ValidationError, match="not an ideal"):
-        quotient(h9(), [unit(6, 0)])
-
-
-def test_quotient_structure_constants_exact():
-    a = h15()
-    flag = ascending_series(a)
-    q = quotient(a, list(flag.level(1)))
-    # h15 / center: brackets into e5, e6 vanish; only [e1,e2] = -e4 survives
-    assert q.dim == 4
-    assert q.bracket_table() == {(1, 2): {4: -1}}
 
 
 def test_flag_level_zero_is_empty():
