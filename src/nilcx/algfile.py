@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from .cxs import AlmostComplexStructure
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra, ValidationReport, validate_lie
-from .scalars import gr
+from .scalars import ZERO, GaussianRational
 
 _WORD_RE = re.compile(r"\s*(\S+)")
 _NAME_RE = re.compile(r"\s*(\S+)\s*$")
@@ -39,7 +38,7 @@ class AlgebraFile(namedtuple("AlgebraFile", "name algebra structures report")):
 
 
 def _parse_terms(text: str, lineno: int, base: int, dim: int) -> dict:
-    """``c1*ek + c2*el ...`` into {k: Fraction}, 1-based targets."""
+    """``c1*ek + c2*el ...`` into {k: GaussianRational}, 1-based targets."""
     out: dict = {}
     pos = 0
     expect_term = True
@@ -58,7 +57,10 @@ def _parse_terms(text: str, lineno: int, base: int, dim: int) -> dict:
                 )
             if k in out:
                 raise ParseError("repeated target index", lineno, base + m.start(2))
-            out[k] = Fraction(m.group(1))
+            try:
+                out[k] = GaussianRational(m.group(1))
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", lineno, base + m.start(1) + 1) from None
             pos = m.end()
             expect_term = False
         elif text[pos] == "+":
@@ -158,9 +160,7 @@ def parse_text(text: str) -> AlgebraFile:
         if not images:
             raise ValidationError(f"structure {sname} has no J lines")
         cols = {
-            i - 1: tuple(
-                gr(terms.get(k, 0)) for k in range(1, dim + 1)
-            )
+            i - 1: tuple(terms.get(k, ZERO) for k in range(1, dim + 1))
             for i, terms in images.items()
         }
         structures.append((sname, AlmostComplexStructure.from_images(dim, cols)))

@@ -12,9 +12,7 @@ bad usage), 3 computation precondition failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from .algfile import AlgebraFile, parse, render_entry
 from .cxs import adapted_frame, is_abelian, is_integrable, j_ascending_series
@@ -25,21 +23,22 @@ from .errors import (
     ValidationError,
 )
 from .lie import ascending_series, vector_text as _vector_str
+from .scalars import GaussianRational
 
-# dolbeault, kuranishi, poly and catalog are imported by the commands that
-# use them, so validate and series do not load them
+# dolbeault, kuranishi, poly, catalog and json are imported where they are
+# used, so validate and series do not load them
 
 SCHEMA = 1
 
 
-def _parse_rational(tok: str) -> Fraction:
+def _parse_rational(tok: str) -> GaussianRational:
     try:
-        return Fraction(tok.strip())
+        return GaussianRational(tok.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a rational number: {tok.strip()!r}") from None
 
 
-def _parse_point(text: str) -> tuple[Fraction, ...]:
+def _parse_point(text: str) -> tuple[GaussianRational, ...]:
     return tuple(_parse_rational(tok) for tok in text.split(","))
 
 
@@ -55,6 +54,8 @@ def _pick_structure(af: AlgebraFile, wanted: str | None):
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
@@ -172,7 +173,10 @@ def cmd_kuranishi(args) -> int:
     name, acs = _pick_structure(af, args.structure)
     if args.order < 1:
         raise ValidationError("order must be at least 1")
+    point = None if args.at is None else _parse_point(args.at)
     dc = DolbeaultComplex(af.algebra, acs)
+    if point is not None and len(point) != dc.cohomology(1).dimension:
+        raise ValidationError("wrong number of parameters")
     series = kuranishi_series(dc, order=args.order)
     obs = obstructions(series)
     linear = [
@@ -217,8 +221,7 @@ def cmd_kuranishi(args) -> int:
             for i, p in enumerate(obs.polys):
                 print(f"  f{i + 1} = {p}")
 
-    if args.at is not None:
-        point = _parse_point(args.at)
+    if point is not None:
         deformed = deform_structure(dc, series, point)
         rep = classify_deformation(af.algebra, deformed)
         at = ", ".join(str(t) for t in point)
@@ -303,7 +306,7 @@ def cmd_catalog(args) -> int:
         print("torus  dim 2n, abelian, standard structure J")
         return 0
     if args.name == "n10":
-        entry = get("n10", s=_parse_rational(args.s), t=_parse_rational(args.t))
+        entry = get("n10", s=_parse_rational(args.s).re, t=_parse_rational(args.t).re)
     elif args.name == "torus":
         entry = get("torus", n=args.n)
     else:

@@ -3,6 +3,8 @@
 Integrability and abelianness tests, the J-ascending series with its
 nilpotency verdict, adapted (1,0)-frames ordered along the ascending central
 series, and the differential of an invariant 1-form split by (p,q) type.
+The structure tests and the J-ascending series work on the algebra's sparse
+constants and J's sparse rows and columns, in Gaussian-rational scalars.
 
 Sign convention, pinned once for the whole package: for an invariant 1-form,
 d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
@@ -12,7 +14,6 @@ checks it against the algebra's brackets, so a global flip fails there.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -21,13 +22,14 @@ from .errors import (
     SelfCheckError,
     ValidationError,
 )
-from .lie import Flag, LieAlgebra, ascending_flag, ascending_series, vector_text
+from .lie import Flag, LieAlgebra, ascending_flag, ascending_series, combine_rows, vector_text
 from .linalg import (
     EchelonBasis,
     Matrix,
     Vector,
     inverse,
     kernel_basis,
+    nonzero_entries,
     rref,
 )
 from .scalars import I as IMAG
@@ -75,9 +77,9 @@ class AlmostComplexStructure:
         for i, v in sorted(images.items()):
             e = [ONE if c == i else ZERO for c in range(dim)]
             v = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
-            rows.append(e + v)
-            rows.append(v + [-x for x in e])
-        red, pivots = rref(Matrix(rows))
+            rows.append(tuple(e + v))
+            rows.append(tuple(v + [-x for x in e]))
+        red, pivots = rref(Matrix._of(tuple(rows)))
         if pivots and pivots[-1] >= dim:
             raise ValidationError("J images inconsistent")
         if len(pivots) < dim:
@@ -333,64 +335,49 @@ def exterior_derivative(
     return {pq: InvariantForm(*pq, n, comp) for pq, comp in sorted(parts.items())}
 
 
-def _rational_columns(j: AlmostComplexStructure) -> list[dict[int, Fraction]]:
-    """J e_a as sparse {index: Fraction} vectors; J is real."""
+def _sparse_columns(j: AlmostComplexStructure) -> list[dict[int, GaussianRational]]:
+    """J e_a as sparse {index: scalar} vectors; J is real."""
     rows = j.matrix.rows
-    return [{r: row[c].re for r, row in enumerate(rows) if row[c]} for c in range(j.dim)]
-
-
-def _combine(u: dict, v: dict, sign: int) -> dict:
-    """u + sign * v on sparse rational vectors, zeros dropped."""
-    out = dict(u)
-    for k, c in v.items():
-        out[k] = out.get(k, 0) + sign * c
-    return {k: c for k, c in out.items() if c}
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(j.dim)]
 
 
 def _pair_parts(algebra: LieAlgebra, cols: list[dict]):
-    """(R, S) for each basis pair a < b, over Fraction.
+    """(R, S) for each basis pair a < b, on the sparse constants.
 
     R = [Je_a, Je_b] - [e_a, e_b] and S = [Je_a, e_b] + [e_a, Je_b], so
     that [X - iJX, Y - iJY] = -R - iS for X = e_a, Y = e_b. Both are
     bilinear, so their vanishing on basis pairs is vanishing everywhere.
     """
     br = algebra.rational_bracket
-    one = Fraction(1)
     for a, b in combinations(range(algebra.dim), 2):
-        ea, eb = {a: one}, {b: one}
-        yield (
-            _combine(br(cols[a], cols[b]), br(ea, eb), -1),
-            _combine(br(cols[a], eb), br(ea, cols[b]), 1),
-        )
+        ea, eb = {a: ONE}, {b: ONE}
+        # -[e_a, e_b] = [e_b, e_a]
+        yield br((cols[a], cols[b]), (eb, ea)), br((cols[a], eb), (ea, cols[b]))
 
 
 def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityResult:
     """True iff the Nijenhuis tensor vanishes on every basis pair.
 
     N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] = R - J S, computed
-    over Fraction on the sparse structure constants. On failure the
-    result's witness is read off the eigen-frame.
+    on the sparse structure constants. On failure the result's witness is
+    read off the eigen-frame.
     """
-    cols = _rational_columns(j)
+    cols = _sparse_columns(j)
     for r, s in _pair_parts(algebra, cols):
-        js: dict = {}
-        for k, c in s.items():
-            for t, x in cols[k].items():
-                js[t] = js.get(t, 0) + c * x
-        if _combine(r, js, -1):
+        if r != combine_rows(s.items(), cols):
             return IntegrabilityResult(False, algebra, j)
     return IntegrabilityResult(True, algebra, j)
 
 
 def is_abelian(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
-    """[J e_a, J e_b] = [e_a, e_b] for all pairs, over Fraction.
+    """[J e_a, J e_b] = [e_a, e_b] for all pairs, on the sparse constants.
 
     The second real route, [J e_a, e_b] + [e_a, J e_b] = 0 (the imaginary
     part of the bracket of two (1,0)-vectors), is computed too; it is
     equivalent for any J with J^2 = -I, so disagreement raises a
     self-check error.
     """
-    parts = list(_pair_parts(algebra, _rational_columns(j)))
+    parts = list(_pair_parts(algebra, _sparse_columns(j)))
     by_real = not any(r for r, _ in parts)
     by_imag = not any(s for _, s in parts)
     if by_real != by_imag:
@@ -407,10 +394,13 @@ def j_ascending_series(
     """J-compatible ascending series and whether it exhausts the algebra.
 
     a_l = {X : [X, g] in a_{l-1} and [JX, g] in a_{l-1}}; the structure is
-    nilpotent exactly when some a_k is the whole algebra.
+    nilpotent exactly when some a_k is the whole algebra. Row k of ad_j J
+    is row k of ad_j combined over J's sparse rows.
     """
-    ads = [algebra.ad_matrix(jdx) for jdx in range(algebra.dim)]
-    return ascending_flag(algebra.dim, ads + [adj * j.matrix for adj in ads])
+    ads = algebra.ad_rows()
+    jrows = [dict(nonzero_entries(row)) for row in j.matrix.rows]
+    ad_js = [[combine_rows(row.items(), jrows) for row in ad] for ad in ads]
+    return ascending_flag(algebra.dim, ads + ad_js)
 
 
 def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:

@@ -187,6 +187,8 @@ class DolbeaultComplex:
         self._lap: dict[int, Matrix] = {}
         self._harm: dict[int, list[Vector]] = {}
         self._green: dict[int, Matrix] = {}
+        # the bracket's contraction table, built by kuranishi on first use
+        self._contraction: dict | None = None
 
     # ------------------------------------------------------------ chains
 
@@ -273,7 +275,7 @@ class DolbeaultComplex:
                     if comp:
                         r = posd[(merged, b)]
                         data[r][c] = data[r][c] + sgn * comp
-        got = Matrix(data)
+        got = Matrix._of(tuple(map(tuple, data)))
         self._dbar[k] = got
         return got
 
@@ -371,7 +373,7 @@ class DolbeaultComplex:
         vecs = self._harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
         supports = [nonzero_entries(w) for w in vecs]
-        gram = Matrix([[hdot_support(u, s) for s in supports] for u in vecs])
+        gram = Matrix._of(tuple(tuple(hdot_support(u, s) for s in supports) for u in vecs))
         return CohomologySpace(k, len(basis), basis, gram)
 
     def harmonic_projection(self, mu: VectorForm) -> VectorForm:
@@ -407,7 +409,7 @@ class DolbeaultComplex:
                     for c, y in enumerate(h):
                         if y:
                             row[c] = row[c] + x * y.conjugate() / norm
-        proj = Matrix(proj)
+        proj = Matrix._of(tuple(map(tuple, proj)))
         got = inverse(self.laplacian_matrix(k) + proj) - proj
         if k >= 1:
             adj = self._dbar_adjoint_matrix(k - 1)

@@ -21,7 +21,6 @@ other way, wrapped with its algebra) are accepted by the classifier.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .cxs import (
     AlmostComplexStructure,
@@ -44,7 +43,7 @@ from .poly import (
 )
 from .scalars import ZERO, GaussianRational
 
-HALF = GaussianRational(Fraction(1, 2))
+HALF = GaussianRational("1/2")
 
 
 def _contraction_table(dc: DolbeaultComplex) -> dict:
@@ -52,12 +51,15 @@ def _contraction_table(dc: DolbeaultComplex) -> dict:
 
     Contracting a frame vector into a conjugate coframe differential only
     ever meets the holomorphic leg, so this table is the whole bracket
-    ingredient list.
+    ingredient list. Built once per complex and kept on it.
     """
-    table: dict = {}
-    for ell, form in enumerate(antiholomorphic_differentials(dc.algebra, dc.frame)):
-        for (hol, anti), c in form.coeffs.items():
-            table.setdefault((ell, hol[0]), {})[anti[0]] = c
+    table = dc._contraction
+    if table is None:
+        table = {}
+        for ell, form in enumerate(antiholomorphic_differentials(dc.algebra, dc.frame)):
+            for (hol, anti), c in form.coeffs.items():
+                table.setdefault((ell, hol[0]), {})[anti[0]] = c
+        dc._contraction = table
     return table
 
 

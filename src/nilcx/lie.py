@@ -9,13 +9,15 @@ Basis indices are 1-based in the public constructor and in error messages,
 matching the e_i naming convention; vectors are coordinate tuples over
 :class:`~nilcx.scalars.GaussianRational` (with zero imaginary part for real
 data) so the same linear algebra serves both the real and complexified
-pictures.
+pictures. The constants are held as real Gaussian rationals for both index
+orders, each ad_j is read off them as sparse rows, and the ascending
+central and J-ascending series run on those rows; ``Fraction`` values are
+built only by the accessors that return them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import SelfCheckError, ValidationError
@@ -24,10 +26,11 @@ from .linalg import (
     Vector,
     is_zero_vector,
     kernel_basis,
+    nonzero_entries,
     rank,
     row_space_basis,
 )
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational
 
 
 def vector_text(entries, symbol: str) -> str:
@@ -40,17 +43,17 @@ class LieAlgebra:
     """Finite-dimensional real Lie algebra with rational constants.
 
     Immutable; the result of its validation is computed once and kept in
-    the private ``_checked`` slot. ``_q`` holds the same constants over
-    Fraction for both index orders, for the sparse rational brackets.
+    the private ``_checked`` slot. ``_c`` holds the nonzero constants as
+    real Gaussian rationals for both index orders: ``_c[(i, j)][k]`` is
+    c^k_ij, 0-based.
     """
 
-    __slots__ = ("dim", "name", "_c", "_q", "_checked")
+    __slots__ = ("dim", "name", "_c", "_checked")
 
     def __init__(self, dim: int, brackets, name: str = ""):
         """brackets: {(i, j): {k: rational}} with 1-based i < j."""
         if dim < 0:
             raise ValidationError("dimension must be nonnegative")
-        # real constants held as scalars, ready for bracket's inner loop
         c: dict[tuple[int, int], dict[int, GaussianRational]] = {}
         for (i, j), comps in brackets.items():
             if not (1 <= i < j <= dim):
@@ -61,85 +64,67 @@ class LieAlgebra:
             for k, coef in comps.items():
                 if not (1 <= k <= dim):
                     raise ValidationError(f"bracket target e{k} out of range")
-                f = Fraction(coef)
-                if f != 0:
-                    row[k - 1] = GaussianRational(f)
+                x = coef if isinstance(coef, GaussianRational) else GaussianRational(coef)
+                if not x.is_real:
+                    raise ValidationError(f"bracket constant c^{k}_{i}{j} is not real")
+                if x:
+                    row[k - 1] = x
             if row:
                 c[(i - 1, j - 1)] = row
-        q: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), row in c.items():
-            q[(i, j)] = {k: x.re for k, x in row.items()}
-            q[(j, i)] = {k: -x.re for k, x in row.items()}
+                c[(j - 1, i - 1)] = {k: -x for k, x in row.items()}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_q", q)
         object.__setattr__(self, "_checked", None)
 
     def __setattr__(self, nm, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """c^k_ij, 0-based, antisymmetry applied."""
-        return self._q.get((i, j), {}).get(k, Fraction(0))
+        """c^k_ij as a Fraction, 0-based, antisymmetry applied."""
+        return self._c.get((i, j), {}).get(k, ZERO).re
 
     def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """Nonzero brackets with 1-based indices, for display and files."""
+        """Nonzero brackets with 1-based indices and Fraction values, for display and files."""
         return {
             (i + 1, j + 1): {k + 1: v.re for k, v in sorted(comps.items())}
             for (i, j), comps in sorted(self._c.items())
+            if i < j
         }
-
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] as a coordinate vector, 0-based indices."""
-        v = [ZERO] * self.dim
-        if i < j:
-            for k, coef in self._c.get((i, j), {}).items():
-                v[k] = coef
-        elif j < i:
-            for k, coef in self._c.get((j, i), {}).items():
-                v[k] = -coef
-        return tuple(v)
 
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
-        out = [ZERO] * self.dim
-        su = {k for k, x in enumerate(u) if x}
-        sv = {k for k, x in enumerate(v) if x}
-        for (i, j), comps in self._c.items():
-            # skip pairs whose coefficient u_i v_j - u_j v_i is a sum of zeros
-            if not ((i in su and j in sv) or (j in su and i in sv)):
-                continue
-            f = u[i] * v[j] - u[j] * v[i]
-            if f:
-                for k, coef in comps.items():
-                    out[k] = out[k] + f * coef
-        return tuple(out)
+        w = self.rational_bracket((dict(nonzero_entries(u)), dict(nonzero_entries(v))))
+        return tuple(w.get(k, ZERO) for k in range(self.dim))
 
-    def rational_bracket(self, u: dict, v: dict) -> dict:
-        """Bracket of sparse rational vectors {index: Fraction}, 0-based.
+    def rational_bracket(self, *pairs: tuple[dict, dict]) -> dict:
+        """Sum of [u, v] over pairs of sparse vectors {index: scalar}, 0-based.
 
-        Works on the Fraction constants and returns the nonzero entries.
+        Returns the nonzero entries, so equal sums give equal dicts.
         """
-        out: dict[int, Fraction] = {}
-        q = self._q
-        for i, x in u.items():
-            for j, y in v.items():
-                comps = q.get((i, j))
-                if comps:
-                    xy = x * y
-                    for k, c in comps.items():
-                        out[k] = out.get(k, 0) + xy * c
-        return {k: c for k, c in out.items() if c}
+        out: dict[int, GaussianRational] = {}
+        c = self._c
+        for u, v in pairs:
+            for i, x in u.items():
+                for j, y in v.items():
+                    comps = c.get((i, j))
+                    if comps:
+                        xy = x * y
+                        for k, z in comps.items():
+                            out[k] = out[k] + xy * z if k in out else xy * z
+        return {k: z for k, z in out.items() if z}
 
-    def ad_matrix(self, i: int) -> Matrix:
-        """Matrix of X -> [e_i, X], 0-based."""
-        cols = [self.bracket_basis(i, j) for j in range(self.dim)]
-        return Matrix.from_columns(cols) if cols else Matrix([])
+    def ad_rows(self) -> list[list[dict[int, GaussianRational]]]:
+        """ad_j for every j as sparse rows: ``ad_rows()[j][k] = {i: c^k_ji}``."""
+        ad: list[list[dict]] = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        for (j, i), comps in self._c.items():
+            for k, z in comps.items():
+                ad[j][k][i] = z
+        return ad
 
     def __repr__(self):
         label = self.name or f"dim {self.dim}"
-        return f"LieAlgebra({label}, {len(self._c)} brackets)"
+        return f"LieAlgebra({label}, {len(self._c) // 2} brackets)"
 
 
 class Flag(namedtuple("Flag", "levels")):
@@ -172,31 +157,40 @@ class ValidationReport(namedtuple("ValidationReport", "ok step errors")):
     __slots__ = ()
 
 
-def _annihilator_rows(basis: list[Vector], dim: int) -> list[Vector]:
-    # rows N with span(basis) = ker N; for an empty basis that is N = I
-    if not basis:
-        return [tuple(ONE if c == r else ZERO for c in range(dim)) for r in range(dim)]
-    return kernel_basis(Matrix(basis))
+def combine_rows(coeffs, rows) -> dict:
+    """sum_r x_r * rows[r] for (r, x) in coeffs, over sparse rows {column: scalar}."""
+    out: dict = {}
+    for r, x in coeffs:
+        for c, y in rows[r].items():
+            out[c] = out[c] + x * y if c in out else x * y
+    return {c: z for c, z in out.items() if z}
 
 
-def ascending_flag(dim: int, maps: list[Matrix]) -> tuple[Flag, bool]:
+def _null_space(dim: int, conds) -> list[Vector]:
+    """Canonical echelon basis of {X : r . X = 0 for every sparse row r in conds}."""
+    # with no nonzero condition, one zero row: its kernel is the whole space
+    rows = tuple(tuple(r.get(c, ZERO) for c in range(dim)) for r in conds if r)
+    return row_space_basis(kernel_basis(Matrix._of(rows or ((ZERO,) * dim,))))
+
+
+def ascending_flag(dim: int, maps: list[list[dict]]) -> tuple[Flag, bool]:
     """Ascending flag of a family of linear maps; True if it reaches the space.
 
-    V_0 = 0 and V_l = {X : M X in V_{l-1} for every M in maps}; the flag
-    stops when a level repeats. With maps {ad_j} this is the ascending
-    central series; with {ad_j, ad_j J} it is the J-ascending series.
+    Each map is given by its sparse rows {column: scalar}. V_0 = 0 and
+    V_l = {X : M X in V_{l-1} for every M in maps}; the flag stops when a
+    level repeats. With maps {ad_j} this is the ascending central series;
+    with {ad_j, ad_j J} it is the J-ascending series.
     """
     levels: list[tuple[Vector, ...]] = []
     current: list[Vector] = []
     while True:
-        ann = Matrix(_annihilator_rows(current, dim))
-        # each row n . M is a linear condition on X
-        rows = [row for m in maps for row in (ann * m).rows]
-        if not rows:
-            nxt = [tuple(ONE if c == r else ZERO for c in range(dim)) for r in range(dim)]
+        if current:
+            # V_{l-1} = ker N, and each row n . M of N M is a condition on X
+            ann = [nonzero_entries(n) for n in kernel_basis(Matrix._of(tuple(current)))]
+            conds = [combine_rows(n, m) for n in ann for m in maps]
         else:
-            nxt = kernel_basis(Matrix(rows))
-        nxt = row_space_basis(nxt)
+            conds = [row for m in maps for row in m]
+        nxt = _null_space(dim, conds)
         if len(nxt) == len(current):
             return Flag(tuple(levels)), len(current) == dim
         current = nxt
@@ -209,17 +203,17 @@ def _jacobi_violations(a: LieAlgebra) -> list[str]:
     """One message per basis triple i < j < k where Jacobi fails.
 
     Sums [[e_x, e_y], e_z] over the three cyclic orders straight from the
-    sparse structure constants, over Fraction.
+    sparse structure constants.
     """
-    br = a._q
+    br = a._c
     errors = []
     for i, j, k in combinations(range(a.dim), 3):
-        total: dict[int, Fraction] = {}
+        total: dict[int, GaussianRational] = {}
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
             # [[e_x, e_y], e_z] = sum_m c^m_xy [e_m, e_z]
             for m, c in br.get((x, y), {}).items():
                 for l, d in br.get((m, z), {}).items():
-                    total[l] = total.get(l, 0) + c * d
+                    total[l] = total[l] + c * d if l in total else c * d
         if any(total.values()):
             errors.append(f"jacobi violated at ({i + 1},{j + 1},{k + 1})")
     return errors
@@ -233,7 +227,7 @@ def _validate(a: LieAlgebra) -> tuple[tuple[str, ...], Flag | None]:
     if a._checked is None:
         errors, flag = tuple(_jacobi_violations(a)), None
         if not errors:
-            flag, reached = ascending_flag(a.dim, [a.ad_matrix(j) for j in range(a.dim)])
+            flag, reached = ascending_flag(a.dim, a.ad_rows())
             if not reached:
                 errors, flag = ("not nilpotent",), None
         object.__setattr__(a, "_checked", (errors, flag))
@@ -266,7 +260,7 @@ def ascending_series(a: LieAlgebra) -> Flag:
             w for u, v in combinations(lv, 2) if not is_zero_vector(w := a.bracket(u, v))
         ]
         # the echelon basis below is independent: rank grows iff a bracket leaves it
-        if nonzero and rank(Matrix(below + nonzero)) > len(below):
+        if nonzero and rank(Matrix._of(tuple(below + nonzero))) > len(below):
             raise SelfCheckError(
                 f"ascending series quotient not abelian at level {ell}"
             )
@@ -274,13 +268,5 @@ def ascending_series(a: LieAlgebra) -> Flag:
 
 
 def center(a: LieAlgebra) -> list[Vector]:
-    """Basis of {X : [X, g] = 0}."""
-    if a.dim == 0:
-        return []
-    rows = []
-    for j in range(a.dim):
-        adj = a.ad_matrix(j)
-        # condition [e_j, X] = 0, one row per output coordinate
-        rows.extend(adj.rows)
-    sol = kernel_basis(Matrix(rows))
-    return row_space_basis(sol)
+    """Basis of {X : [X, g] = 0}: every row of every ad_j annihilates X."""
+    return _null_space(a.dim, [row for ad in a.ad_rows() for row in ad])

@@ -62,21 +62,18 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+        return cls._of(((ZERO,) * ncols,) * nrows)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
         cols = [tuple(_as_scalar(x) for x in c) for c in cols]
-        if not cols:
-            return cls([])
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ValueError("ragged columns")
+        return cls._of(tuple(zip(*cols)))
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -134,18 +131,15 @@ class Matrix:
 
     def scaled(self, c) -> "Matrix":
         c = _as_scalar(c)
-        return Matrix([[c * x for x in row] for row in self.rows])
+        return Matrix._of(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
+        return Matrix._of(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other):
@@ -264,7 +258,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 def _particular_solution(m: Matrix, b: Vector) -> Vector:
-    aug = Matrix([list(row) + [bb] for row, bb in zip(m.rows, b, strict=True)])
+    aug = Matrix._of(tuple(row + (bb,) for row, bb in zip(m.rows, b, strict=True)))
     red, pivots = rref(aug)
     if pivots and pivots[-1] == m.ncols:
         raise NotSolvableError("not solvable")
@@ -288,7 +282,7 @@ def solve_in_image(m: Matrix, b: Sequence) -> Vector:
         return x0
     # project x0 onto span(ker) and subtract
     d = len(ker)
-    gram = Matrix([[hdot(ker[q], ker[p]) for q in range(d)] for p in range(d)])
+    gram = Matrix._of(tuple(tuple(hdot(ker[q], ker[p]) for q in range(d)) for p in range(d)))
     rhs = tuple(hdot(x0, ker[p]) for p in range(d))
     coeffs = _particular_solution(gram, rhs)
     x = x0
@@ -302,7 +296,7 @@ def row_space_basis(vectors: Sequence[Vector]) -> list[Vector]:
     vs = [v for v in vectors if not is_zero_vector(v)]
     if not vs:
         return []
-    red, pivots = rref(Matrix(vs))
+    red, pivots = rref(Matrix._of(tuple(vs)))
     return [red.rows[i] for i in range(len(pivots))]
 
 
@@ -391,16 +385,11 @@ def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise PreconditionError("matrix not square")
     n = m.nrows
-    aug = Matrix(
-        [
-            list(m.rows[i]) + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    red, pivots = rref(aug)
+    # [M | I] reduces to [I | M^-1] when M is invertible
+    red, pivots = rref(Matrix._of(tuple(r + e for r, e in zip(m.rows, Matrix.identity(n).rows))))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise NotSolvableError("matrix not invertible")
-    return Matrix([red.rows[i][n:] for i in range(n)])
+    return Matrix._of(tuple(red.rows[i][n:] for i in range(n)))
 
 
 def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:

@@ -9,20 +9,17 @@ of convergence.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ValidationError
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, coerce
 
 Monomial = tuple[int, ...]
 
 
 def coerce_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction, str)):
-        return GaussianRational(x)
-    raise ValidationError("coefficient is not rational")
+    c = GaussianRational(x) if isinstance(x, str) else coerce(x)
+    if c is None:
+        raise ValidationError("coefficient is not rational")
+    return c
 
 
 def mono_add(a: Monomial, b: Monomial) -> Monomial:

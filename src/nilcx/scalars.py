@@ -6,10 +6,8 @@ floating point anywhere, so rank decisions and zero tests are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
-
-Rat = int | Fraction
 
 
 class GaussianRational:
@@ -19,6 +17,8 @@ class GaussianRational:
     canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have
     equal triples. Each operation is integer arithmetic plus at most one
     ``math.gcd``; ``re`` and ``im`` build their ``Fraction`` on request.
+    Text of the form ``[+-]digits[/digits]`` is parsed with ``int``; any
+    other text is read by ``Fraction``, with its values and exceptions.
     Immutable and hashable. Arithmetic accepts plain ``int`` and
     ``Fraction`` operands and coerces them to real Gaussian rationals.
     Sums with a zero operand return the other operand unchanged, since
@@ -27,14 +27,12 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: Rat | str = 0, im: Rat | str = 0):
+    def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
-            x, y = Fraction(re), Fraction(im)
-            a = x.numerator * y.denominator
-            b = y.numerator * x.denominator
-            d = x.denominator * y.denominator
+            (p, q), (r, s) = _ratio(re), _ratio(im)
+            a, b, d = p * s, r * q, q * s
             g = gcd(a, b, d)
             a, b, d = a // g, b // g, d // g
         _set_a(self, a)
@@ -46,11 +44,11 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        return _fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        return _fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
         if not self._b:
@@ -60,7 +58,7 @@ class GaussianRational:
     def norm_sq(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a nonnegative rational."""
         a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
+        return _fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
@@ -78,7 +76,7 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
-            other = _coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         c, e = other._a, other._b
@@ -96,7 +94,7 @@ class GaussianRational:
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
-            other = _coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         c, e = other._a, other._b
@@ -111,14 +109,14 @@ class GaussianRational:
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        o = _coerce(other)
+        o = coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
-            other = _coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
@@ -133,13 +131,13 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _coerce(other)
+        o = coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = _coerce(other)
+        o = coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -164,7 +162,7 @@ class GaussianRational:
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:
-            other = _coerce(other)
+            other = coerce(other)
             if other is None:
                 return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
@@ -172,7 +170,7 @@ class GaussianRational:
     def __hash__(self):
         # equal to a real int or Fraction, so hash like one
         if not self._b:
-            return hash(self._a) if self._d == 1 else hash(Fraction(self._a, self._d))
+            return hash(self._a) if self._d == 1 else hash(_fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __bool__(self):
@@ -223,12 +221,36 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _new(a, b, d)
 
 
-def _coerce(x) -> GaussianRational | None:
+def _fraction(*args) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int, str or Fraction."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str:
+        # [+-]digits[/digits] with a nonzero denominator is read with int
+        num, slash, den = x.partition("/")
+        den = den if slash else "1"
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if (digits + den).isascii() and digits.isdigit() and den.isdigit() and den.strip("0"):
+            return int(num), int(den)
+    f = _fraction(x)
+    return f.numerator, f.denominator
+
+
+def coerce(x) -> GaussianRational | None:
+    """x as a scalar when it is a GaussianRational, an int or a Fraction, else None."""
     if type(x) is int:
         return _new(x, 0, 1)
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    # no Fraction can exist before its module is loaded
+    fractions = sys.modules.get("fractions")
+    if isinstance(x, int) or (fractions and isinstance(x, fractions.Fraction)):
         return _new(x.numerator, 0, x.denominator)
     return None
 
@@ -247,6 +269,6 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def gr(re: Rat | str = 0, im: Rat | str = 0) -> GaussianRational:
+def gr(re: int | Fraction | str = 0, im: int | Fraction | str = 0) -> GaussianRational:
     """Shorthand constructor."""
     return GaussianRational(re, im)

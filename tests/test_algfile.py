@@ -214,3 +214,11 @@ def test_unknown_keyword():
     e = err("algebra a\ndim 2\nfrobnicate e1\n")
     assert e.line == 3
     assert "unknown" in e.message
+
+
+def test_zero_denominator_names_line_and_column():
+    e = err("algebra a\ndim 3\nbracket e1 e2 = 1*e1 + 1/0*e3\n")
+    assert (e.line, e.col) == (3, 24)
+    assert "zero denominator" in e.message
+    e = err("algebra a\ndim 2\nstructure J\nJ e1 = 2/0*e2\n")
+    assert (e.line, e.col) == (4, 8)

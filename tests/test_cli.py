@@ -293,6 +293,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line 3, col 9" in err
 
 
+def test_exit_code_zero_denominator(tmp_path, capsys):
+    p = tmp_path / "bad.alg"
+    p.write_text("algebra x\ndim 2\nbracket e1 e2 = 1/0*e2\n")
+    rc, out, err = run(capsys, ["validate", str(p)])
+    assert (rc, out) == (2, "")
+    assert err == "error: line 3, col 17: zero denominator\n"
+
+
 def test_exit_code_validation_failure(tmp_path, capsys):
     p = tmp_path / "sl.alg"
     p.write_text("algebra sl\ndim 2\nbracket e1 e2 = 1*e1\n")
@@ -334,12 +342,25 @@ def test_exit_code_series_frame_precondition(tmp_path, capsys):
 
 
 def test_at_arity_checked(tmp_path, capsys):
-    rc, _, err = run(
+    rc, out, err = run(
         capsys,
         ["kuranishi", alg_path(tmp_path, "h15"), "--order", "2", "--at", "1,0"],
     )
     assert rc == 1
     assert "wrong number of parameters" in err
+    # refused before the series is built, so no report is printed
+    assert out == ""
+
+
+@pytest.mark.parametrize("tok", ["1/0", "abc"])
+def test_bad_at_token_refused_before_any_report(tmp_path, capsys, tok):
+    rc, out, err = run(
+        capsys,
+        ["kuranishi", alg_path(tmp_path, "h15"), "--order", "2", "--at", f"{tok},0,0,0,0"],
+    )
+    assert rc == 1
+    assert err == f"error: not a rational number: {tok!r}\n"
+    assert out == ""
 
 
 def test_structure_flag_selects_block(tmp_path, capsys):

@@ -32,7 +32,7 @@ from nilcx.errors import (
     ValidationError,
 )
 from nilcx.lie import LieAlgebra, ascending_series
-from nilcx.linalg import Matrix, in_span, inverse, row_space_basis
+from nilcx.linalg import Matrix, in_span, inverse, kernel_basis, row_space_basis
 from nilcx.scalars import gr
 
 I = gr(0, 1)
@@ -336,7 +336,7 @@ def test_realified_structure_equations_roundtrip(name):
         for x in range(m):
             for y in range(x + 1, m):
                 got = _evaluate(f, dk, x, y)
-                want = -a.bracket_basis(x, y)[k]
+                want = -a.bracket(unit(m, x), unit(m, y))[k]
                 assert got == want, (k, x, y)
 
 
@@ -602,3 +602,50 @@ def test_integrability_witness_is_read_from_the_frame_on_demand(monkeypatch):
     # a failed verdict the frame cannot back up is a self-check error
     with pytest.raises(SelfCheckError, match="no coframe differential"):
         type(res)(False, h9(), j_std6()).witness_index
+
+
+# ------------------------------- sparse-row series against a dense reference
+
+
+def _dense_flag(dim, maps):
+    """V_l = {X : M X in V_(l-1) for every M}, on dense matrices: the kernel
+    of the stacked products N M, N an annihilator of V_(l-1)."""
+    levels, current = [], []
+    while True:
+        ann = Matrix(kernel_basis(Matrix(current))) if current else Matrix.identity(dim)
+        rows = [row for m in maps for row in (ann * m).rows]
+        nxt = row_space_basis(kernel_basis(Matrix(rows)))
+        if len(nxt) == len(current):
+            return tuple(levels), len(current) == dim
+        current = nxt
+        levels.append(tuple(current))
+        if len(current) == dim:
+            return tuple(levels), True
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("h9", lambda: (h9(), j_std6())),
+        ("h15", lambda: (h15(), j_std6())),
+        ("torus3", lambda: (abelian(6), j_std6())),
+        ("n10(1,1/2)", lambda: (n10(), jst(1, Fraction(1, 2)))),
+        ("n10(2,1/3)", lambda: (n10(), jst(2, Fraction(1, 3)))),
+        ("filiform4", lambda: (filiform4(), pair_j(4, [(0, 1), (2, 3)]))),
+    ],
+)
+def test_sparse_series_match_a_dense_reference(name, build):
+    base = build()
+    rng = random.Random(f"sparse-series:{name}")
+    # the algebra and J, then two seeded rational conjugates of both
+    for a, j in [base, _conjugate_pair(*base, rng), _conjugate_pair(*base, rng)]:
+        m = a.dim
+        ads = [
+            Matrix.from_columns([a.bracket(unit(m, x), unit(m, y)) for y in range(m)])
+            for x in range(m)
+        ]
+        levels, reached = _dense_flag(m, ads)
+        assert reached and ascending_series(a).levels == levels
+        levels, nilpotent = _dense_flag(m, ads + [ad * j.matrix for ad in ads])
+        flag, verdict = j_ascending_series(a, j)
+        assert (flag.levels, verdict) == (levels, nilpotent)

@@ -14,7 +14,7 @@ from nilcx.lie import (
     validate_lie,
 )
 from nilcx.linalg import Matrix, in_span, rank
-from nilcx.scalars import ONE, ZERO
+from nilcx.scalars import I, ONE, ZERO
 
 
 def h9():
@@ -83,8 +83,8 @@ def test_jacobi_violation_located():
 
 def test_bracket_antisymmetric_closure():
     a = h9()
-    assert a.bracket_basis(0, 1) == unit(6, 2)
-    assert a.bracket_basis(1, 0) == tuple(-x for x in unit(6, 2))
+    assert a.bracket(unit(6, 0), unit(6, 1)) == unit(6, 2)
+    assert a.bracket(unit(6, 1), unit(6, 0)) == tuple(-x for x in unit(6, 2))
     assert a.structure_constant(1, 0, 2) == -1
 
 
@@ -102,6 +102,13 @@ def test_bad_bracket_keys_rejected():
         LieAlgebra(3, {(2, 1): {3: 1}})
     with pytest.raises(ValidationError):
         LieAlgebra(3, {(1, 2): {4: 1}})
+    with pytest.raises(ValidationError, match="c\\^3_12 is not real"):
+        LieAlgebra(3, {(1, 2): {3: I}})
+    # int, Fraction, text and real scalars give one table
+    tables = [
+        LieAlgebra(3, {(1, 2): {3: c}}).bracket_table() for c in (-1, Fraction(-2, 2), "-1", -ONE)
+    ]
+    assert tables == [{(1, 2): {3: -1}}] * 4
 
 
 def test_ascending_series_h9_dims():
@@ -151,11 +158,12 @@ def test_flag_level_zero_is_empty():
     assert flag.depth == 3
 
 
-def test_ad_matrix_shape_and_action():
+def test_ad_rows_shape_and_action():
     a = h9()
-    ad1 = a.ad_matrix(0)
-    assert ad1.matvec(unit(6, 1)) == a.bracket_basis(0, 1)
-    assert rank(Matrix(ad1.rows)) == 2
+    ad1 = a.ad_rows()[0]
+    dense = Matrix([[row.get(c, 0) for c in range(6)] for row in ad1])
+    assert dense.matvec(unit(6, 1)) == a.bracket(unit(6, 0), unit(6, 1))
+    assert rank(dense) == 2
 
 
 # ------------------------------------------- validation: memo and sparse Jacobi

@@ -58,12 +58,18 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
+# standard-library modules a job should not need
+STDLIB = ("fractions", "decimal", "numbers", "json")
+
+
 def _modules_loaded_by(argv: list[str]) -> set[str]:
+    """The nilcx modules, and those of STDLIB, loaded after one CLI run."""
     code = (
         "import sys\n"
         "from nilcx.cli import main\n"
         "rc = main(sys.argv[1:])\n"
-        "print('loaded', rc, *sorted(m for m in sys.modules if m.startswith('nilcx')))\n"
+        f"names = sorted(m for m in sys.modules if m.startswith('nilcx') or m in {STDLIB})\n"
+        "print('loaded', rc, *names)\n"
     )
     last = _python(code, *argv).splitlines()[-1].split()
     assert last[:2] == ["loaded", "0"]
@@ -85,6 +91,24 @@ def test_validate_and_series_load_no_heavy_module(h15_file, argv):
     loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
     assert {"nilcx.lie", "nilcx.cxs", "nilcx.algfile"} <= loaded
     assert not loaded & HEAVY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["validate", "--json"],
+        ["series"],
+        ["cohomology", "--degree", "1"],
+        ["kuranishi", "--order", "2", "--at", "0,0,1/10,0,0"],
+    ],
+)
+def test_jobs_load_no_fractions_or_decimal(h15_file, argv):
+    loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
+    assert "nilcx.scalars" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+    if argv[0] == "series":
+        assert "json" not in loaded
 
 
 def test_cohomology_loads_dolbeault_only(h15_file):

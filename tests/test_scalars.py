@@ -249,3 +249,34 @@ def test_equality_and_hash_across_int_and_fraction():
     # one value reached by different routes has one triple and one hash
     a = gr("2/3", "1/6") * gr(3) - gr(1, "1/2")
     assert a == gr(1) and hash(a) == hash(1) and _canonical(a)
+
+
+# ---------------------------------------------- text: the int route and Fraction
+
+
+@pytest.mark.parametrize("tok", ["3", "-1/9", "+2", "2/4", "0.5", "1e-3", " 7 "])
+def test_text_reads_as_fraction_reads_it(tok):
+    z = GaussianRational(tok)
+    assert z == Fraction(tok) and z.re == Fraction(tok) and z.is_real
+    assert _canonical(z)
+
+
+@pytest.mark.parametrize("tok", ["1/0", "1/-7", "abc", ""])
+def test_bad_text_raises_what_fraction_raises(tok):
+    with pytest.raises(Exception) as want:
+        Fraction(tok)
+    with pytest.raises(Exception) as got:
+        GaussianRational(tok)
+    assert got.type is want.type
+    assert str(got.value) == str(want.value)
+
+
+def test_text_and_fraction_values_keep_the_eq_hash_contract():
+    rng = random.Random(9)
+    for _ in range(200):
+        q = _rand_rat(rng)
+        if q.denominator == 1:
+            continue
+        z = GaussianRational(str(q))
+        assert z == gr(q) == q and hash(z) == hash(gr(q)) == hash(q)
+        assert {q: 1}.get(z) == 1 and {z: 1}.get(q) == 1
