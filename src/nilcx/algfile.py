@@ -185,16 +185,14 @@ def render(name: str, algebra: LieAlgebra, structures=()) -> str:
     in order; parsing the output reproduces the inputs exactly.
     """
     lines = [f"algebra {name}", f"dim {algebra.dim}"]
-    table = algebra.bracket_table()
-    for (i, j) in sorted(table):
-        pairs = [(k, c) for k, c in sorted(table[(i, j)].items()) if c]
-        if pairs:
-            lines.append(f"bracket e{i} e{j} = {_terms_text(pairs)}")
+    for (i, j), targets in algebra._scalar_table().items():
+        lines.append(f"bracket e{i} e{j} = {_terms_text(targets.items())}")
     for sname, j in structures:
         lines.append(f"structure {sname}")
         for col in range(algebra.dim):
             vec = j.matrix.column(col)
-            pairs = [(k + 1, x.re) for k, x in enumerate(vec) if x]
+            # J is real, and a real scalar prints as its Fraction does
+            pairs = [(k + 1, x) for k, x in enumerate(vec) if x]
             lines.append(f"J e{col + 1} = {_terms_text(pairs)}")
     return "\n".join(lines) + "\n"
 

@@ -16,8 +16,6 @@ every entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cxs import (
     AlmostComplexStructure,
     is_abelian,
@@ -27,7 +25,7 @@ from .cxs import (
 from .errors import SelfCheckError, ValidationError
 from .lie import LieAlgebra, center, validate_lie
 from .linalg import Matrix
-from .scalars import ONE, ZERO, gr
+from .scalars import ONE, ZERO, GaussianRational, coerce
 
 _H9_BRACKETS = {(1, 2): {3: 1}, (1, 3): {6: 1}, (2, 4): {6: 1}}
 
@@ -42,35 +40,14 @@ _H15_BRACKETS = {
 # d e^m = sum over i < j of coeff * e^i ^ e^j, exactly as displayed in the
 # source tables; keys absent from this dict have vanishing differential.
 _N10_DIFFERENTIALS = {
-    4: {(1, 2): Fraction(-1), (1, 3): Fraction(1), (2, 7): Fraction(1)},
-    5: {(1, 2): Fraction(-1), (1, 7): Fraction(-1), (2, 3): Fraction(1)},
+    4: {(1, 2): -1, (1, 3): 1, (2, 7): 1},
+    5: {(1, 2): -1, (1, 7): -1, (2, 3): 1},
     6: {
-        (1, 4): Fraction(-1),
-        (1, 5): Fraction(-1),
-        (2, 5): Fraction(-1),
-        (2, 4): Fraction(1),
-        (1, 9): Fraction(-1),
-        (2, 8): Fraction(1),
-        (4, 5): Fraction(-2),
-        (4, 8): Fraction(1),
-        (5, 9): Fraction(1),
-        (4, 9): Fraction(-1),
-        (5, 8): Fraction(1),
-        (8, 9): Fraction(-1),
+        (1, 4): -1, (1, 5): -1, (2, 5): -1, (2, 4): 1, (1, 9): -1, (2, 8): 1,
+        (4, 5): -2, (4, 8): 1, (5, 9): 1, (4, 9): -1, (5, 8): 1, (8, 9): -1,
     },
-    8: {
-        (1, 7): Fraction(-1),
-        (2, 3): Fraction(1),
-        (1, 3): Fraction(-1),
-        (2, 7): Fraction(-1),
-    },
-    9: {
-        (1, 2): Fraction(2),
-        (1, 7): Fraction(1),
-        (2, 3): Fraction(-1),
-        (1, 3): Fraction(-1),
-        (2, 7): Fraction(-1),
-    },
+    8: {(1, 7): -1, (2, 3): 1, (1, 3): -1, (2, 7): -1},
+    9: {(1, 2): 2, (1, 7): 1, (2, 3): -1, (1, 3): -1, (2, 7): -1},
 }
 
 _N10_DIM = 10
@@ -113,15 +90,15 @@ def names() -> tuple[str, ...]:
     return ("h9", "h15", "n10", "torus")
 
 
-def _rational(x, what: str) -> Fraction:
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"{what} must be rational") from None
-    raise ValidationError(f"{what} must be rational")
+def _rational(x, what: str) -> GaussianRational:
+    """An int, Fraction, real scalar or rational text as a real scalar."""
+    try:
+        z = GaussianRational(x) if isinstance(x, str) else coerce(x)
+    except (ValueError, ZeroDivisionError):
+        z = None
+    if z is None or not z.is_real:
+        raise ValidationError(f"{what} must be rational")
+    return z
 
 
 def brackets_from_differentials(dim: int, diffs: dict) -> dict:
@@ -138,7 +115,7 @@ def brackets_from_differentials(dim: int, diffs: dict) -> dict:
 def differentials_from_brackets(algebra: LieAlgebra) -> dict:
     """Coframe differentials of an algebra, coefficient tables by index."""
     out: dict = {}
-    for (i, j), targets in algebra.bracket_table().items():
+    for (i, j), targets in algebra._scalar_table().items():
         for m, c in targets.items():
             if c:
                 out.setdefault(m, {})[(i, j)] = -c
@@ -194,16 +171,14 @@ def standard_pairing(dim: int) -> AlmostComplexStructure:
     return AlmostComplexStructure(Matrix.from_columns(cols))
 
 
-def _n10_structure(s: Fraction, t: Fraction) -> AlmostComplexStructure:
+def _n10_structure(s: GaussianRational, t: GaussianRational) -> AlmostComplexStructure:
     m = _N10_DIM
     images = {
-        0: tuple(gr(1) if c == 1 else gr(0) for c in range(m)),
-        3: tuple(gr(1) if c == 4 else gr(0) for c in range(m)),
-        7: tuple(gr(1) if c == 8 else gr(0) for c in range(m)),
-        2: tuple(gr(t) if c == 5 else (gr(s) if c == 6 else gr(0)) for c in range(m)),
-        9: tuple(
-            gr(-s) if c == 5 else (gr(-t) if c == 6 else gr(0)) for c in range(m)
-        ),
+        0: tuple(ONE if c == 1 else ZERO for c in range(m)),
+        3: tuple(ONE if c == 4 else ZERO for c in range(m)),
+        7: tuple(ONE if c == 8 else ZERO for c in range(m)),
+        2: tuple(t if c == 5 else (s if c == 6 else ZERO) for c in range(m)),
+        9: tuple(-s if c == 5 else (-t if c == 6 else ZERO) for c in range(m)),
     }
     return AlmostComplexStructure.from_images(m, images)
 

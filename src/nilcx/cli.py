@@ -179,6 +179,10 @@ def cmd_kuranishi(args) -> int:
         raise ValidationError("wrong number of parameters")
     series = kuranishi_series(dc, order=args.order)
     obs = obstructions(series)
+    if point is not None:
+        # a degenerate point is refused before any part of the report is printed
+        deformed = deform_structure(dc, series, point)
+        rep = classify_deformation(af.algebra, deformed)
     linear = [
         series.coeffs[tuple(int(i == k) for i in range(series.params))]
         for k in range(series.params)
@@ -222,8 +226,6 @@ def cmd_kuranishi(args) -> int:
                 print(f"  f{i + 1} = {p}")
 
     if point is not None:
-        deformed = deform_structure(dc, series, point)
-        rep = classify_deformation(af.algebra, deformed)
         at = ", ".join(str(t) for t in point)
         if not obs.vanishes_at(point):
             live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
@@ -306,7 +308,7 @@ def cmd_catalog(args) -> int:
         print("torus  dim 2n, abelian, standard structure J")
         return 0
     if args.name == "n10":
-        entry = get("n10", s=_parse_rational(args.s).re, t=_parse_rational(args.t).re)
+        entry = get("n10", s=_parse_rational(args.s), t=_parse_rational(args.t))
     elif args.name == "torus":
         entry = get("torus", n=args.n)
     else:

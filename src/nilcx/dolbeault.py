@@ -187,8 +187,8 @@ class DolbeaultComplex:
         self._lap: dict[int, Matrix] = {}
         self._harm: dict[int, list[Vector]] = {}
         self._green: dict[int, Matrix] = {}
-        # the bracket's contraction table, built by kuranishi on first use
-        self._contraction: dict | None = None
+        # the bracket table, built by kuranishi on first use
+        self._brackets: dict | None = None
 
     # ------------------------------------------------------------ chains
 
@@ -215,12 +215,7 @@ class DolbeaultComplex:
         return VectorForm(self.frame, degree, {})
 
     def _to_vec(self, mu: VectorForm) -> Vector:
-        self.chain_basis(mu.degree)
-        pos = self._pos[mu.degree]
-        out = [ZERO] * self.chain_dim(mu.degree)
-        for key, c in mu.coeffs.items():
-            out[pos[key]] = c
-        return tuple(out)
+        return tuple(mu.coeffs.get(key, ZERO) for key in self.chain_basis(mu.degree))
 
     def _from_vec(self, k: int, vec) -> VectorForm:
         keys = self.chain_basis(k)
@@ -402,13 +397,10 @@ class DolbeaultComplex:
         dim = self.chain_dim(k)
         proj = [[ZERO] * dim for _ in range(dim)]
         for h in self._harmonic_vectors(k):
-            norm = hdot(h, h)
-            for r, x in enumerate(h):
-                if x:
-                    row = proj[r]
-                    for c, y in enumerate(h):
-                        if y:
-                            row[c] = row[c] + x * y.conjugate() / norm
+            norm, support = hdot(h, h), nonzero_entries(h)
+            for r, x in support:
+                for c, y in support:
+                    proj[r][c] = proj[r][c] + x * y.conjugate() / norm
         proj = Matrix._of(tuple(map(tuple, proj)))
         got = inverse(self.laplacian_matrix(k) + proj) - proj
         if k >= 1:

@@ -51,15 +51,12 @@ def _contraction_table(dc: DolbeaultComplex) -> dict:
 
     Contracting a frame vector into a conjugate coframe differential only
     ever meets the holomorphic leg, so this table is the whole bracket
-    ingredient list. Built once per complex and kept on it.
+    ingredient list.
     """
-    table = dc._contraction
-    if table is None:
-        table = {}
-        for ell, form in enumerate(antiholomorphic_differentials(dc.algebra, dc.frame)):
-            for (hol, anti), c in form.coeffs.items():
-                table.setdefault((ell, hol[0]), {})[anti[0]] = c
-        dc._contraction = table
+    table: dict = {}
+    for ell, form in enumerate(antiholomorphic_differentials(dc.algebra, dc.frame)):
+        for (hol, anti), c in form.coeffs.items():
+            table.setdefault((ell, hol[0]), {})[anti[0]] = c
     return table
 
 
@@ -72,28 +69,45 @@ def _wedge_pair(i: int, q: int):
     return (q, i), True
 
 
-def _schouten_core(dc: DolbeaultComplex, table: dict, mu: VectorForm, nu: VectorForm) -> VectorForm:
+def _bracket_table(dc: DolbeaultComplex) -> dict:
+    """table[mu][nu] = {row: c}: the bracket of two degree-1 chain keys, on degree-2 rows.
+
+    Each contraction entry gives the term wb^k ^ (X_c _| d wb^l) (x) X_v of
+    {wb^l (x) X_v, wb^k (x) X_c}, in both orders. Built once per complex.
+    """
+    table = dc._brackets
+    if table is None:
+        table = {}
+        dc.chain_basis(2)
+        pos = dc._pos[2]
+        for (ell, c), legs in _contraction_table(dc).items():
+            for q, coef in legs.items():
+                for k in range(dc.n):
+                    hit = _wedge_pair(k, q)
+                    if hit is None:
+                        continue
+                    pair, flip = hit
+                    val = -coef if flip else coef
+                    for v in range(dc.n):
+                        mu, nu, row = ((ell,), v), ((k,), c), pos[(pair, v)]
+                        for x, y in ((mu, nu), (nu, mu)):
+                            out = table.setdefault(x, {}).setdefault(y, {})
+                            out[row] = out.get(row, ZERO) + val
+        dc._brackets = table
+    return table
+
+
+def _bracket(table: dict, mu: dict, nu: dict) -> dict:
+    """{mu, nu} of two degree-1 coefficient dicts, as sparse degree-2 rows."""
     out: dict = {}
-    for ((i,), a), cm in mu.coeffs.items():
-        for ((j,), b), cn in nu.coeffs.items():
-            c = cm * cn
-            for q, coef in table.get((i, b), {}).items():
-                hit = _wedge_pair(j, q)
-                if hit is None:
-                    continue
-                pair, flip = hit
-                val = c * coef
-                key = (pair, a)
-                out[key] = out.get(key, ZERO) + (-val if flip else val)
-            for q, coef in table.get((j, a), {}).items():
-                hit = _wedge_pair(i, q)
-                if hit is None:
-                    continue
-                pair, flip = hit
-                val = c * coef
-                key = (pair, b)
-                out[key] = out.get(key, ZERO) + (-val if flip else val)
-    return VectorForm(dc.frame, 2, out)
+    for r, x in mu.items():
+        for s, entries in table.get(r, {}).items():
+            y = nu.get(s)
+            if y is not None:
+                c = x * y
+                for k, e in entries.items():
+                    out[k] = out.get(k, ZERO) + c * e
+    return {k: v for k, v in out.items() if v}
 
 
 def schouten(dc: DolbeaultComplex, mu: VectorForm, nu: VectorForm) -> VectorForm:
@@ -107,7 +121,55 @@ def schouten(dc: DolbeaultComplex, mu: VectorForm, nu: VectorForm) -> VectorForm
         raise PreconditionError("bracket arguments must have degree 1")
     dc._own(mu)
     dc._own(nu)
-    return _schouten_core(dc, _contraction_table(dc), mu, nu)
+    keys = dc.chain_basis(2)
+    rows = _bracket(_bracket_table(dc), mu.coeffs, nu.coeffs)
+    return dc.form(2, {keys[r]: c for r, c in rows.items()})
+
+
+def _bracket_pass(table: dict, by_degree: dict, order: int, dc=None) -> dict:
+    """{Phi, Phi} through degree order + 1, each unordered pair of terms once.
+
+    ``by_degree[s]`` lists (monomial, coefficient dict) per degree-s term,
+    keyed as ``VectorForm.coeffs``; brackets are sparse degree-2 rows of
+    ``dc.chain_basis(2)``, as the harmonic vectors and D's columns are.
+    Given the complex, the pass also puts phi_r = D {Phi, Phi}_r into
+    ``by_degree[r]`` for r <= order, with D = -1/2 dbar*_1 G_2 built as
+    sparse columns on the first nonzero bracket.
+    """
+    brackets: dict = {}
+    step = None
+    for r in range(2, order + 2):
+        acc: dict = {}
+        for s in range(1, r // 2 + 1):
+            lower, upper = by_degree.get(s, ()), by_degree.get(r - s, ())
+            for x, (ma, fa) in enumerate(lower):
+                for y in range(x if 2 * s == r else 0, len(upper)):
+                    mb, fb = upper[y]
+                    br = _bracket(table, fa, fb)
+                    if not br:
+                        continue
+                    twice = 2 * s != r or x != y
+                    dst = acc.setdefault(mono_add(ma, mb), {})
+                    for k, v in br.items():
+                        dst[k] = dst.get(k, ZERO) + (v + v if twice else v)
+        acc = {m: rows for m, rows in acc.items() if any(rows.values())}
+        brackets.update(acc)
+        if dc is None or r > order:
+            continue
+        if acc and step is None:
+            keys = dc.chain_basis(1)
+            d = dc._dbar_adjoint_matrix(1) * dc.green_matrix(2)
+            step = [[(keys[i], -HALF * x) for i, x in enumerate(col) if x] for col in d.columns()]
+        by_degree[r] = []
+        for m in sorted(acc):
+            phi: dict = {}
+            for j, x in acc[m].items():
+                for i, e in step[j]:
+                    phi[i] = phi.get(i, ZERO) + e * x
+            phi = {i: v for i, v in phi.items() if v}
+            if phi:
+                by_degree[r].append((m, phi))
+    return brackets
 
 
 def _coform_core(dc: DolbeaultComplex, table: dict, mu: VectorForm, ell: int, weight) -> dict:
@@ -129,12 +191,16 @@ class DeformationSeries:
 
     ``coeffs`` maps exponent tuples (one slot per parameter) to degree-1
     vector forms; zero coefficients are omitted. Linear coefficients are
-    harmonic, higher ones orthogonal to every harmonic form.
+    harmonic, higher ones orthogonal to every harmonic form. ``brackets``
+    maps monomials to {Phi, Phi} through degree order + 1 as degree-2
+    chain rows {row: scalar}; it is computed from ``coeffs`` if not given.
     """
 
-    __slots__ = ("dolbeault", "params", "order", "coeffs")
+    __slots__ = ("dolbeault", "params", "order", "coeffs", "brackets")
 
-    def __init__(self, dolbeault: DolbeaultComplex, params: int, order: int, coeffs: dict):
+    def __init__(
+        self, dolbeault: DolbeaultComplex, params: int, order: int, coeffs: dict, brackets=None
+    ):
         if order < 1:
             raise ValidationError("order must be at least 1")
         for mono, f in coeffs.items():
@@ -150,6 +216,10 @@ class DeformationSeries:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
+        if brackets is None:
+            terms = {r: [(m, f.coeffs) for m, f in self.by_degree(r)] for r in range(1, order + 1)}
+            brackets = _bracket_pass(_bracket_table(dolbeault), terms, order)
+        object.__setattr__(self, "brackets", brackets)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformationSeries is immutable")
@@ -211,91 +281,41 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     """Build the deformation series to the requested total degree.
 
     The linear term runs over the degree-1 harmonic basis, one parameter
-    per basis form. Each higher coefficient is -1/2 dbar*(G acc) for the
-    accumulated bracket acc of lower terms: one matvec with the cached
-    degree-2 Green matrix, whose commutation with the adjoint is checked
-    once when it is built.
+    per basis form. One bracket pass gives every higher coefficient and
+    keeps {Phi, Phi} through degree order + 1 for :func:`obstructions`.
     """
     if order < 1:
         raise PreconditionError("order must be at least 1")
     coh = dc.cohomology(1)
-    nparams = coh.dimension
-    table = _contraction_table(dc)
-    coeffs: dict = {}
-    by_degree: dict = {1: []}
-    for k, h in enumerate(coh.harmonic_basis):
-        mono = tuple(1 if j == k else 0 for j in range(nparams))
-        coeffs[mono] = h
-        by_degree[1].append((mono, h))
-    for r in range(2, order + 1):
-        acc: dict = {}
-        # the bracket is symmetric: each unordered pair once, distinct pairs twice
-        for s in range(1, r // 2 + 1):
-            lower, upper = by_degree[s], by_degree[r - s]
-            for x, (ma, fa) in enumerate(lower):
-                for y in range(x if s == r - s else 0, len(upper)):
-                    mb, fb = upper[y]
-                    br = _schouten_core(dc, table, fa, fb)
-                    if br.is_zero():
-                        continue
-                    if s != r - s or x != y:
-                        br = br.scaled(2)
-                    m = mono_add(ma, mb)
-                    acc[m] = acc[m] + br if m in acc else br
-        fresh = []
-        for m in sorted(acc):
-            phi = dc.dbar_adjoint(dc.green(acc[m])).scaled(-HALF)
-            if not phi.is_zero():
-                coeffs[m] = phi
-                fresh.append((m, phi))
-        by_degree[r] = fresh
-    return DeformationSeries(dolbeault=dc, params=nparams, order=order, coeffs=coeffs)
-
-
-def _bracket_convolution(series: DeformationSeries, cap: int) -> dict:
-    """{Phi, Phi} as a dict monomial -> degree-2 form, degrees above cap dropped.
-
-    Every coefficient of total degree <= cap is complete: only pairs of
-    series terms contribute, and both factors are present up to the order.
-    """
-    dc = series.dolbeault
-    table = _contraction_table(dc)
-    entries = [(m, mono_degree(m), f) for m, f in sorted(series.coeffs.items())]
-    out: dict = {}
-    # the bracket is symmetric: each unordered pair once, distinct pairs twice
-    for x, (ma, da, fa) in enumerate(entries):
-        for y in range(x, len(entries)):
-            mb, db, fb = entries[y]
-            if da + db > cap:
-                continue
-            br = _schouten_core(dc, table, fa, fb)
-            if br.is_zero():
-                continue
-            if x != y:
-                br = br.scaled(2)
-            m = mono_add(ma, mb)
-            out[m] = out[m] + br if m in out else br
-    return out
+    p = coh.dimension
+    linear = [tuple(int(j == k) for j in range(p)) for k in range(p)]
+    by_degree = {1: [(m, h.coeffs) for m, h in zip(linear, coh.harmonic_basis)]}
+    brackets = _bracket_pass(_bracket_table(dc), by_degree, order, dc)
+    coeffs = {m: dc.form(1, f) for r in range(1, order + 1) for m, f in by_degree[r]}
+    return DeformationSeries(dc, p, order, coeffs, brackets)
 
 
 def obstructions(series: DeformationSeries) -> ObstructionSet:
-    """Pair {Phi, Phi} against the degree-2 harmonic basis.
+    """Pair the kept {Phi, Phi} against the degree-2 harmonic basis.
 
     The resulting polynomials vanish identically exactly when the series
     satisfies the structure equation to its order; their common zero locus
     picks out the parameter points that still deform after truncation.
+    Computes no bracket.
     """
     dc = series.dolbeault
-    conv = _bracket_convolution(series, series.order + 1)
-    polys = []
-    for gamma in dc.cohomology(2).harmonic_basis:
-        pc = {}
-        for m, v in conv.items():
-            c = dc.inner_product(v, gamma)
-            if c:
-                pc[m] = c
-        polys.append(Poly(series.params, pc))
-    return ObstructionSet(series.params, series.order, tuple(polys))
+    dc._check_degree(2)
+    harmonic = dc._harmonic_vectors(2)
+    # row r -> (g, conjugate of entry r of harmonic vector g) where that is nonzero
+    columns = enumerate(zip(*harmonic))
+    conj = {r: [(g, x.conjugate()) for g, x in enumerate(col) if x] for r, col in columns}
+    pcs: list = [{} for _ in harmonic]
+    for m, rows in series.brackets.items():
+        for r, v in rows.items():
+            for g, c in conj.get(r, ()):
+                pcs[g][m] = pcs[g].get(m, ZERO) + v * c
+    polys = tuple(Poly(series.params, pc) for pc in pcs)
+    return ObstructionSet(series.params, series.order, polys)
 
 
 def _owned_series(dc: DolbeaultComplex, series: DeformationSeries):
@@ -319,11 +339,10 @@ def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point)
         if w:
             s = mono_degree(m)
             parts[s] = parts[s] + f.scaled(w) if s in parts else f.scaled(w)
-    table = _contraction_table(dc)
     out = {s: dc.dbar(f) for s, f in parts.items()}
     for s, fs in parts.items():
         for u, fu in parts.items():
-            br = _schouten_core(dc, table, fs, fu).scaled(HALF)
+            br = schouten(dc, fs, fu).scaled(HALF)
             out[s + u] = out[s + u] + br if s + u in out else br
     return {d: v for d, v in sorted(out.items()) if not v.is_zero()}
 

@@ -84,13 +84,17 @@ class LieAlgebra:
         """c^k_ij as a Fraction, 0-based, antisymmetry applied."""
         return self._c.get((i, j), {}).get(k, ZERO).re
 
-    def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """Nonzero brackets with 1-based indices and Fraction values, for display and files."""
+    def _scalar_table(self) -> dict[tuple[int, int], dict[int, GaussianRational]]:
+        """Nonzero brackets with 1-based indices i < j and real scalar values."""
         return {
-            (i + 1, j + 1): {k + 1: v.re for k, v in sorted(comps.items())}
+            (i + 1, j + 1): {k + 1: v for k, v in sorted(comps.items())}
             for (i, j), comps in sorted(self._c.items())
             if i < j
         }
+
+    def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero brackets with 1-based indices i < j and Fraction values."""
+        return {ij: {k: v.re for k, v in c.items()} for ij, c in self._scalar_table().items()}
 
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""

@@ -15,6 +15,7 @@ from nilcx.catalog import (
     verify_entry,
 )
 from nilcx.errors import SelfCheckError, ValidationError
+from nilcx.scalars import gr
 
 
 def test_names_listing():
@@ -81,12 +82,16 @@ def test_degenerate_parameters_rejected():
 
 
 def test_parameter_rationality_enforced():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="s must be rational"):
         get("n10", s=0.5, t=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="t must be rational"):
         get("n10", s=1, t="x")
-    entry = get("n10", s="1/3", t="1/7")
-    assert entry.params == (Fraction(1, 3), Fraction(1, 7))
+    with pytest.raises(ValidationError, match="s must be rational"):
+        get("n10", s=gr(1, 1), t=0)
+    for s, t in [("1/3", "1/7"), (Fraction(1, 3), Fraction(2, 14)), (gr("1/3"), "2/14")]:
+        entry = get("n10", s=s, t=t)
+        assert entry.params == (Fraction(1, 3), Fraction(1, 7))
+        assert hash(entry.params) == hash((Fraction(1, 3), Fraction(1, 7)))
 
 
 def test_n10_requires_parameters():

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, JSON stability."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -330,6 +331,57 @@ def test_exit_code_degenerate_deformation(tmp_path, capsys):
     assert rc == 3
     assert "parameter too large" in err
     assert err.endswith("at t = (1, 0, 0, 0, 0)\n")
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_degenerate_point_prints_no_report(tmp_path, capsys, fmt):
+    rc, out, err = run(
+        capsys, ["kuranishi", alg_path(tmp_path, "h9"), "--order", "2", "--at", "1,1,1", *fmt]
+    )
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "error: parameter too large: deformed (0,1)-space degenerate at t = (1, 1, 1)\n"
+    )
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args, out_sha, err_sha",
+    [
+        (
+            ["--order", "4", "--json"],
+            "82c1d89623f274044ffbb1ed1e9bf9a837b6af928e9ab76c23a37a1666ad4928",
+            _sha(""),
+        ),
+        (
+            ["--order", "3"],
+            "766ac8f5ce20765c062a791724ae1c88cd7873bf6762ca809c431045ade0ce99",
+            _sha(""),
+        ),
+        (
+            ["--order", "2", "--at", "0,1/10,0,0,0,0,0,0,0,0,1/10,0,0,0"],
+            "b83e2b77e843114860465a35a008988ead126326aacb3dd2a7c20c843011d120",
+            "9fb49e26241284a8daeaece6f5b57ede721b2448bc98fafaa95cf2f5b3e9b05c",
+        ),
+    ],
+)
+def test_kuranishi_n10_output_bytes_are_pinned(tmp_path, capsys, args, out_sha, err_sha):
+    # SHA-256 of the output as the ordered-pair bracket route printed it;
+    # n10 has the most coefficients, and the benchmark does not run it
+    rc, out, err = run(capsys, ["kuranishi", alg_path(tmp_path, "n10", s=1, t=0), *args])
+    assert rc == 0
+    assert (_sha(out), _sha(err)) == (out_sha, err_sha)
+
+
+def test_kuranishi_without_degree_two_names_the_degree(tmp_path, capsys):
+    rc, out, err = run(capsys, ["kuranishi", alg_path(tmp_path, "torus", n=1), "--order", "2"])
+    assert rc == 3
+    assert out == ""
+    assert err == "error: degree out of range: 2 (degrees are 0..1)\n"
 
 
 def test_exit_code_series_frame_precondition(tmp_path, capsys):

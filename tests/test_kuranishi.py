@@ -316,6 +316,7 @@ def _ordered_pair_reference(dc, order):
         (dc_h15, 6),
         (lambda: DolbeaultComplex(abelian(6), j_std6()), 3),
         (lambda: DolbeaultComplex(n10(), jst(1, 0)), 2),
+        (lambda: DolbeaultComplex(n10(), jst(1, 0)), 4),
     ],
 )
 def test_series_and_obstructions_match_the_ordered_pair_reference(build, order):
@@ -330,13 +331,30 @@ def test_each_symmetric_bracket_is_computed_once(monkeypatch):
     import nilcx.kuranishi as kur
 
     calls = []
-    core = kur._schouten_core
-    monkeypatch.setattr(kur, "_schouten_core", lambda *args: calls.append(1) or core(*args))
+    core = kur._bracket
+    monkeypatch.setattr(kur, "_bracket", lambda *args: calls.append(1) or core(*args))
     ser = kuranishi_series(dc_h15(), order=6)
     in_series = len(calls)
     obstructions(ser)
-    # 199 and 265 calls when every ordered pair was bracketed
-    assert (in_series, len(calls) - in_series) == (105, 138)
+    # the series pass brackets each unordered pair of degree sum <= 7 once;
+    # (105, 138) when obstructions bracketed the pairs again, and (199, 265)
+    # when every ordered pair was bracketed
+    assert (in_series, len(calls) - in_series) == (138, 0)
+
+
+def test_series_with_no_nonzero_bracket_builds_no_green_matrix():
+    dc = DolbeaultComplex(abelian(6), j_std6())
+    ser = kuranishi_series(dc, order=3)
+    assert not any(p.coeffs for p in obstructions(ser).polys)
+    assert dc._green == {}
+
+
+def test_hand_built_series_gets_the_brackets_of_its_coefficients():
+    dc = dc_h15()
+    ser = kuranishi_series(dc, order=4)
+    again = DeformationSeries(dc, ser.params, ser.order, dict(ser.coeffs))
+    assert again.brackets == ser.brackets
+    assert obstructions(again) == obstructions(ser)
 
 
 # --------------------------------------------------------- obstructions

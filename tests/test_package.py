@@ -26,6 +26,7 @@ UNCALLED = {
     "dolbeault.basis_vector_form": "fixture",
     "dolbeault.dbar_vector": "reference",
     "dolbeault.harmonic_projection": "api",
+    "dolbeault.inner_product": "reference",
     "kuranishi.mc_residual": "api",
     "lie.structure_constant": "api",
     "linalg.in_span": "reference",
@@ -101,10 +102,15 @@ def test_validate_and_series_load_no_heavy_module(h15_file, argv):
         ["series"],
         ["cohomology", "--degree", "1"],
         ["kuranishi", "--order", "2", "--at", "0,0,1/10,0,0"],
+        ["catalog"],
+        ["catalog", "h15"],
+        ["catalog", "n10", "--s", "1/2", "--t", "1/3"],
+        ["catalog", "torus", "--n", "2"],
     ],
 )
 def test_jobs_load_no_fractions_or_decimal(h15_file, argv):
-    loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
+    files = [] if argv[0] == "catalog" else [h15_file]
+    loaded = _modules_loaded_by([argv[0], *files, *argv[1:]])
     assert "nilcx.scalars" in loaded
     assert not loaded & {"fractions", "decimal", "numbers"}
     if argv[0] == "series":
