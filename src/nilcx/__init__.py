@@ -15,9 +15,7 @@ _MODULE_EXPORTS = {
     "cxs": (
         "AlmostComplexStructure",
         "ComplexFrame",
-        "InvariantForm",
         "adapted_frame",
-        "exterior_derivative",
         "is_abelian",
         "is_integrable",
         "j_ascending_series",
@@ -30,6 +28,7 @@ _MODULE_EXPORTS = {
         "SelfCheckError",
         "ValidationError",
     ),
+    "forms": ("InvariantForm", "exterior_derivative"),
     "kuranishi": (
         "DeformationReport",
         "DeformationSeries",

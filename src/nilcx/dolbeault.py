@@ -6,7 +6,9 @@ orthonormal. On a (1,0)-vector, dbar V = sum_j wb^j (x) [conj X_j, V]^{1,0};
 the degree-k extension is dbar(wb^I (x) V) = (-1)^k wb^I ^ dbar V. The
 adjoint is the conjugate transpose in the orthonormal coordinates, the
 Laplacian is dbar dbar* + dbar* dbar, and the Green's operator inverts the
-Laplacian on the orthogonal complement of its kernel.
+Laplacian on the orthogonal complement of its kernel. The Hermitian form,
+orthogonal complement and Gram-Schmidt routines that build the harmonic
+bases are here too, since nothing else uses them.
 
 Everything is exact and deterministic; the differential, its adjoint,
 Laplacian, harmonic-space and Green-matrix caches are written once per
@@ -16,6 +18,7 @@ degree and never mutated after.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
@@ -23,19 +26,95 @@ from .cxs import AlmostComplexStructure, ComplexFrame, adapted_frame, is_abelian
 from .errors import PreconditionError, SelfCheckError, ValidationError
 from .lie import LieAlgebra
 from .linalg import (
+    EchelonBasis,
     Matrix,
     Vector,
-    gram_schmidt,
-    hdot,
-    hdot_support,
+    _as_scalar,
     inverse,
     is_zero_vector,
     kernel_basis,
     nonzero_entries,
-    orthogonal_complement,
     row_space_basis,
 )
 from .scalars import ONE, ZERO, GaussianRational
+
+
+def hdot(u: Sequence, v: Sequence) -> GaussianRational:
+    """Standard Hermitian form, linear in the first slot."""
+    acc = ZERO
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            acc = acc + _as_scalar(a) * _as_scalar(b).conjugate()
+    return acc
+
+
+def hdot_support(v: Sequence, support: Sequence[tuple[int, GaussianRational]]) -> GaussianRational:
+    """hdot(v, u) for the u whose nonzero entries are ``support = nonzero_entries(u)``."""
+    acc = ZERO
+    for k, x in support:
+        a = v[k]
+        if a:
+            acc = acc + a * x.conjugate()
+    return acc
+
+
+def orthogonal_complement(
+    s: Sequence[Vector], inside: Sequence[Vector]
+) -> list[Vector]:
+    """Basis of {v in span(inside) : <v, s> = 0 for all s in S}.
+
+    Precondition: span(S) is contained in span(inside); violations raise
+    :class:`PreconditionError`. The output together with a basis of span(S)
+    spans span(inside), and the mutual Gram matrix is exactly zero.
+    """
+    inside_basis = row_space_basis(inside)
+    inside_span = EchelonBasis(inside_basis)
+    for sv in s:
+        if sv not in inside_span:
+            raise PreconditionError("span(S) not contained in span(inside)")
+    if not inside_basis:
+        return []
+    if not s:
+        return list(inside_basis)
+    # coefficients x with v = sum x_j b_j, constrained by <v, s_i> = 0
+    cons = Matrix._of(
+        tuple(tuple(hdot_support(bj, nonzero_entries(si)) for bj in inside_basis) for si in s)
+    )
+    supports = [nonzero_entries(bj) for bj in inside_basis]
+    out = []
+    for cv in kernel_basis(cons):
+        v = [ZERO] * len(inside_basis[0])
+        for c, support in zip(cv, supports, strict=True):
+            if c:
+                for k, x in support:
+                    v[k] = v[k] + c * x
+        out.append(tuple(v))
+    return out
+
+
+def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
+    """Orthogonalize without normalizing; input must be independent.
+
+    Each output keeps its support and squared norm, so a projection runs
+    over that support only and is skipped when its coefficient is zero.
+    """
+    out: list[Vector] = []
+    done: list[tuple[list, GaussianRational]] = []
+    for v in vectors:
+        w = list(v)
+        for support, norm_sq in done:
+            c = hdot_support(v, support)
+            if c:
+                f = c / norm_sq
+                for k, x in support:
+                    w[k] = w[k] - f * x
+        w = tuple(w)
+        support = nonzero_entries(w)
+        if not support:
+            raise PreconditionError("gram_schmidt input not independent")
+        out.append(w)
+        done.append((support, hdot_support(w, support)))
+    return out
 
 
 class VectorForm:
@@ -176,8 +255,12 @@ class DolbeaultComplex:
         self.n = frame.n
         n = self.n
         # _dv[a][jj] = (1,0)-part of [conj X_jj, X_a] in frame coordinates
+        bracket = algebra.bracket
         self._dv = tuple(
-            tuple(frame.frame_bracket(n + jj, a)[:n] for jj in range(n))
+            tuple(
+                frame.to_frame(bracket(frame.frame_vector(n + jj), frame.vectors[a]))[:n]
+                for jj in range(n)
+            )
             for a in range(n)
         )
         self._chain: dict[int, tuple] = {}
@@ -228,22 +311,6 @@ class DolbeaultComplex:
             raise ValidationError("frame mismatch")
 
     # ------------------------------------------------------ differentials
-
-    def dbar_vector(self, v) -> VectorForm:
-        """dbar of a (1,0)-vector given in real-basis coordinates."""
-        cf = self.frame.to_frame(tuple(v))
-        if any(cf[self.n :]):
-            raise PreconditionError("vector is not type (1,0)")
-        out: dict = {}
-        for jj in range(self.n):
-            for a in range(self.n):
-                if not cf[a]:
-                    continue
-                for b, comp in enumerate(self._dv[a][jj]):
-                    if comp:
-                        key = ((jj,), b)
-                        out[key] = out.get(key, ZERO) + cf[a] * comp
-        return VectorForm(self.frame, 1, out)
 
     def dbar_matrix(self, k: int) -> Matrix:
         if not 0 <= k < self.n:
@@ -299,20 +366,6 @@ class DolbeaultComplex:
         m = self._dbar_adjoint_matrix(k - 1)
         return self._from_vec(k - 1, m.matvec(self._to_vec(mu)))
 
-    # ------------------------------------------------------------- metric
-
-    def inner_product(self, mu: VectorForm, nu: VectorForm) -> GaussianRational:
-        self._own(mu)
-        self._own(nu)
-        if mu.degree != nu.degree:
-            raise ValidationError("degree mismatch")
-        total = ZERO
-        for key, c in mu.coeffs.items():
-            d = nu.coeffs.get(key)
-            if d is not None:
-                total = total + c * d.conjugate()
-        return total
-
     # ------------------------------------------- Laplacian, Green, Hodge
 
     def _check_degree(self, k: int) -> None:
@@ -332,11 +385,6 @@ class DolbeaultComplex:
             total = total + self._dbar_adjoint_matrix(k) * self.dbar_matrix(k)
         self._lap[k] = total
         return total
-
-    def laplacian(self, mu: VectorForm) -> VectorForm:
-        self._own(mu)
-        k = mu.degree
-        return self._from_vec(k, self.laplacian_matrix(k).matvec(self._to_vec(mu)))
 
     def _harmonic_vectors(self, k: int) -> list[Vector]:
         got = self._harm.get(k)

@@ -22,15 +22,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cxs import (
-    AlmostComplexStructure,
-    antiholomorphic_differentials,
-    is_abelian,
-    is_integrable,
-    j_ascending_series,
-)
+from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
 from .dolbeault import DolbeaultComplex, VectorForm
 from .errors import NotSolvableError, PreconditionError, ValidationError
+from .forms import antiholomorphic_differentials
 from .lie import LieAlgebra
 from .linalg import Matrix, Vector, inverse, kernel_basis
 from .poly import (
@@ -301,11 +296,11 @@ def obstructions(series: DeformationSeries) -> ObstructionSet:
     The resulting polynomials vanish identically exactly when the series
     satisfies the structure equation to its order; their common zero locus
     picks out the parameter points that still deform after truncation.
-    Computes no bracket.
+    Computes no bracket. With no degree-2 chains (n = 1), H^2 = 0 and the
+    set is empty.
     """
     dc = series.dolbeault
-    dc._check_degree(2)
-    harmonic = dc._harmonic_vectors(2)
+    harmonic = dc._harmonic_vectors(2) if dc.n >= 2 else []
     # row r -> (g, conjugate of entry r of harmonic vector g) where that is nonzero
     columns = enumerate(zip(*harmonic))
     conj = {r: [(g, x.conjugate()) for g, x in enumerate(col) if x] for r, col in columns}

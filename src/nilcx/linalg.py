@@ -1,14 +1,13 @@
 """Exact dense linear algebra over Gaussian rationals.
 
-Kernels, solves orthogonal to the kernel, and Hermitian orthogonal
-complements; the substrate every other module computes on. All routines are
-deterministic: reduced row echelon form with leftmost pivot column and
-smallest pivot row, so identical inputs produce identical outputs, bit for
-bit. Products and row updates loop over nonzero entries only; the
-matrices here (differentials, ad maps, Laplacians) are mostly zeros.
+Echelon forms, kernels, inverses and incremental spans; the substrate
+every other module computes on. All routines are deterministic: reduced
+row echelon form with leftmost pivot column and smallest pivot row, so
+identical inputs produce identical outputs, bit for bit. Products and row
+updates loop over nonzero entries only; the matrices here (differentials,
+ad maps, Laplacians) are mostly zeros.
 
-Vectors are tuples of :class:`~nilcx.scalars.GaussianRational`; the Hermitian
-form is ``hdot(u, v) = sum u_k * conj(v_k)`` in the given coordinates.
+Vectors are tuples of :class:`~nilcx.scalars.GaussianRational`.
 """
 
 from __future__ import annotations
@@ -162,36 +161,8 @@ def nonzero_entries(v: Sequence[GaussianRational]) -> list[tuple[int, GaussianRa
     return [(k, x) for k, x in enumerate(v) if x]
 
 
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, v: Vector) -> Vector:
-    c = _as_scalar(c)
-    return tuple(c * x for x in v)
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(not x for x in v)
-
-
-def hdot(u: Sequence, v: Sequence) -> GaussianRational:
-    """Standard Hermitian form, linear in the first slot."""
-    acc = ZERO
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc = acc + _as_scalar(a) * _as_scalar(b).conjugate()
-    return acc
-
-
-def hdot_support(v: Sequence, support: Sequence[tuple[int, GaussianRational]]) -> GaussianRational:
-    """hdot(v, u) for the u whose nonzero entries are ``support = nonzero_entries(u)``."""
-    acc = ZERO
-    for k, x in support:
-        a = v[k]
-        if a:
-            acc = acc + a * x.conjugate()
-    return acc
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -257,40 +228,6 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return out
 
 
-def _particular_solution(m: Matrix, b: Vector) -> Vector:
-    aug = Matrix._of(tuple(row + (bb,) for row, bb in zip(m.rows, b, strict=True)))
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == m.ncols:
-        raise NotSolvableError("not solvable")
-    x = [ZERO] * m.ncols
-    for r, p in enumerate(pivots):
-        x[p] = red.rows[r][m.ncols]
-    return tuple(x)
-
-
-def solve_in_image(m: Matrix, b: Sequence) -> Vector:
-    """Solve M x = b exactly, with x orthogonal to ker M.
-
-    Raises :class:`NotSolvableError` ("not solvable") when b is outside the
-    image. The orthogonality normalization makes the solution unique, which
-    is what a Green's operator needs to be well defined.
-    """
-    b = tuple(_as_scalar(x) for x in b)
-    x0 = _particular_solution(m, b)
-    ker = kernel_basis(m)
-    if not ker:
-        return x0
-    # project x0 onto span(ker) and subtract
-    d = len(ker)
-    gram = Matrix._of(tuple(tuple(hdot(ker[q], ker[p]) for q in range(d)) for p in range(d)))
-    rhs = tuple(hdot(x0, ker[p]) for p in range(d))
-    coeffs = _particular_solution(gram, rhs)
-    x = x0
-    for q in range(d):
-        x = vsub(x, vscale(coeffs[q], ker[q]))
-    return x
-
-
 def row_space_basis(vectors: Sequence[Vector]) -> list[Vector]:
     """Canonical echelon basis of the span of the given vectors."""
     vs = [v for v in vectors if not is_zero_vector(v)]
@@ -339,48 +276,6 @@ class EchelonBasis:
         return True
 
 
-def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
-    if is_zero_vector(v):
-        return True
-    if not basis:
-        return False
-    return rank(Matrix(list(basis) + [v])) == rank(Matrix(list(basis)))
-
-
-def orthogonal_complement(
-    s: Sequence[Vector], inside: Sequence[Vector]
-) -> list[Vector]:
-    """Basis of {v in span(inside) : <v, s> = 0 for all s in S}.
-
-    Precondition: span(S) is contained in span(inside); violations raise
-    :class:`PreconditionError`. The output together with a basis of span(S)
-    spans span(inside), and the mutual Gram matrix is exactly zero.
-    """
-    inside_basis = row_space_basis(inside)
-    inside_span = EchelonBasis(inside_basis)
-    for sv in s:
-        if sv not in inside_span:
-            raise PreconditionError("span(S) not contained in span(inside)")
-    if not inside_basis:
-        return []
-    if not s:
-        return list(inside_basis)
-    # coefficients x with v = sum x_j b_j, constrained by <v, s_i> = 0
-    cons = Matrix._of(
-        tuple(tuple(hdot_support(bj, nonzero_entries(si)) for bj in inside_basis) for si in s)
-    )
-    supports = [nonzero_entries(bj) for bj in inside_basis]
-    out = []
-    for cv in kernel_basis(cons):
-        v = [ZERO] * len(inside_basis[0])
-        for c, support in zip(cv, supports, strict=True):
-            if c:
-                for k, x in support:
-                    v[k] = v[k] + c * x
-        out.append(tuple(v))
-    return out
-
-
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise PreconditionError("matrix not square")
@@ -390,28 +285,3 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise NotSolvableError("matrix not invertible")
     return Matrix._of(tuple(red.rows[i][n:] for i in range(n)))
-
-
-def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
-    """Orthogonalize without normalizing; input must be independent.
-
-    Each output keeps its support and squared norm, so a projection runs
-    over that support only and is skipped when its coefficient is zero.
-    """
-    out: list[Vector] = []
-    done: list[tuple[list, GaussianRational]] = []
-    for v in vectors:
-        w = list(v)
-        for support, norm_sq in done:
-            c = hdot_support(v, support)
-            if c:
-                f = c / norm_sq
-                for k, x in support:
-                    w[k] = w[k] - f * x
-        w = tuple(w)
-        support = nonzero_entries(w)
-        if not support:
-            raise PreconditionError("gram_schmidt input not independent")
-        out.append(w)
-        done.append((support, hdot_support(w, support)))
-    return out

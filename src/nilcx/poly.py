@@ -3,8 +3,7 @@
 A monomial is an exponent tuple, one slot per parameter, and a polynomial
 maps monomials to :class:`~nilcx.scalars.GaussianRational` coefficients.
 Everything downstream of the deformation recursion is truncated in total
-degree, so the class carries a ``truncated`` helper instead of any notion
-of convergence.
+degree; there is no notion of convergence.
 """
 
 from __future__ import annotations
@@ -94,11 +93,6 @@ class Poly:
             return None
         return min(mono_degree(m) for m in self.coeffs)
 
-    def max_degree(self) -> int | None:
-        if not self.coeffs:
-            return None
-        return max(mono_degree(m) for m in self.coeffs)
-
     def _same_arity(self, other: "Poly"):
         if self.nvars != other.nvars:
             raise ValidationError("parameter count mismatch")
@@ -128,12 +122,6 @@ class Poly:
     def scaled(self, c) -> "Poly":
         c = coerce_scalar(c)
         return Poly(self.nvars, {m: c * v for m, v in self.coeffs.items()})
-
-    def truncated(self, max_degree: int) -> "Poly":
-        return Poly(
-            self.nvars,
-            {m: c for m, c in self.coeffs.items() if mono_degree(m) <= max_degree},
-        )
 
     def evaluate(self, point) -> GaussianRational:
         pt = coerce_point(point, self.nvars)

@@ -55,11 +55,6 @@ class GaussianRational:
             return self
         return _new(self._a, -self._b, self._d)
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, a nonnegative rational."""
-        a, b, d = self._a, self._b, self._d
-        return _fraction(a * a + b * b, d * d)
-
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
         if not b:

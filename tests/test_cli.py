@@ -377,11 +377,32 @@ def test_kuranishi_n10_output_bytes_are_pinned(tmp_path, capsys, args, out_sha, 
     assert (_sha(out), _sha(err)) == (out_sha, err_sha)
 
 
-def test_kuranishi_without_degree_two_names_the_degree(tmp_path, capsys):
-    rc, out, err = run(capsys, ["kuranishi", alg_path(tmp_path, "torus", n=1), "--order", "2"])
-    assert rc == 3
-    assert out == ""
-    assert err == "error: degree out of range: 2 (degrees are 0..1)\n"
+def test_kuranishi_without_degree_two_reports_no_obstructions(tmp_path, capsys):
+    # torus n = 1 has no degree-2 chains, so H^2 = 0 and nothing is obstructed
+    path = alg_path(tmp_path, "torus", n=1)
+    head = (
+        "algebra torus (dim 2), structure J\n"
+        "order 2\n"
+        "coordinates t1..t1 (degree-one harmonic basis):\n"
+        "  t1: (1)*wb1 ox X1\n"
+        "φ_r = 0 for r ≥ 2; no obstructions\n"
+    )
+    assert run(capsys, ["kuranishi", path, "--order", "2"]) == (0, head, "")
+    rc, out, err = run(capsys, ["kuranishi", path, "--order", "2", "--json"])
+    assert (rc, err) == (0, "")
+    assert out == (
+        '{"algebra":"torus","coefficients":{},"command":"kuranishi",'
+        '"coordinates":["(1)*wb1 ox X1"],"obstructions":[],"order":2,'
+        '"schema":1,"structure":"J"}\n'
+    )
+    at = (
+        "at t = (1/2)\n"
+        "deformed J matrix:\n"
+        "  [  0 -3]\n"
+        "  [1/3  0]\n"
+        "classification: integrable, nilpotent, abelian\n"
+    )
+    assert run(capsys, ["kuranishi", path, "--order", "2", "--at", "1/2"]) == (0, head + at, "")
 
 
 def test_exit_code_series_frame_precondition(tmp_path, capsys):

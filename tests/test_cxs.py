@@ -10,20 +10,15 @@ from fractions import Fraction
 
 import pytest
 from conftest import abelian, filiform4, h9, h15, j_std6, jst, n10, pair_j, unit
+from reference import in_span
 
 from nilcx.cxs import (
     AlmostComplexStructure,
     ComplexFrame,
-    InvariantForm,
     adapted_frame,
-    antiholomorphic_differentials,
-    eigen_frame,
-    exterior_derivative,
     is_abelian,
     is_integrable,
     j_ascending_series,
-    omega_form,
-    omegabar_form,
 )
 from nilcx.errors import (
     NotSolvableError,
@@ -31,8 +26,16 @@ from nilcx.errors import (
     SelfCheckError,
     ValidationError,
 )
+from nilcx.forms import (
+    InvariantForm,
+    antiholomorphic_differentials,
+    eigen_frame,
+    exterior_derivative,
+    omega_form,
+    omegabar_form,
+)
 from nilcx.lie import LieAlgebra, ascending_series
-from nilcx.linalg import Matrix, in_span, inverse, kernel_basis, row_space_basis
+from nilcx.linalg import Matrix, inverse, kernel_basis, row_space_basis
 from nilcx.scalars import gr
 
 I = gr(0, 1)
@@ -186,7 +189,6 @@ def test_n10_is_a_nilpotent_lie_algebra():
 
 def test_n10_generic_center_not_j_invariant():
     from nilcx.lie import center
-    from nilcx.linalg import in_span
 
     a, j = n10(), jst(1, Fraction(1, 2))
     z = center(a)
@@ -581,18 +583,18 @@ def test_abelian_routes_disagree_on_a_forged_operator():
 
 
 def test_integrability_witness_is_read_from_the_frame_on_demand(monkeypatch):
-    import nilcx.cxs as cxs
+    import nilcx.forms as forms
 
     a, j = filiform4(), pair_j(4, [(0, 1), (2, 3)])
-    real_frame = cxs.eigen_frame
+    real_frame = forms.eigen_frame
 
     def no_frame(*args):
         raise AssertionError("eigen-frame built")
 
-    monkeypatch.setattr(cxs, "eigen_frame", no_frame)
+    monkeypatch.setattr(forms, "eigen_frame", no_frame)
     res = is_integrable(a, j)
     assert not res and is_abelian(a, j) is False and is_integrable(h9(), j_std6())
-    monkeypatch.setattr(cxs, "eigen_frame", real_frame)
+    monkeypatch.setattr(forms, "eigen_frame", real_frame)
     frame = eigen_frame(a, j)
     firsts = [i for i in range(2) if (0, 2) in exterior_derivative(a, frame, omega_form(2, i))]
     assert res.witness_index == firsts[0] == 1

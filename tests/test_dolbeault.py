@@ -19,10 +19,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import abelian, filiform4, h9, h15, jst, n10, pair_j, j_std6
+from reference import dbar_vector, inner_product, laplacian, solve_in_image
 
-from nilcx.dolbeault import DolbeaultComplex, VectorForm, basis_vector_form
+from nilcx.dolbeault import DolbeaultComplex, VectorForm, basis_vector_form, hdot
 from nilcx.errors import PreconditionError, SelfCheckError, ValidationError
-from nilcx.linalg import Matrix, hdot, rank, row_space_basis, solve_in_image
+from nilcx.linalg import Matrix, rank, row_space_basis
 from nilcx.scalars import gr
 
 I = gr(0, 1)
@@ -121,36 +122,36 @@ def test_chain_dimensions():
 def test_dbar_vector_h9_pins():
     dc = dc_h9()
     x1, x2, x3 = dc.frame.vectors
-    assert dc.dbar_vector(x1).is_zero()
-    assert dc.dbar_vector(x2) == dc.form(1, {((2,), 0): I})
-    assert dc.dbar_vector(x3) == dc.form(1, {((1,), 0): -I, ((2,), 1): -I})
+    assert dbar_vector(dc, x1).is_zero()
+    assert dbar_vector(dc, x2) == dc.form(1, {((2,), 0): I})
+    assert dbar_vector(dc, x3) == dc.form(1, {((1,), 0): -I, ((2,), 1): -I})
 
 
 def test_dbar_vector_h15_pins():
     dc = dc_h15()
     x1, x2, x3 = dc.frame.vectors
-    assert dc.dbar_vector(x1).is_zero()
-    assert dc.dbar_vector(x2).is_zero()
-    assert dc.dbar_vector(x3) == dc.form(1, {((1,), 0): -2, ((2,), 1): -1})
+    assert dbar_vector(dc, x1).is_zero()
+    assert dbar_vector(dc, x2).is_zero()
+    assert dbar_vector(dc, x3) == dc.form(1, {((1,), 0): -2, ((2,), 1): -1})
 
 
 def test_dbar_vector_torus_is_zero():
     dc = dc_torus()
-    assert all(dc.dbar_vector(v).is_zero() for v in dc.frame.vectors)
+    assert all(dbar_vector(dc, v).is_zero() for v in dc.frame.vectors)
 
 
 def test_dbar_vector_rejects_antiholomorphic_input():
     dc = dc_h9()
     bar = tuple(x.conjugate() for x in dc.frame.vectors[0])
     with pytest.raises(PreconditionError, match="type"):
-        dc.dbar_vector(bar)
+        dbar_vector(dc, bar)
 
 
 def test_dbar_degree_zero_matches_dbar_vector():
     dc = dc_h9()
     for a in range(3):
         lifted = dc.dbar(basis_vector_form(dc.frame, (), a))
-        assert lifted == dc.dbar_vector(dc.frame.vectors[a])
+        assert lifted == dbar_vector(dc, dc.frame.vectors[a])
 
 
 def test_dbar_degree_one_pins_h9():
@@ -191,32 +192,32 @@ def test_inner_product_orthonormal_basis():
     dc = dc_h9()
     f = basis_vector_form(dc.frame, (0,), 0)
     g = basis_vector_form(dc.frame, (1,), 0)
-    assert dc.inner_product(f, f) == gr(1)
-    assert dc.inner_product(f, g) == gr(0)
+    assert inner_product(dc, f, f) == gr(1)
+    assert inner_product(dc, f, g) == gr(0)
 
 
 def test_inner_product_norms_of_two_term_combinations():
     dc9, dc15 = dc_h9(), dc_h15()
     two = dc9.form(1, {((1,), 1): 1, ((2,), 2): -1})
-    assert dc9.inner_product(two, two) == gr(2)
+    assert inner_product(dc9, two, two) == gr(2)
     five = dc15.form(1, {((1,), 0): 1, ((2,), 1): -2})
-    assert dc15.inner_product(five, five) == gr(5)
+    assert inner_product(dc15, five, five) == gr(5)
 
 
 def test_inner_product_sesquilinear_and_hermitian():
     dc = dc_h9()
     rng = random.Random(11)
     f, g = rand_form(dc, 1, rng), rand_form(dc, 1, rng)
-    assert dc.inner_product(f.scaled(I), g) == I * dc.inner_product(f, g)
-    assert dc.inner_product(f, g.scaled(I)) == -I * dc.inner_product(f, g)
-    assert dc.inner_product(f, g) == dc.inner_product(g, f).conjugate()
-    assert dc.inner_product(f, f).im == 0
+    assert inner_product(dc, f.scaled(I), g) == I * inner_product(dc, f, g)
+    assert inner_product(dc, f, g.scaled(I)) == -I * inner_product(dc, f, g)
+    assert inner_product(dc, f, g) == inner_product(dc, g, f).conjugate()
+    assert inner_product(dc, f, f).im == 0
 
 
 def test_inner_product_mismatch_rejected():
     dc = dc_h9()
     with pytest.raises(ValidationError, match="degree"):
-        dc.inner_product(dc.zero_form(1), dc.zero_form(2))
+        inner_product(dc, dc.zero_form(1), dc.zero_form(2))
 
 
 # ----------------------------------------------------------------- adjoint
@@ -254,7 +255,7 @@ def test_adjointness_on_random_pairs():
     for _ in range(100):
         k = rng.choice((1, 2, 3))
         mu, rho = rand_form(dc, k, rng), rand_form(dc, k - 1, rng)
-        assert dc.inner_product(dc.dbar_adjoint(mu), rho) == dc.inner_product(
+        assert inner_product(dc, dc.dbar_adjoint(mu), rho) == inner_product(dc, 
             mu, dc.dbar(rho)
         )
 
@@ -266,12 +267,12 @@ def test_laplacian_pins():
     dc9, dc15 = dc_h9(), dc_h15()
     x2 = basis_vector_form(dc9.frame, (), 1)
     x3 = basis_vector_form(dc9.frame, (), 2)
-    assert dc9.laplacian(x2) == x2
-    assert dc9.laplacian(x3) == x3.scaled(2)
+    assert laplacian(dc9, x2) == x2
+    assert laplacian(dc9, x3) == x3.scaled(2)
     y3 = basis_vector_form(dc15.frame, (), 2)
-    assert dc15.laplacian(y3) == y3.scaled(5)
+    assert laplacian(dc15, y3) == y3.scaled(5)
     w = basis_vector_form(dc9.frame, (1,), 0)
-    assert dc9.laplacian(w) == dc9.form(1, {((1,), 0): 1, ((2,), 1): 1})
+    assert laplacian(dc9, w) == dc9.form(1, {((1,), 0): 1, ((2,), 1): 1})
 
 
 def test_green_pins():
@@ -291,7 +292,7 @@ def test_green_kills_harmonics():
     dc = dc_h9()
     for h in dc.cohomology(1).harmonic_basis:
         assert dc.green(h).is_zero()
-        assert dc.laplacian(h).is_zero()
+        assert laplacian(dc, h).is_zero()
 
 
 @pytest.mark.parametrize("build", [dc_h9, dc_h15])
@@ -303,13 +304,13 @@ def test_hodge_identity_and_decomposition(build):
             mu = rand_form(dc, k, rng)
             g = dc.green(mu)
             h = dc.harmonic_projection(mu)
-            assert dc.laplacian(g) + h == mu
+            assert laplacian(dc, g) + h == mu
             p1 = dc.dbar(dc.dbar_adjoint(g)) if k >= 1 else dc.zero_form(k)
             p2 = dc.dbar_adjoint(dc.dbar(g)) if k < dc.n else dc.zero_form(k)
             assert h + p1 + p2 == mu
-            assert dc.inner_product(h, p1) == gr(0)
-            assert dc.inner_product(h, p2) == gr(0)
-            assert dc.inner_product(p1, p2) == gr(0)
+            assert inner_product(dc, h, p1) == gr(0)
+            assert inner_product(dc, h, p2) == gr(0)
+            assert inner_product(dc, p1, p2) == gr(0)
 
 
 def test_green_commutes_with_adjoint():

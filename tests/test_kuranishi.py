@@ -21,9 +21,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import abelian, h9, h15, j_std6, jst, n10, pair_j
-from nilcx.cxs import InvariantForm
+from reference import inner_product, laplacian
 from nilcx.dolbeault import DolbeaultComplex
 from nilcx.errors import PreconditionError, ValidationError
+from nilcx.forms import InvariantForm
 from nilcx.kuranishi import (
     DeformationSeries,
     DeformedStructure,
@@ -188,7 +189,7 @@ def test_series_linear_coefficients_are_harmonic():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=2)
     for mono, f in ser.by_degree(1):
-        assert dc.laplacian(f).is_zero()
+        assert laplacian(dc, f).is_zero()
 
 
 def test_series_higher_coefficients_orthogonal_to_harmonics():
@@ -201,7 +202,7 @@ def test_series_higher_coefficients_orthogonal_to_harmonics():
             continue
         seen = True
         for h in basis:
-            assert not dc.inner_product(f, h)
+            assert not inner_product(dc, f, h)
     assert seen
 
 
@@ -303,7 +304,7 @@ def _ordered_pair_reference(dc, order):
             if mono_degree(m) <= order + 1:
                 conv[m] = conv[m] + schouten(dc, fa, fb) if m in conv else schouten(dc, fa, fb)
     polys = tuple(
-        Poly(p, {m: dc.inner_product(v, gamma) for m, v in conv.items()})
+        Poly(p, {m: inner_product(dc, v, gamma) for m, v in conv.items()})
         for gamma in dc.cohomology(2).harmonic_basis
     )
     return coeffs, polys
@@ -532,8 +533,9 @@ def test_mc_residual_harmonic_part_matches_obstruction_values():
         for p, gamma in zip(obs.polys, gammas):
             # the residual stops at the series order, so compare against
             # the obstruction polynomial truncated to the same degree
-            want = p.truncated(ser.order).evaluate(pt) * gr(Fraction(1, 2))
-            assert dc.inner_product(r, gamma) == want
+            low = {m: c for m, c in p.coeffs.items() if mono_degree(m) <= ser.order}
+            want = Poly(p.nvars, low).evaluate(pt) * gr(Fraction(1, 2))
+            assert inner_product(dc, r, gamma) == want
 
 
 def test_mc_residual_rejects_foreign_series():

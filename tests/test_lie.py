@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from reference import in_span
 from nilcx.errors import ValidationError
 from nilcx.lie import (
     LieAlgebra,
@@ -13,7 +14,7 @@ from nilcx.lie import (
     center,
     validate_lie,
 )
-from nilcx.linalg import Matrix, in_span, rank
+from nilcx.linalg import Matrix, rank
 from nilcx.scalars import I, ONE, ZERO
 
 

@@ -8,23 +8,18 @@ from fractions import Fraction
 
 import pytest
 
+from reference import in_span, solve_in_image, vscale, vsub
+from nilcx.dolbeault import gram_schmidt, hdot, orthogonal_complement
 from nilcx.errors import NotSolvableError, PreconditionError
 from nilcx.linalg import (
     EchelonBasis,
     Matrix,
-    gram_schmidt,
-    hdot,
-    in_span,
     inverse,
     is_zero_vector,
     kernel_basis,
-    orthogonal_complement,
     rank,
     row_space_basis,
     rref,
-    solve_in_image,
-    vscale,
-    vsub,
 )
 from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr
 

