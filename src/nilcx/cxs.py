@@ -5,8 +5,7 @@ nilpotency verdict, and adapted (1,0)-frames ordered along the ascending
 central series. The structure tests and the J-ascending series work on the
 algebra's sparse constants and J's sparse rows and columns, in
 Gaussian-rational scalars. Invariant forms and their differentials live in
-``forms``, which only the Kuranishi layer and the integrability witness
-load.
+``forms``, which only the integrability witness loads.
 """
 
 from __future__ import annotations
@@ -102,10 +101,9 @@ class ComplexFrame:
     ``levels``, when present, records the ascending-series level of each
     frame vector; vectors of the deepest level come first and the leading
     vectors of each level prefix span the complexified series member.
-    ``_brackets`` caches ``forms.frame_bracket``.
     """
 
-    __slots__ = ("algebra", "n", "vectors", "levels", "_basis_inv", "_brackets")
+    __slots__ = ("algebra", "n", "vectors", "levels", "_basis_inv")
 
     def __init__(self, algebra: LieAlgebra, vectors, levels=None):
         vectors = tuple(tuple(x for x in v) for v in vectors)
@@ -124,7 +122,6 @@ class ComplexFrame:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "levels", tuple(levels) if levels is not None else None)
         object.__setattr__(self, "_basis_inv", basis_inv)
-        object.__setattr__(self, "_brackets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexFrame is immutable")

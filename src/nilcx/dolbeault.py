@@ -435,8 +435,7 @@ class DolbeaultComplex:
         With P_k the orthogonal projector onto the harmonic space,
         L_k + P_k is invertible and G_k = (L_k + P_k)^{-1} - P_k: zero on
         harmonics, and G_k b is the x orthogonal to them with
-        L_k x = b - H b. Built once per degree; for k >= 1 the identity
-        dbar*_{k-1} G_k = G_{k-1} dbar*_{k-1} is checked when it is built.
+        L_k x = b - H b. Built once per degree, from degree k alone.
         """
         got = self._green.get(k)
         if got is not None:
@@ -451,14 +450,6 @@ class DolbeaultComplex:
                     proj[r][c] = proj[r][c] + x * y.conjugate() / norm
         proj = Matrix._of(tuple(map(tuple, proj)))
         got = inverse(self.laplacian_matrix(k) + proj) - proj
-        if k >= 1:
-            adj = self._dbar_adjoint_matrix(k - 1)
-            if adj * got != self.green_matrix(k - 1) * adj:
-                raise SelfCheckError(
-                    f"Green operator does not commute with the adjoint in degree {k}: "
-                    f"dbar*_{k - 1} G_{k} != G_{k - 1} dbar*_{k - 1} "
-                    f"({adj.nrows}x{adj.ncols} adjoint, {dim}x{dim} G_{k})"
-                )
         self._green[k] = got
         return got
 

@@ -1,10 +1,10 @@
 """Invariant (p,q)-forms on a complex frame and their differentials.
 
-The coframe forms w^i and wb^k of a (1,0)-frame, the frame brackets
-[Z_a, Z_b] in frame coordinates, and the differential of an invariant
-1-form split by (p,q) type. The Kuranishi bracket table and the
-integrability witness read from here; the structure tests, the adapted
-frame and the Dolbeault complex do not.
+The coframe forms w^i of a (1,0)-frame and the differential of an
+invariant 1-form split by (p,q) type, read off the frame brackets. In the
+package only the integrability witness loads this module; the structure
+tests, the adapted frame, the Dolbeault complex and the Kuranishi layer
+do not.
 
 Sign convention, pinned once for the whole package: for an invariant 1-form,
 d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
@@ -18,7 +18,7 @@ from itertools import combinations
 from .cxs import AlmostComplexStructure, ComplexFrame
 from .errors import PreconditionError, SelfCheckError, ValidationError
 from .lie import LieAlgebra
-from .linalg import Matrix, Vector, kernel_basis
+from .linalg import Matrix, kernel_basis
 from .scalars import I as IMAG
 from .scalars import ONE, ZERO, GaussianRational
 
@@ -56,9 +56,6 @@ class InvariantForm:
     def __setattr__(self, name, value):
         raise AttributeError("InvariantForm is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if not isinstance(other, InvariantForm):
             return NotImplemented
@@ -69,26 +66,6 @@ class InvariantForm:
 
     def __hash__(self):
         return hash((self.p, self.q, self.n, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        if (self.p, self.q, self.n) != (other.p, other.q, other.n):
-            raise ValidationError("bidegree mismatch")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return InvariantForm(self.p, self.q, self.n, out)
-
-    def __neg__(self):
-        return self.scaled(-ONE)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "InvariantForm":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return InvariantForm(
-            self.p, self.q, self.n, {k: c * v for k, v in self.coeffs.items()}
-        )
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -109,22 +86,6 @@ class InvariantForm:
 def omega_form(n: int, i: int) -> InvariantForm:
     """The coframe (1,0)-form w^i, 0-based."""
     return InvariantForm(1, 0, n, {((i,), ()): ONE})
-
-
-def omegabar_form(n: int, k: int) -> InvariantForm:
-    """The coframe (0,1)-form wb^k, 0-based."""
-    return InvariantForm(0, 1, n, {((), (k,)): ONE})
-
-
-def frame_bracket(frame: ComplexFrame, a: int, b: int) -> Vector:
-    """[Z_a, Z_b] in frame coordinates, cached on the frame."""
-    key = (a, b)
-    hit = frame._brackets.get(key)
-    if hit is None:
-        w = frame.algebra.bracket(frame.frame_vector(a), frame.frame_vector(b))
-        hit = frame.to_frame(w)
-        frame._brackets[key] = hit
-    return hit
 
 
 def eigen_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:
@@ -163,7 +124,7 @@ def exterior_derivative(
     values = [(hol[0] if hol else n + anti[0], c) for (hol, anti), c in form.coeffs.items()]
     parts: dict = {}
     for s, t in combinations(range(2 * n), 2):
-        w = frame_bracket(frame, s, t)
+        w = frame.to_frame(algebra.bracket(frame.frame_vector(s), frame.frame_vector(t)))
         val = ZERO
         for c, x in values:
             if w[c]:
@@ -173,17 +134,3 @@ def exterior_derivative(
             anti = tuple(u - n for u in (s, t) if u >= n)
             parts.setdefault((len(hol), len(anti)), {})[(hol, anti)] = -val
     return {pq: InvariantForm(*pq, n, comp) for pq, comp in sorted(parts.items())}
-
-
-def antiholomorphic_differentials(
-    algebra: LieAlgebra, frame: ComplexFrame
-) -> list[InvariantForm]:
-    """d wb^l as (1,1)-forms; the (0,2) parts must vanish (abelian case)."""
-    out = []
-    for ell in range(frame.n):
-        comps = exterior_derivative(algebra, frame, omegabar_form(frame.n, ell))
-        bad = comps.get((0, 2))
-        if bad is not None and not bad.is_zero():
-            raise ValidationError("nonzero (0,2) part in a conjugate coframe differential")
-        out.append(comps.get((1, 1), InvariantForm(1, 1, frame.n, {})))
-    return out

@@ -6,7 +6,8 @@ basis in its linear term and extends order by order through
 
     phi_r = -1/2 * adjoint(green(sum_{s} {phi_s, phi_{r-s}}))
 
-where ``{.,.}`` is the graded bracket implemented by :func:`schouten`. All
+where ``{.,.}`` is the graded bracket implemented by :func:`schouten`,
+whose table is read off the complex's own frame brackets. All
 coefficients are exact, so the truncated Maurer-Cartan residual and the
 obstruction polynomials are computed without rounding. Evaluating a series
 at a parameter point and conjugating the eigenspace splitting produces a
@@ -25,7 +26,6 @@ from collections import namedtuple
 from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
 from .dolbeault import DolbeaultComplex, VectorForm
 from .errors import NotSolvableError, PreconditionError, ValidationError
-from .forms import antiholomorphic_differentials
 from .lie import LieAlgebra
 from .linalg import Matrix, Vector, inverse, kernel_basis
 from .poly import (
@@ -44,14 +44,20 @@ HALF = GaussianRational("1/2")
 def _contraction_table(dc: DolbeaultComplex) -> dict:
     """table[(l, a)][q] = c  where  d wb^l = sum_q c w^a ^ wb^q.
 
-    Contracting a frame vector into a conjugate coframe differential only
-    ever meets the holomorphic leg, so this table is the whole bracket
-    ingredient list.
+    c = -wb^l([X_a, conj X_q]) is minus the conjugate of component l of
+    the (1,0) part of [conj X_a, X_q], which the complex keeps as
+    ``dc._dv[q][a]``. Contracting a frame vector into a conjugate coframe
+    differential only ever meets the holomorphic leg, so this table is the
+    whole bracket ingredient list.
     """
     table: dict = {}
-    for ell, form in enumerate(antiholomorphic_differentials(dc.algebra, dc.frame)):
-        for (hol, anti), c in form.coeffs.items():
-            table.setdefault((ell, hol[0]), {})[anti[0]] = c
+    n = dc.n
+    for ell in range(n):
+        for a in range(n):
+            for q in range(n):
+                c = dc._dv[q][a][ell]
+                if c:
+                    table.setdefault((ell, a), {})[q] = -c.conjugate()
     return table
 
 
@@ -167,7 +173,8 @@ def _bracket_pass(table: dict, by_degree: dict, order: int, dc=None) -> dict:
     return brackets
 
 
-def _coform_core(dc: DolbeaultComplex, table: dict, mu: VectorForm, ell: int, weight) -> dict:
+def _coform_core(table: dict, mu: VectorForm, ell: int) -> dict:
+    """{mu, wb^ell} = wb^i ^ (A _| d wb^ell) as a scalar (0,2)-form {((), pair): c}."""
     out: dict = {}
     for ((i,), a), cm in mu.coeffs.items():
         for q, coef in table.get((ell, a), {}).items():
@@ -175,7 +182,7 @@ def _coform_core(dc: DolbeaultComplex, table: dict, mu: VectorForm, ell: int, we
             if hit is None:
                 continue
             pair, flip = hit
-            val = cm * coef * weight
+            val = cm * coef
             key = ((), pair)
             out[key] = out.get(key, ZERO) + (-val if flip else val)
     return out
@@ -421,7 +428,7 @@ def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
     rows_by_key: dict = {}
     for idx, h in enumerate(coh.harmonic_basis):
         for ell in range(dc.n):
-            for (_, pair), c in _coform_core(dc, table, h, ell, 1).items():
+            for (_, pair), c in _coform_core(table, h, ell).items():
                 row = rows_by_key.setdefault((ell, pair), [ZERO] * coh.dimension)
                 row[idx] = row[idx] + c
     if rows_by_key:

@@ -164,7 +164,7 @@ def test_criterion_2():
             rule = all(
                 not c
                 for ell in range(dc.n)
-                for c in _coform_core(dc, table, phi, ell, 1).values()
+                for c in _coform_core(table, phi, ell).values()
             )
             abelian = is_abelian(dc.algebra, deform_structure(dc, series, pt).j_new)
             points += 1

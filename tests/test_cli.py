@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nilcx
 from nilcx.algfile import parse_text, render_entry
 from nilcx.catalog import get
 from nilcx.cli import main
@@ -461,10 +464,14 @@ def test_missing_structure_block(tmp_path, capsys):
 
 
 def test_module_runs_as_script():
+    # the child finds the package where this interpreter found it
+    src = str(Path(nilcx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "nilcx.cli", "catalog"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("h9")

@@ -26,14 +26,9 @@ from nilcx.errors import (
     SelfCheckError,
     ValidationError,
 )
-from nilcx.forms import (
-    InvariantForm,
-    antiholomorphic_differentials,
-    eigen_frame,
-    exterior_derivative,
-    omega_form,
-    omegabar_form,
-)
+from nilcx.dolbeault import DolbeaultComplex
+from nilcx.forms import InvariantForm, eigen_frame, exterior_derivative, omega_form
+from nilcx.kuranishi import _contraction_table
 from nilcx.lie import LieAlgebra, ascending_series
 from nilcx.linalg import Matrix, inverse, kernel_basis, row_space_basis
 from nilcx.scalars import gr
@@ -120,7 +115,7 @@ def test_filiform_j_not_integrable_with_witness():
     assert res.witness_index is not None
     comp = res.witness_component
     assert (comp.p, comp.q) == (0, 2)
-    assert not comp.is_zero()
+    assert comp.coeffs
 
 
 def test_filiform_j_not_abelian():
@@ -280,15 +275,6 @@ def test_structure_coefficients_h15_exact():
     assert coeffs == {(0, 2, 1): gr(-2), (1, 2, 2): gr(-1)}
 
 
-def test_antiholomorphic_differentials_h15():
-    a, j = h15(), j_std6()
-    f = adapted_frame(a, j)
-    d1, d2, d3 = antiholomorphic_differentials(a, f)
-    assert d1.coeffs == {((1,), (2,)): gr(2)}
-    assert d2.coeffs == {((2,), (2,)): gr(1)}
-    assert d3.is_zero()
-
-
 def test_structure_coefficients_reject_nonabelian():
     a = filiform4()
     j = pair_j(4, [(0, 1), (2, 3)])
@@ -300,29 +286,28 @@ def test_structure_coefficients_reject_nonabelian():
 
 
 def _d_of_real_covector(a, f, k):
-    """d e^k via the frame route: expand e^k in the coframe, push through d."""
+    """d e^k via the frame route: expand e^k in the coframe, push through d.
+
+    Returns the (1,1) coefficients {((j,), (l,)): c} of d e^k = sum c w^j ^ wb^l.
+    """
     n = f.n
-    total = InvariantForm(1, 1, n, {})
+    total = {}
     for jj in range(n):
-        hol = exterior_derivative(a, f, omega_form(n, jj))
-        anti = exterior_derivative(a, f, omegabar_form(n, jj))
-        ch = f.vectors[jj][k]
-        ca = f.vectors[jj][k].conjugate()
-        if (1, 1) in hol:
-            total = total + hol[(1, 1)].scaled(ch)
-        if (1, 1) in anti:
-            total = total + anti[(1, 1)].scaled(ca)
-        for comps in (hol, anti):
-            for pq in comps:
-                assert pq == (1, 1)
+        x = f.vectors[jj][k]
+        wb = InvariantForm(0, 1, n, {((), (jj,)): 1})
+        for form, c in ((omega_form(n, jj), x), (wb, x.conjugate())):
+            comps = exterior_derivative(a, f, form)
+            assert set(comps) <= {(1, 1)}
+            for key, y in comps.get((1, 1), InvariantForm(1, 1, n, {})).coeffs.items():
+                total[key] = total.get(key, gr(0)) + c * y
     return total
 
 
-def _evaluate(f, form, x, y):
-    """form(e_x, e_y) for a (1,1)-form: w^j ^ wb^k pairs as a determinant."""
+def _evaluate(f, coeffs, x, y):
+    """The (1,1)-form with these coefficients at (e_x, e_y): w^j ^ wb^k pairs as a determinant."""
     u, v = f.to_frame(unit(2 * f.n, x)), f.to_frame(unit(2 * f.n, y))
     return sum(
-        (c * (u[j] * v[f.n + k] - v[j] * u[f.n + k]) for ((j,), (k,)), c in form.coeffs.items()),
+        (c * (u[j] * v[f.n + k] - v[j] * u[f.n + k]) for ((j,), (k,)), c in coeffs.items()),
         gr(0),
     )
 
@@ -364,7 +349,7 @@ def test_exterior_derivative_vanishes_on_torus():
     f = adapted_frame(a, j)
     for i in range(3):
         assert exterior_derivative(a, f, omega_form(3, i)) == {}
-        assert exterior_derivative(a, f, omegabar_form(3, i)) == {}
+        assert exterior_derivative(a, f, InvariantForm(0, 1, 3, {((), (i,)): 1})) == {}
 
 
 def test_exterior_derivative_takes_one_forms_only():
@@ -378,12 +363,10 @@ def test_exterior_derivative_takes_one_forms_only():
 def test_dbar_closed_conjugates():
     j = j_std6()
     for make in (h9, h15):
-        a = make()
-        assert len(antiholomorphic_differentials(a, adapted_frame(a, j))) == 3
-    a = filiform4()
-    jf = pair_j(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValidationError, match="nonzero \\(0,2\\) part"):
-        antiholomorphic_differentials(a, eigen_frame(a, jf))
+        assert DolbeaultComplex(make(), j).n == 3
+    # the (0,2) part of d wb^l vanishes exactly for abelian J, checked up front
+    with pytest.raises(PreconditionError, match="^J is not abelian$"):
+        DolbeaultComplex(filiform4(), pair_j(4, [(0, 1), (2, 3)]))
 
 
 def test_frame_rejects_dependent_vectors():
@@ -553,6 +536,37 @@ def test_adapted_frame_matches_the_in_span_reference():
             assert (f.vectors, f.levels) == want
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def _frame_contraction_table(a, frame):
+    """table[(l, a)][q] = c with d wb^l = sum c w^a ^ wb^q, by the frame route."""
+    table = {}
+    for ell in range(frame.n):
+        comps = exterior_derivative(a, frame, InvariantForm(0, 1, frame.n, {((), (ell,)): 1}))
+        assert set(comps) <= {(1, 1)}
+        for ((i,), (q,)), c in comps.get((1, 1), InvariantForm(1, 1, frame.n, {})).coeffs.items():
+            table.setdefault((ell, i), {})[q] = c
+    return table
+
+
+def test_contraction_table_matches_the_frame_route():
+    from nilcx.catalog import get
+
+    rng = random.Random(20261021)
+    entries = [get("h9"), get("h15"), get("n10", s=1, t=0), get("torus", n=3)]
+    cases = [(e.algebra, j) for e in entries for _, j in e.structures]
+    cases += [_conjugate_pair(a, j, rng) for a, j in list(cases) for _ in range(3)]
+    empty = []
+    for a, j in cases:
+        dc = DolbeaultComplex(a, j)
+        want = _frame_contraction_table(a, dc.frame)
+        assert _contraction_table(dc) == want, a
+        empty.append(not want)
+    # only the torus and its conjugates have no bracket
+    assert empty == [False] * 3 + [True] + [False] * 9 + [True] * 3
+    # by hand on h15: d wb1 = 2 w2 ^ wb3, d wb2 = w3 ^ wb3, d wb3 = 0
+    want = {(0, 1): {2: gr(2)}, (1, 2): {2: gr(1)}}
+    assert _contraction_table(DolbeaultComplex(h15(), j_std6())) == want
 
 
 def test_real_structure_tests_match_the_frame_oracle():

@@ -134,6 +134,21 @@ def test_cohomology_loads_dolbeault_only(h15_file):
     assert not loaded & {"nilcx.kuranishi", "nilcx.poly", "nilcx.catalog", "nilcx.forms"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kuranishi", "--order", "2"],
+        ["kuranishi", "--order", "2", "--json"],
+        ["kuranishi", "--order", "2", "--at", "0,0,1/10,0,0"],
+        ["abelian-locus"],
+    ],
+)
+def test_deformation_jobs_load_no_forms(h15_file, argv):
+    loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
+    assert {"nilcx.dolbeault", "nilcx.kuranishi"} <= loaded
+    assert "nilcx.forms" not in loaded
+
+
 def test_catalog_loads_no_dolbeault_layer():
     code = (
         "import sys\n"
