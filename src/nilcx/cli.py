@@ -5,14 +5,20 @@ names.  Reports go to stdout; ``--json`` switches the commands that
 compute something to a stable-ordered, schema-versioned JSON document,
 byte-identical across runs for identical inputs.
 
+One table, ``COMMANDS``, gives each command's arguments and handler.
+``read_argv`` reads a plain argv straight from it. argparse, built from the
+same table, is imported only for any other argv (abbreviations, repeats,
+``--``) and to print help and usage errors, so no command imports
+``json`` or ``argparse``.
+
 Exit codes: 0 success, 1 validation failure, 2 parse error (bad file or
 bad usage), 3 computation precondition failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .algfile import parse, render_entry
 from .cli_common import SCHEMA, emit_json, parse_rational, pick_structure
@@ -25,8 +31,8 @@ from .errors import (
 )
 from .lie import ascending_series, vector_text as _vector_str
 
-# complex_cli (with dolbeault, kuranishi and poly), catalog and json are
-# imported where they are used, so validate and series do not load them
+# complex_cli (with dolbeault, kuranishi and poly) and catalog are imported
+# where they are used, so validate and series do not load them
 
 
 def _yesno(flag: bool) -> str:
@@ -86,9 +92,9 @@ def cmd_series(args) -> int:
 
 def _complex_command(args) -> int:
     """cohomology, kuranishi and abelian-locus, which build a Dolbeault complex."""
-    from .complex_cli import COMMANDS
+    from . import complex_cli
 
-    return COMMANDS[args.command](args)
+    return complex_cli.COMMANDS[args.command](args)
 
 
 def cmd_catalog(args) -> int:
@@ -110,64 +116,127 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# one row per command: help, positionals as (dest, nargs, help), options as
+# (name, type, default, required, help), and the handler; the type is int,
+# str or bool (a flag), and the dest is the name without its dashes
+_FILE = ("file", None, "path to an .alg file")
+_STRUCTURE = ("--structure", str, None, False, "structure block to use (default: first)")
+_JSON = ("--json", bool, False, False, None)
+_AT = (
+    "--at", str, None, False, "comma-separated rational coordinates in the printed basis order"
+)
+COMMANDS = {
+    "validate": ("Jacobi, step, and structure checks", [_FILE], [_JSON], cmd_validate),
+    "series": ("ascending series and adapted frame", [_FILE], [_STRUCTURE], cmd_series),
+    "cohomology": (
+        "harmonic basis in one degree",
+        [_FILE],
+        [_STRUCTURE, ("--degree", int, None, True, None), _JSON],
+        _complex_command,
+    ),
+    "kuranishi": (
+        "deformation series and obstructions",
+        [_FILE],
+        [_STRUCTURE, ("--order", int, None, True, None), _AT, _JSON],
+        _complex_command,
+    ),
+    "abelian-locus": (
+        "infinitesimal abelian subspace",
+        [_FILE],
+        [_STRUCTURE, _JSON],
+        _complex_command,
+    ),
+    "catalog": (
+        "list built-ins or emit one as .alg",
+        [("name", "?", None)],
+        [
+            ("--s", str, "1", False, "n10 parameter s (rational)"),
+            ("--t", str, "0", False, "n10 parameter t (rational)"),
+            ("--n", int, 3, False, "torus half-dimension"),
+        ],
+        cmd_catalog,
+    ),
+}
+
+
+def read_argv(argv: list[str]):
+    """The namespace argparse would build from a plain argv, or None.
+
+    Plain means: a command, then its exact option names once each, as
+    ``--name=value`` or ``--name value`` with a value that does not start
+    with ``-`` (flags without ``=``), the right number of positionals and
+    every required option. Anything else, help included, is argparse's.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, positionals, options, handler = COMMANDS[argv[0]]
+    kinds = {name: kind for name, kind, _, _, _ in options}
+    given, words = {}, []
+    rest = iter(argv[1:])
+    for tok in rest:
+        if not tok.startswith("-"):
+            words.append(tok)
+            continue
+        name, eq, value = tok.partition("=")
+        kind = kinds.get(name)
+        if kind is None or name in given or (kind is bool and eq):
+            return None
+        if kind is bool:
+            value = True
+        elif not eq:
+            value = next(rest, "-")  # a missing value is declined as a dash
+            if value.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        given[name] = value
+    needed = sum(nargs is None for _, nargs, _ in positionals)
+    if not needed <= len(words) <= len(positionals):
+        return None
+    if any(required and name not in given for name, _, _, required, _ in options):
+        return None
+    ns = {dest: None for dest, _, _ in positionals}
+    ns.update(zip((dest for dest, _, _ in positionals), words))
+    for name, _, default, _, _ in options:
+        ns[name[2:]] = given.get(name, default)
+    return SimpleNamespace(command=argv[0], func=handler, **ns)
+
+
+def build_parser():
+    """The argparse parser of the same table: help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nilcx",
         description="exact invariant complex structures on nilpotent Lie algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_file(p, structure=True):
-        p.add_argument("file", help="path to an .alg file")
-        if structure:
-            p.add_argument(
-                "--structure",
-                default=None,
-                help="structure block to use (default: first)",
-            )
-
-    p = sub.add_parser("validate", help="Jacobi, step, and structure checks")
-    with_file(p, structure=False)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("series", help="ascending series and adapted frame")
-    with_file(p)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("cohomology", help="harmonic basis in one degree")
-    with_file(p)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
-
-    p = sub.add_parser("kuranishi", help="deformation series and obstructions")
-    with_file(p)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument(
-        "--at",
-        default=None,
-        help="comma-separated rational coordinates in the printed basis order",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
-
-    p = sub.add_parser("abelian-locus", help="infinitesimal abelian subspace")
-    with_file(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
-
-    p = sub.add_parser("catalog", help="list built-ins or emit one as .alg")
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--s", default="1", help="n10 parameter s (rational)")
-    p.add_argument("--t", default="0", help="n10 parameter t (rational)")
-    p.add_argument("--n", type=int, default=3, help="torus half-dimension")
-    p.set_defaults(func=cmd_catalog)
+    for command, (text, positionals, options, handler) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for dest, nargs, help_ in positionals:
+            p.add_argument(dest, nargs=nargs, help=help_)
+        for name, kind, default, required, help_ in options:
+            if kind is bool:
+                p.add_argument(name, action="store_true", help=help_)
+            else:
+                p.add_argument(
+                    name,
+                    type=int if kind is int else None,
+                    default=default,
+                    required=required,
+                    help=help_,
+                )
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

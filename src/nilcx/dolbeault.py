@@ -175,12 +175,6 @@ class VectorForm:
             out[k] = out.get(k, ZERO) + c
         return VectorForm(self.frame, self.degree, out)
 
-    def __neg__(self):
-        return self.scaled(-ONE)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled(self, c) -> "VectorForm":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
         return VectorForm(

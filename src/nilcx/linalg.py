@@ -146,9 +146,6 @@ class Matrix:
             return NotImplemented
         return self + other.scaled(-1)
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(str(x) for x in row) for row in self.rows

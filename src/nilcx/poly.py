@@ -80,9 +80,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def items(self):
         """Terms sorted by total degree, then by exponent tuple."""
         return sorted(self.coeffs.items(), key=lambda kv: (mono_degree(kv[0]), kv[0]))
@@ -92,36 +89,6 @@ class Poly:
         if not self.coeffs:
             return None
         return min(mono_degree(m) for m in self.coeffs)
-
-    def _same_arity(self, other: "Poly"):
-        if self.nvars != other.nvars:
-            raise ValidationError("parameter count mismatch")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._same_arity(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, ZERO) + c
-        return Poly(self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._same_arity(other)
-        out: dict = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in other.coeffs.items():
-                m = mono_add(ma, mb)
-                out[m] = out.get(m, ZERO) + ca * cb
-        return Poly(self.nvars, out)
-
-    def scaled(self, c) -> "Poly":
-        c = coerce_scalar(c)
-        return Poly(self.nvars, {m: c * v for m, v in self.coeffs.items()})
 
     def evaluate(self, point) -> GaussianRational:
         pt = coerce_point(point, self.nvars)

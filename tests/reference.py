@@ -2,10 +2,12 @@
 
 Textbook versions of what the package computes another way: a solve
 orthogonal to the kernel, span membership by rank, and the chain-level
-differential, inner product and Laplacian of a Dolbeault complex. Nothing
-in the package calls them.
+differential, inner product and Laplacian of a Dolbeault complex, and the
+hand-written argparse parser that ``cli.COMMANDS`` replaced. Nothing in
+the package calls them.
 """
 
+import argparse
 from collections.abc import Sequence
 
 from nilcx.dolbeault import VectorForm, hdot
@@ -105,3 +107,62 @@ def laplacian(dc, mu: VectorForm) -> VectorForm:
     dc._own(mu)
     k = mu.degree
     return dc._from_vec(k, dc.laplacian_matrix(k).matvec(dc._to_vec(mu)))
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line as one add_argument call per argument."""
+    from nilcx.cli import _complex_command, cmd_catalog, cmd_series, cmd_validate
+
+    parser = argparse.ArgumentParser(
+        prog="nilcx",
+        description="exact invariant complex structures on nilpotent Lie algebras",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def with_file(p, structure=True):
+        p.add_argument("file", help="path to an .alg file")
+        if structure:
+            p.add_argument(
+                "--structure",
+                default=None,
+                help="structure block to use (default: first)",
+            )
+
+    p = sub.add_parser("validate", help="Jacobi, step, and structure checks")
+    with_file(p, structure=False)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_validate)
+
+    p = sub.add_parser("series", help="ascending series and adapted frame")
+    with_file(p)
+    p.set_defaults(func=cmd_series)
+
+    p = sub.add_parser("cohomology", help="harmonic basis in one degree")
+    with_file(p)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_complex_command)
+
+    p = sub.add_parser("kuranishi", help="deformation series and obstructions")
+    with_file(p)
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument(
+        "--at",
+        default=None,
+        help="comma-separated rational coordinates in the printed basis order",
+    )
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_complex_command)
+
+    p = sub.add_parser("abelian-locus", help="infinitesimal abelian subspace")
+    with_file(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_complex_command)
+
+    p = sub.add_parser("catalog", help="list built-ins or emit one as .alg")
+    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("--s", default="1", help="n10 parameter s (rational)")
+    p.add_argument("--t", default="0", help="n10 parameter t (rational)")
+    p.add_argument("--n", type=int, default=3, help="torus half-dimension")
+    p.set_defaults(func=cmd_catalog)
+    return parser

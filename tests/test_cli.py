@@ -1,18 +1,40 @@
 """Command-line interface: output contracts, exit codes, JSON stability."""
 
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from reference import reference_parser
 
 import nilcx
+from nilcx import cli_common
 from nilcx.algfile import parse_text, render_entry
 from nilcx.catalog import get
-from nilcx.cli import main
+from nilcx.cli import COMMANDS, build_parser, main, read_argv
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.fixture(autouse=True)
+def json_as_dumps_writes_it(monkeypatch):
+    """Every value a --json run here writes is checked against json.dumps."""
+    encode = cli_common._encode
+
+    def checked(value):
+        text = encode(value)
+        assert text == _dumps(value)
+        return text
+
+    monkeypatch.setattr(cli_common, "_encode", checked)
 
 
 def alg_path(tmp_path, name, **params):
@@ -496,3 +518,164 @@ def test_each_command_runs_one_jacobi_pass(tmp_path, capsys, monkeypatch, argv):
     rc, out, _ = run(capsys, [argv[0], path, *argv[1:]])
     assert rc == 0 and out
     assert passes == ["h15"]
+
+
+# ------------------------------------------------------------ argv and JSON
+
+# values for each option: plain ones, and ones argparse must judge (bad
+# ints, a leading dash, blanks)
+_VALUES = {
+    "--structure": ["J", "K", "-K"],
+    "--degree": ["0", "2", " 3", "x", "2.5", "-1", ""],
+    "--order": ["1", "4", "1_0", "o", "-2"],
+    "--at": ["0,1/2,0", "-1,0", "", "1 ,2"],
+    "--s": ["1/2", "-3", "2"],
+    "--t": ["0", "1/3", "-1"],
+    "--n": ["2", "4", "n", "-1"],
+}
+_STRAYS = ["--", "-h", "--help", "--bogus", "-", "-x"]
+
+
+def _argv_corpus(rng: random.Random, count: int) -> list[list[str]]:
+    """Seeded argvs over every command: both option orders, = and space forms,
+    abbreviations, repeats, missing or extra arguments, stray tokens."""
+    corpus = [[], ["-h"], ["--help"], ["bogus"], ["--json"]]
+    while len(corpus) < count:
+        command = rng.choice(list(COMMANDS))
+        _, positionals, options, _ = COMMANDS[command]
+        words = ["torus"] if command == "catalog" else ["h.alg"]
+        groups = [[w] for w in words[: len(positionals) + rng.choice([0, 0, 0, -1, 1])]]
+        for name, kind, _, required, _ in options:
+            if rng.random() > (0.9 if required else 0.5):
+                continue
+            for _ in range(2 if rng.random() < 0.08 else 1):
+                short = len(name) > 3 and rng.random() < 0.1
+                spelt = name[: rng.randrange(3, len(name))] if short else name
+                if kind is bool:
+                    groups.append([spelt] if rng.random() < 0.95 else [spelt + "=1"])
+                    continue
+                value = rng.choice(_VALUES[name])
+                groups.append([f"{spelt}={value}"] if rng.random() < 0.5 else [spelt, value])
+        if rng.random() < 0.1:
+            groups.append([rng.choice(_STRAYS)])
+        rng.shuffle(groups)
+        corpus.append([command] + [tok for group in groups for tok in group])
+    return corpus
+
+
+def _outcome(parse, argv):
+    """(vars of the namespace, None) or (None, (exit code, stdout, stderr))."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None
+        except SystemExit as exc:
+            return None, (exc.code, out.getvalue(), err.getvalue())
+
+
+def test_command_table_reads_argv_as_argparse_does(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    accepted = declined = 0
+    for argv in _argv_corpus(random.Random(15), 800):
+        want, refused = _outcome(lambda a: reference_parser().parse_args(a), argv)
+        got = read_argv(argv)
+        if got is not None:
+            assert vars(got) == want, argv
+            accepted += 1
+            continue
+        declined += 1
+        if refused is None:
+            # argparse reads what the table declines: abbreviations, repeats
+            assert _outcome(lambda a: build_parser().parse_args(a), argv) == (want, None), argv
+        else:
+            assert _outcome(main, argv) == (None, refused), argv
+    assert accepted >= 200 and declined >= 200
+
+
+def test_help_text_is_argparse_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (
+        "usage: nilcx [-h]\n"
+        "             {validate,series,cohomology,kuranishi,abelian-locus,catalog} ...\n"
+        "\n"
+        "exact invariant complex structures on nilpotent Lie algebras\n"
+        "\n"
+        "positional arguments:\n"
+        "  {validate,series,cohomology,kuranishi,abelian-locus,catalog}\n"
+        "    validate            Jacobi, step, and structure checks\n"
+        "    series              ascending series and adapted frame\n"
+        "    cohomology          harmonic basis in one degree\n"
+        "    kuranishi           deformation series and obstructions\n"
+        "    abelian-locus       infinitesimal abelian subspace\n"
+        "    catalog             list built-ins or emit one as .alg\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["kuranishi", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (
+        "usage: nilcx kuranishi [-h] [--structure STRUCTURE] --order ORDER [--at AT]\n"
+        "                       [--json]\n"
+        "                       file\n"
+        "\n"
+        "positional arguments:\n"
+        "  file                  path to an .alg file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --structure STRUCTURE\n"
+        "                        structure block to use (default: first)\n"
+        "  --order ORDER\n"
+        "  --at AT               comma-separated rational coordinates in the printed\n"
+        "                        basis order\n"
+        "  --json\n"
+    )
+
+
+# quote, backslash, the escaped and the other controls, U+007F, BMP
+# non-ASCII (a lone surrogate too) and astral characters
+_CHARS = [
+    "a", "Z", " ", "/", '"', "\\", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f",
+    "\x7f", "\xe9", "\u03c6", "\u2028", "\uffff", "\ud800", "\U00010000", "\U0001f600",
+]
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return _random_text(rng)
+    if kind == 1:
+        return rng.randint(-(10**20), 10**20)
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        return None
+    items = [_random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {_random_text(rng): item for item in items}
+
+
+def test_json_writer_matches_json_dumps(capsys):
+    rng = random.Random(15)
+    for _ in range(500):
+        payload = {_random_text(rng): _random_payload(rng) for _ in range(3)}
+        cli_common.emit_json(payload)
+        assert capsys.readouterr().out == _dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"x": 1.5}, {"x": [2.0]}, {"x": {1, 2}}, {1: "a"}])
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        cli_common.emit_json(payload)

@@ -62,7 +62,9 @@ def _python(code: str, *args: str) -> str:
 
 
 # standard-library modules a job should not need
-STDLIB = ("fractions", "decimal", "numbers", "json", "dataclasses")
+STDLIB = (
+    "fractions", "decimal", "numbers", "json", "dataclasses", "argparse", "gettext", "locale"
+)
 
 
 def _modules_loaded_by(argv: list[str]) -> set[str]:
@@ -123,9 +125,20 @@ def test_jobs_load_no_fractions_or_decimal(h15_file, argv):
     files = [] if argv[0] == "catalog" else [h15_file]
     loaded = _modules_loaded_by([argv[0], *files, *argv[1:]])
     assert "nilcx.scalars" in loaded
-    assert not loaded & {"fractions", "decimal", "numbers", "dataclasses"}
-    if argv[0] == "series":
-        assert "json" not in loaded
+    # argv is read from the command table, and --json is written without json
+    assert not loaded & set(STDLIB)
+
+
+def test_help_loads_argparse():
+    code = (
+        "import sys\n"
+        "from nilcx.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, 'argparse' in sys.modules)\n"
+    )
+    assert _python(code, "kuranishi", "--help").splitlines()[-1] == "exit 0 True"
 
 
 def test_cohomology_loads_dolbeault_only(h15_file):
