@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
     "algfile": ("AlgebraFile", "parse", "parse_text", "render", "render_entry"),
-    "catalog": ("CatalogEntry", "get", "names", "verify_entry"),
+    "catalog": ("CatalogEntry", "get"),
     "cxs": (
         "AlmostComplexStructure",
         "ComplexFrame",
@@ -28,7 +28,6 @@ _MODULE_EXPORTS = {
         "SelfCheckError",
         "ValidationError",
     ),
-    "forms": ("InvariantForm", "exterior_derivative"),
     "kuranishi": (
         "DeformationReport",
         "DeformationSeries",
@@ -47,7 +46,6 @@ _MODULE_EXPORTS = {
         "LieAlgebra",
         "ValidationReport",
         "ascending_series",
-        "center",
         "validate_lie",
     ),
     "poly": ("Poly",),

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .cxs import AlmostComplexStructure
 from .errors import ParseError, ValidationError
-from .lie import LieAlgebra, ValidationReport, validate_lie
+from .lie import LieAlgebra, validate_lie
 from .scalars import ZERO, GaussianRational
 
 _WORD_RE = re.compile(r"\s*(\S+)")

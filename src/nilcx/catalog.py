@@ -9,21 +9,16 @@ re-derives the differentials from the brackets and insists on coefficient
 equality, so a transcription slip cannot survive silently.
 
 Every entry carries an expected-facts record. Nothing in the package
-trusts those numbers: :func:`verify_entry` recomputes each fact from the
-live objects and raises on any mismatch, and the test suite runs it on
-every entry.
+reads those numbers back: the test suite recomputes each fact of every
+entry from the live objects (``tests/reference.py::verify_entry``), and
+perfbench checks its jobs against them.
 """
 
 from __future__ import annotations
 
-from .cxs import (
-    AlmostComplexStructure,
-    is_abelian,
-    is_integrable,
-    j_ascending_series,
-)
+from .cxs import AlmostComplexStructure
 from .errors import SelfCheckError, ValidationError
-from .lie import LieAlgebra, center, validate_lie
+from .lie import LieAlgebra, validate_lie
 from .linalg import Matrix
 from .scalars import ONE, ZERO, GaussianRational, coerce
 
@@ -84,10 +79,6 @@ class CatalogEntry:
 
     def __setattr__(self, name, value):
         raise AttributeError("CatalogEntry is immutable")
-
-
-def names() -> tuple[str, ...]:
-    return ("h9", "h15", "n10", "torus")
 
 
 def _rational(x, what: str) -> GaussianRational:
@@ -272,50 +263,3 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
         )
     raise ValidationError(f"unknown catalog name: {name}")
 
-
-def _expect(name: str, key: str, stored, computed):
-    if stored != computed:
-        raise SelfCheckError(
-            f"stale fact {key} for {name}: stored {stored}, computed {computed}"
-        )
-
-
-def verify_entry(entry: CatalogEntry) -> dict:
-    """Recompute every stored fact and return the live values.
-
-    Raises a self-check error on the first disagreement, naming the fact.
-    The structure classifications always run; the cohomology and locus
-    facts run when the entry records them (they need an abelian structure).
-    """
-    # imported here so that fetching an entry loads no Dolbeault layer
-    from .dolbeault import DolbeaultComplex
-    from .kuranishi import infinitesimal_abelian_locus
-
-    live: dict = {}
-    report = validate_lie(entry.algebra)
-    if not report.ok:
-        raise SelfCheckError(f"catalog algebra invalid: {report.errors[0]}")
-    live["dim"] = entry.algebra.dim
-    live["step"] = report.step
-    live["center_dim"] = len(center(entry.algebra))
-    for key in ("dim", "step", "center_dim"):
-        _expect(entry.name, key, entry.facts[key], live[key])
-    for sname, j in entry.structures:
-        expected = entry.structure_facts[sname]
-        got = {
-            "integrable": bool(is_integrable(entry.algebra, j)),
-            "abelian": is_abelian(entry.algebra, j),
-            "nilpotent": j_ascending_series(entry.algebra, j)[1],
-        }
-        for key, val in expected.items():
-            _expect(entry.name, f"{sname}.{key}", val, got[key])
-        live[sname] = got
-    if "h1_dim" in entry.facts or "locus_dim" in entry.facts:
-        dc = DolbeaultComplex(entry.algebra, entry.structures[0][1])
-        if "h1_dim" in entry.facts:
-            live["h1_dim"] = dc.cohomology(1).dimension
-            _expect(entry.name, "h1_dim", entry.facts["h1_dim"], live["h1_dim"])
-        if "locus_dim" in entry.facts:
-            live["locus_dim"] = len(infinitesimal_abelian_locus(dc))
-            _expect(entry.name, "locus_dim", entry.facts["locus_dim"], live["locus_dim"])
-    return live

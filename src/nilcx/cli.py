@@ -50,7 +50,7 @@ def cmd_validate(args) -> int:
         "structures": {},
     }
     for name, acs in af.structures:
-        integrable = bool(is_integrable(af.algebra, acs))
+        integrable = is_integrable(af.algebra, acs)
         abelian = is_abelian(af.algebra, acs)
         _, nilpotent = j_ascending_series(af.algebra, acs)
         payload["structures"][name] = {

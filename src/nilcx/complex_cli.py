@@ -79,8 +79,10 @@ def cmd_kuranishi(args) -> int:
         raise ValidationError("order must be at least 1")
     point = None if args.at is None else _parse_point(args.at)
     dc = DolbeaultComplex(af.algebra, acs)
-    if point is not None and len(point) != dc.cohomology(1).dimension:
-        raise ValidationError("wrong number of parameters")
+    if point is not None and len(point) != (h1 := dc.cohomology(1).dimension):
+        raise ValidationError(
+            f"wrong number of parameters: --at has {len(point)} values; H^1 has dimension {h1}"
+        )
     series = kuranishi_series(dc, order=args.order)
     obs = obstructions(series)
     if point is not None:

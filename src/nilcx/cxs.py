@@ -4,13 +4,11 @@ Integrability and abelianness tests, the J-ascending series with its
 nilpotency verdict, and adapted (1,0)-frames ordered along the ascending
 central series. The structure tests and the J-ascending series work on the
 algebra's sparse constants and J's sparse rows and columns, in
-Gaussian-rational scalars. Invariant forms and their differentials live in
-``forms``, which only the integrability witness loads.
+Gaussian-rational scalars, and build no frame.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations
 
 from .errors import (
@@ -144,43 +142,6 @@ class ComplexFrame:
                 )
 
 
-class IntegrabilityResult(namedtuple("IntegrabilityResult", "ok algebra j", defaults=(None, None))):
-    """Outcome of :func:`is_integrable`; true exactly when J is integrable.
-
-    On failure ``witness_index`` and ``witness_component`` name the first
-    coframe form w^i of the eigen-frame whose differential has a (0,2)
-    part, and that part. They are computed from the frame when read.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.ok
-
-    @property
-    def witness_index(self) -> int | None:
-        return self._witness()[0]
-
-    @property
-    def witness_component(self):
-        return self._witness()[1]
-
-    def _witness(self):
-        if self.ok:
-            return None, None
-        from .forms import eigen_frame, exterior_derivative, omega_form
-
-        frame = eigen_frame(self.algebra, self.j)
-        for i in range(frame.n):
-            bad = exterior_derivative(self.algebra, frame, omega_form(frame.n, i)).get((0, 2))
-            if bad is not None:
-                return i, bad
-        raise SelfCheckError(
-            "Nijenhuis tensor is nonzero but no coframe differential of the "
-            f"eigen-frame has a (0,2) part ({self.algebra!r}, {self.j!r})"
-        )
-
-
 def _sparse_columns(j: AlmostComplexStructure) -> list[dict[int, GaussianRational]]:
     """J e_a as sparse {index: scalar} vectors; J is real."""
     rows = j.matrix.rows
@@ -201,18 +162,14 @@ def _pair_parts(algebra: LieAlgebra, cols: list[dict]):
         yield br((cols[a], cols[b]), (eb, ea)), br((cols[a], eb), (ea, cols[b]))
 
 
-def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> IntegrabilityResult:
+def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
     """True iff the Nijenhuis tensor vanishes on every basis pair.
 
     N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] = R - J S, computed
-    on the sparse structure constants. On failure the result's witness is
-    read off the eigen-frame.
+    on the sparse structure constants.
     """
     cols = _sparse_columns(j)
-    for r, s in _pair_parts(algebra, cols):
-        if r != combine_rows(s.items(), cols):
-            return IntegrabilityResult(False, algebra, j)
-    return IntegrabilityResult(True, algebra, j)
+    return all(r == combine_rows(s.items(), cols) for r, s in _pair_parts(algebra, cols))
 
 
 def is_abelian(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:

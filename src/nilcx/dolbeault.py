@@ -208,12 +208,6 @@ def _same_frame(f: ComplexFrame, g: ComplexFrame) -> bool:
     )
 
 
-def basis_vector_form(frame: ComplexFrame, anti, a: int) -> VectorForm:
-    """The chain generator wb^anti (x) X_a."""
-    anti = tuple(anti)
-    return VectorForm(frame, len(anti), {(anti, a): ONE})
-
-
 class CohomologySpace(
     namedtuple("CohomologySpace", "degree dimension harmonic_basis gram")
 ):
@@ -412,16 +406,6 @@ class DolbeaultComplex:
         supports = [nonzero_entries(w) for w in vecs]
         gram = Matrix._of(tuple(tuple(hdot_support(u, s) for s in supports) for u in vecs))
         return CohomologySpace(k, len(basis), basis, gram)
-
-    def harmonic_projection(self, mu: VectorForm) -> VectorForm:
-        self._own(mu)
-        vec = self._to_vec(mu)
-        out = self.zero_form(mu.degree)
-        for h in self._harmonic_vectors(mu.degree):
-            c = hdot(vec, h) / hdot(h, h)
-            if c:
-                out = out + self._from_vec(mu.degree, h).scaled(c)
-        return out
 
     def green_matrix(self, k: int) -> Matrix:
         """G_k = L_k^+, the Moore-Penrose inverse of the Laplacian.

@@ -28,14 +28,7 @@ from .dolbeault import DolbeaultComplex, VectorForm
 from .errors import NotSolvableError, PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import Matrix, Vector, inverse, kernel_basis
-from .poly import (
-    Monomial,
-    Poly,
-    coerce_point,
-    mono_add,
-    mono_degree,
-    mono_eval,
-)
+from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
 from .scalars import ZERO, GaussianRational
 
 HALF = GaussianRational("1/2")
@@ -127,16 +120,17 @@ def schouten(dc: DolbeaultComplex, mu: VectorForm, nu: VectorForm) -> VectorForm
     return dc.form(2, {keys[r]: c for r, c in rows.items()})
 
 
-def _bracket_pass(table: dict, by_degree: dict, order: int, dc=None) -> dict:
+def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     """{Phi, Phi} through degree order + 1, each unordered pair of terms once.
 
     ``by_degree[s]`` lists (monomial, coefficient dict) per degree-s term,
     keyed as ``VectorForm.coeffs``; brackets are sparse degree-2 rows of
     ``dc.chain_basis(2)``, as the harmonic vectors and D's columns are.
-    Given the complex, the pass also puts phi_r = D {Phi, Phi}_r into
-    ``by_degree[r]`` for r <= order, with D = -1/2 dbar*_1 G_2 built as
-    sparse columns on the first nonzero bracket.
+    The pass puts phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for
+    r <= order, with D = -1/2 dbar*_1 G_2 built as sparse columns on the
+    first nonzero bracket.
     """
+    table = _bracket_table(dc)
     brackets: dict = {}
     step = None
     for r in range(2, order + 2):
@@ -155,8 +149,8 @@ def _bracket_pass(table: dict, by_degree: dict, order: int, dc=None) -> dict:
                         dst[k] = dst.get(k, ZERO) + (v + v if twice else v)
         acc = {m: rows for m, rows in acc.items() if any(rows.values())}
         brackets.update(acc)
-        if dc is None or r > order:
-            continue
+        if r > order:
+            break
         if acc and step is None:
             keys = dc.chain_basis(1)
             d = dc._dbar_adjoint_matrix(1) * dc.green_matrix(2)
@@ -185,7 +179,7 @@ def _coform_core(table: dict, mu: VectorForm, ell: int) -> dict:
             val = cm * coef
             key = ((), pair)
             out[key] = out.get(key, ZERO) + (-val if flip else val)
-    return out
+    return {key: c for key, c in out.items() if c}
 
 
 class DeformationSeries:
@@ -195,13 +189,14 @@ class DeformationSeries:
     vector forms; zero coefficients are omitted. Linear coefficients are
     harmonic, higher ones orthogonal to every harmonic form. ``brackets``
     maps monomials to {Phi, Phi} through degree order + 1 as degree-2
-    chain rows {row: scalar}; it is computed from ``coeffs`` if not given.
+    chain rows {row: scalar}, as the bracket pass of
+    :func:`kuranishi_series` leaves them.
     """
 
     __slots__ = ("dolbeault", "params", "order", "coeffs", "brackets")
 
     def __init__(
-        self, dolbeault: DolbeaultComplex, params: int, order: int, coeffs: dict, brackets=None
+        self, dolbeault: DolbeaultComplex, params: int, order: int, coeffs: dict, brackets: dict
     ):
         if order < 1:
             raise ValidationError("order must be at least 1")
@@ -218,19 +213,10 @@ class DeformationSeries:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
-        if brackets is None:
-            terms = {r: [(m, f.coeffs) for m, f in self.by_degree(r)] for r in range(1, order + 1)}
-            brackets = _bracket_pass(_bracket_table(dolbeault), terms, order)
         object.__setattr__(self, "brackets", brackets)
 
     def __setattr__(self, name, value):
         raise AttributeError("DeformationSeries is immutable")
-
-    def by_degree(self, r: int) -> list[tuple[Monomial, VectorForm]]:
-        return sorted(
-            ((m, f) for m, f in self.coeffs.items() if mono_degree(m) == r),
-            key=lambda kv: kv[0],
-        )
 
     def evaluate(self, t_point) -> VectorForm:
         """Phi at a parameter point, a single degree-1 vector form."""
@@ -292,7 +278,7 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     p = coh.dimension
     linear = [tuple(int(j == k) for j in range(p)) for k in range(p)]
     by_degree = {1: [(m, h.coeffs) for m, h in zip(linear, coh.harmonic_basis)]}
-    brackets = _bracket_pass(_bracket_table(dc), by_degree, order, dc)
+    brackets = _bracket_pass(dc, by_degree, order)
     coeffs = {m: dc.form(1, f) for r in range(1, order + 1) for m, f in by_degree[r]}
     return DeformationSeries(dc, p, order, coeffs, brackets)
 
@@ -411,7 +397,7 @@ def classify_deformation(algebra: LieAlgebra, deformed: DeformedStructure) -> De
     from properties of the series that produced it.
     """
     j = deformed.j_new
-    integrable = bool(is_integrable(algebra, j))
+    integrable = is_integrable(algebra, j)
     abelian = is_abelian(algebra, j)
     _, nilpotent = j_ascending_series(algebra, j)
     return DeformationReport(integrable=integrable, abelian=abelian, nilpotent=nilpotent)

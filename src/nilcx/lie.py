@@ -80,10 +80,6 @@ class LieAlgebra:
     def __setattr__(self, nm, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        """c^k_ij as a Fraction, 0-based, antisymmetry applied."""
-        return self._c.get((i, j), {}).get(k, ZERO).re
-
     def _scalar_table(self) -> dict[tuple[int, int], dict[int, GaussianRational]]:
         """Nonzero brackets with 1-based indices i < j and real scalar values."""
         return {
@@ -269,8 +265,3 @@ def ascending_series(a: LieAlgebra) -> Flag:
                 f"ascending series quotient not abelian at level {ell}"
             )
     return flag
-
-
-def center(a: LieAlgebra) -> list[Vector]:
-    """Basis of {X : [X, g] = 0}: every row of every ad_j annihilates X."""
-    return _null_space(a.dim, [row for ad in a.ad_rows() for row in ad])

@@ -51,7 +51,7 @@ def coerce_point(point, nvars: int) -> tuple[GaussianRational, ...]:
     """Validate a parameter tuple and lift the entries to exact scalars."""
     pt = tuple(coerce_scalar(x) for x in point)
     if len(pt) != nvars:
-        raise ValidationError("wrong number of parameters")
+        raise ValidationError(f"wrong number of parameters: got {len(pt)}, expected {nvars}")
     return pt
 
 

@@ -16,7 +16,7 @@ class GaussianRational:
     Held as one integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``,
     canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have
     equal triples. Each operation is integer arithmetic plus at most one
-    ``math.gcd``; ``re`` and ``im`` build their ``Fraction`` on request.
+    ``math.gcd``; ``re`` builds the real part's ``Fraction`` on request.
     Text of the form ``[+-]digits[/digits]`` is parsed with ``int``; any
     other text is read by ``Fraction``, with its values and exceptions.
     Immutable and hashable. Arithmetic accepts plain ``int`` and
@@ -45,10 +45,6 @@ class GaussianRational:
     @property
     def re(self) -> Fraction:
         return _fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        return _fraction(self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
         if not self._b:
@@ -151,9 +147,6 @@ class GaussianRational:
 
     def __neg__(self):
         return _new(-self._a, -self._b, self._d)
-
-    def __pos__(self):
-        return self
 
     def __eq__(self, other):
         if type(other) is not GaussianRational:

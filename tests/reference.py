@@ -1,19 +1,47 @@
 """Reference routines the tests compare the library against.
 
-Textbook versions of what the package computes another way: a solve
-orthogonal to the kernel, span membership by rank, and the chain-level
-differential, inner product and Laplacian of a Dolbeault complex, and the
-hand-written argparse parser that ``cli.COMMANDS`` replaced. Nothing in
-the package calls them.
+Textbook versions of what the package computes another way: the real and
+imaginary parts of a scalar read off its integer triple, a solve
+orthogonal to the kernel, span membership by rank, the center as the null
+space of every ad row, the chain-level differential, inner product,
+Laplacian and harmonic projection of a Dolbeault complex, and the
+hand-written argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
+(p,q)-forms and their differentials from an eigen-frame of J, and names
+the witness of a failed integrability test. ``verify_entry`` recomputes a
+catalog entry's facts, and ``hand_built_series`` brackets coefficients
+given by hand. Nothing in the package calls them.
+
+Sign convention of the frame route: for an invariant 1-form,
+d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
+checks it against the algebra's brackets, so a global flip fails there.
 """
 
 import argparse
 from collections.abc import Sequence
+from fractions import Fraction
+from itertools import combinations
 
-from nilcx.dolbeault import VectorForm, hdot
-from nilcx.errors import NotSolvableError, PreconditionError, ValidationError
+from nilcx.cxs import (
+    AlmostComplexStructure,
+    ComplexFrame,
+    is_abelian,
+    is_integrable,
+    j_ascending_series,
+)
+from nilcx.dolbeault import DolbeaultComplex, VectorForm, hdot
+from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
+from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table, infinitesimal_abelian_locus
+from nilcx.lie import LieAlgebra, _null_space, validate_lie
 from nilcx.linalg import Matrix, Vector, is_zero_vector, kernel_basis, rank, rref
-from nilcx.scalars import ZERO, GaussianRational
+from nilcx.poly import mono_add, mono_degree
+from nilcx.scalars import I as IMAG
+from nilcx.scalars import ONE, ZERO, GaussianRational
+
+
+def parts(z: GaussianRational) -> tuple:
+    """(real part, imaginary part) of a scalar as Fractions, read off its
+    integer triple (a, b, d), which means (a + b i)/d."""
+    return Fraction(z._a, z._d), Fraction(z._b, z._d)
 
 
 def _scalar(x) -> GaussianRational:
@@ -107,6 +135,231 @@ def laplacian(dc, mu: VectorForm) -> VectorForm:
     dc._own(mu)
     k = mu.degree
     return dc._from_vec(k, dc.laplacian_matrix(k).matvec(dc._to_vec(mu)))
+
+
+def harmonic_projection(dc, mu: VectorForm) -> VectorForm:
+    """The orthogonal projection of a chain onto the harmonic space."""
+    dc._own(mu)
+    vec = dc._to_vec(mu)
+    out = dc.zero_form(mu.degree)
+    for h in dc._harmonic_vectors(mu.degree):
+        c = hdot(vec, h) / hdot(h, h)
+        if c:
+            out = out + dc._from_vec(mu.degree, h).scaled(c)
+    return out
+
+
+def basis_vector_form(frame: ComplexFrame, anti, a: int) -> VectorForm:
+    """The chain generator wb^anti (x) X_a."""
+    anti = tuple(anti)
+    return VectorForm(frame, len(anti), {(anti, a): ONE})
+
+
+# ------------------------------------------------------ series by hand
+
+
+def by_degree(series: DeformationSeries, r: int) -> list:
+    """The series' degree-r terms as (monomial, coefficient), by monomial."""
+    return sorted(
+        ((m, f) for m, f in series.coeffs.items() if mono_degree(m) == r),
+        key=lambda kv: kv[0],
+    )
+
+
+def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationSeries:
+    """A series from its coefficients alone: {Phi, Phi} through degree
+    order + 1 from every ordered pair of terms, one bracket each."""
+    table = _bracket_table(dc)
+    brackets: dict = {}
+    for ma, fa in coeffs.items():
+        for mb, fb in coeffs.items():
+            m = mono_add(ma, mb)
+            if mono_degree(m) > order + 1:
+                continue
+            for k, v in _bracket(table, fa.coeffs, fb.coeffs).items():
+                row = brackets.setdefault(m, {})
+                row[k] = row.get(k, ZERO) + v
+    brackets = {m: rows for m, rows in brackets.items() if any(rows.values())}
+    return DeformationSeries(dc, params, order, coeffs, brackets)
+
+
+# ------------------------------------------------- catalog facts, live
+
+
+def center(a: LieAlgebra) -> list[Vector]:
+    """Basis of {X : [X, g] = 0}: every row of every ad_j annihilates X."""
+    return _null_space(a.dim, [row for ad in a.ad_rows() for row in ad])
+
+
+def _expect(name: str, key: str, stored, computed):
+    if stored != computed:
+        raise SelfCheckError(
+            f"stale fact {key} for {name}: stored {stored}, computed {computed}"
+        )
+
+
+def verify_entry(entry) -> dict:
+    """Recompute every stored fact of a catalog entry and return the live values.
+
+    Raises a self-check error on the first disagreement, naming the fact.
+    The structure classifications always run; the cohomology and locus
+    facts run when the entry records them (they need an abelian structure).
+    """
+    live: dict = {}
+    report = validate_lie(entry.algebra)
+    if not report.ok:
+        raise SelfCheckError(f"catalog algebra invalid: {report.errors[0]}")
+    live["dim"] = entry.algebra.dim
+    live["step"] = report.step
+    live["center_dim"] = len(center(entry.algebra))
+    for key in ("dim", "step", "center_dim"):
+        _expect(entry.name, key, entry.facts[key], live[key])
+    for sname, j in entry.structures:
+        expected = entry.structure_facts[sname]
+        got = {
+            "integrable": is_integrable(entry.algebra, j),
+            "abelian": is_abelian(entry.algebra, j),
+            "nilpotent": j_ascending_series(entry.algebra, j)[1],
+        }
+        for key, val in expected.items():
+            _expect(entry.name, f"{sname}.{key}", val, got[key])
+        live[sname] = got
+    if "h1_dim" in entry.facts or "locus_dim" in entry.facts:
+        dc = DolbeaultComplex(entry.algebra, entry.structures[0][1])
+        if "h1_dim" in entry.facts:
+            live["h1_dim"] = dc.cohomology(1).dimension
+            _expect(entry.name, "h1_dim", entry.facts["h1_dim"], live["h1_dim"])
+        if "locus_dim" in entry.facts:
+            live["locus_dim"] = len(infinitesimal_abelian_locus(dc))
+            _expect(entry.name, "locus_dim", entry.facts["locus_dim"], live["locus_dim"])
+    return live
+
+
+# ------------------------------------------------------- the frame route
+
+
+class InvariantForm:
+    """Invariant (p,q)-form in a frame's coframe coordinates.
+
+    Coefficients are stored on strictly increasing index tuples (I, K),
+    meaning sum c_IK w^I ^ wb^K with the determinant convention for wedge
+    evaluation. Indices are 0-based.
+    """
+
+    __slots__ = ("p", "q", "n", "coeffs")
+
+    def __init__(self, p: int, q: int, n: int, coeffs: dict):
+        clean = {}
+        for (hol, anti), c in coeffs.items():
+            hol, anti = tuple(hol), tuple(anti)
+            if len(hol) != p or len(anti) != q:
+                raise ValidationError("key arity does not match bidegree")
+            if any(not (0 <= x < n) for x in hol + anti):
+                raise ValidationError("frame index out of range")
+            if any(hol[t] >= hol[t + 1] for t in range(len(hol) - 1)) or any(
+                anti[t] >= anti[t + 1] for t in range(len(anti) - 1)
+            ):
+                raise ValidationError("indices must be strictly increasing")
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+            if c:
+                clean[(hol, anti)] = c
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InvariantForm is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, InvariantForm):
+            return NotImplemented
+        return (
+            (self.p, self.q, self.n) == (other.p, other.q, other.n)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.n, frozenset(self.coeffs.items())))
+
+    def items(self):
+        return sorted(self.coeffs.items())
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for (hol, anti), c in self.items():
+            legs = [f"w{i + 1}" for i in hol] + [f"wb{k + 1}" for k in anti]
+            parts.append(f"({c})*" + "^".join(legs))
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"InvariantForm({self.p},{self.q}): {self}"
+
+
+def omega_form(n: int, i: int) -> InvariantForm:
+    """The coframe (1,0)-form w^i, 0-based."""
+    return InvariantForm(1, 0, n, {((i,), ()): ONE})
+
+
+def eigen_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFrame:
+    """Deterministic (1,0)-frame from the +i eigenspace of J.
+
+    No ordering along the ascending series; use adapted_frame for that.
+    """
+    m = algebra.dim
+    mat = Matrix(
+        [
+            [j.matrix[r, c] - (IMAG if r == c else ZERO) for c in range(m)]
+            for r in range(m)
+        ]
+    )
+    vecs = kernel_basis(mat)
+    if len(vecs) != m // 2:
+        raise SelfCheckError("J eigenspace has wrong dimension")
+    return ComplexFrame(algebra, vecs)
+
+
+def exterior_derivative(
+    algebra: LieAlgebra, frame: ComplexFrame, form: InvariantForm
+) -> dict[tuple[int, int], InvariantForm]:
+    """Differential of an invariant 1-form, decomposed by bidegree.
+
+    d a(Z_s, Z_t) = -a([Z_s, Z_t]) on frame labels s < t, with labels
+    0..n-1 for X and n..2n-1 for conj X. Only nonzero components are
+    returned.
+    """
+    if form.p + form.q != 1:
+        raise PreconditionError(
+            f"exterior derivative needs a 1-form, got a ({form.p},{form.q})-form"
+        )
+    n = frame.n
+    # a(Z_c) by frame label
+    values = [(hol[0] if hol else n + anti[0], c) for (hol, anti), c in form.coeffs.items()]
+    parts: dict = {}
+    for s, t in combinations(range(2 * n), 2):
+        w = frame.to_frame(algebra.bracket(frame.frame_vector(s), frame.frame_vector(t)))
+        val = ZERO
+        for c, x in values:
+            if w[c]:
+                val = val + w[c] * x
+        if val:
+            hol = tuple(u for u in (s, t) if u < n)
+            anti = tuple(u - n for u in (s, t) if u >= n)
+            parts.setdefault((len(hol), len(anti)), {})[(hol, anti)] = -val
+    return {pq: InvariantForm(*pq, n, comp) for pq, comp in sorted(parts.items())}
+
+
+def integrability_witness(algebra: LieAlgebra, j: AlmostComplexStructure):
+    """(i, part) for the first coframe form w^i of the eigen-frame whose
+    differential has a (0,2) part, and that part; None when J is integrable."""
+    frame = eigen_frame(algebra, j)
+    for i in range(frame.n):
+        part = exterior_derivative(algebra, frame, omega_form(frame.n, i)).get((0, 2))
+        if part is not None:
+            return i, part
+    return None
 
 
 def reference_parser() -> argparse.ArgumentParser:

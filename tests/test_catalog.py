@@ -5,21 +5,26 @@ from fractions import Fraction
 import pytest
 
 from conftest import h9, h15, jst, n10
+from reference import verify_entry
 from nilcx.catalog import (
     CatalogEntry,
     brackets_from_differentials,
     differentials_from_brackets,
     get,
-    names,
     standard_pairing,
-    verify_entry,
 )
+from nilcx.cli import main
 from nilcx.errors import SelfCheckError, ValidationError
 from nilcx.scalars import gr
 
 
-def test_names_listing():
-    assert names() == ("h9", "h15", "n10", "torus")
+def test_names_listing(capsys):
+    # `nilcx catalog` lists every name, and each name fetches its entry
+    assert main(["catalog"]) == 0
+    listed = tuple(line.split()[0] for line in capsys.readouterr().out.splitlines())
+    assert listed == ("h9", "h15", "n10", "torus")
+    params = {"n10": {"s": 1, "t": 0}, "torus": {"n": 2}}
+    assert all(get(name, **params.get(name, {})).name == name for name in listed)
 
 
 def test_six_dimensional_entries_match_raw_transcriptions():

@@ -445,9 +445,16 @@ def test_at_arity_checked(tmp_path, capsys):
         ["kuranishi", alg_path(tmp_path, "h15"), "--order", "2", "--at", "1,0"],
     )
     assert rc == 1
-    assert "wrong number of parameters" in err
+    # the message names the count given and the count expected
+    assert err == "error: wrong number of parameters: --at has 2 values; H^1 has dimension 5\n"
     # refused before the series is built, so no report is printed
     assert out == ""
+    rc, out, err = run(
+        capsys,
+        ["kuranishi", alg_path(tmp_path, "torus", n=2), "--order", "1", "--at", "0,0,0,0,0,0"],
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: wrong number of parameters: --at has 6 values; H^1 has dimension 4\n"
 
 
 @pytest.mark.parametrize("tok", ["1/0", "abc"])

@@ -21,10 +21,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import abelian, h9, h15, j_std6, jst, n10, pair_j
-from reference import inner_product, laplacian
+from reference import InvariantForm, by_degree, hand_built_series, inner_product, laplacian
 from nilcx.dolbeault import DolbeaultComplex
 from nilcx.errors import PreconditionError, ValidationError
-from nilcx.forms import InvariantForm
 from nilcx.kuranishi import (
     DeformationSeries,
     DeformedStructure,
@@ -177,7 +176,7 @@ def test_series_order_one_is_linear_part():
 def test_series_h15_quadratic_coefficients_exact():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=2)
-    quad = dict(ser.by_degree(2))
+    quad = dict(by_degree(ser, 2))
     assert quad == {
         (0, 1, 1, 0, 0): dc.form(1, {((1,), 2): gr(-2)}),
         (0, 2, 0, 0, 0): dc.form(1, {((0,), 2): gr(Fraction(-2, 5))}),
@@ -188,7 +187,7 @@ def test_series_h15_quadratic_coefficients_exact():
 def test_series_linear_coefficients_are_harmonic():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=2)
-    for mono, f in ser.by_degree(1):
+    for mono, f in by_degree(ser, 1):
         assert laplacian(dc, f).is_zero()
 
 
@@ -246,11 +245,14 @@ def test_series_rejects_bad_order():
 def test_series_constructor_validation():
     dc = dc_h9()
     with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(1, 0): dc.zero_form(1)})
+        DeformationSeries(dc, 3, 1, {(1, 0): dc.zero_form(1)}, {})
     with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(2, 0, 0): dc.zero_form(1)})
+        DeformationSeries(dc, 3, 1, {(2, 0, 0): dc.zero_form(1)}, {})
     with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(1, 0, 0): dc.zero_form(2)})
+        DeformationSeries(dc, 3, 1, {(1, 0, 0): dc.zero_form(2)}, {})
+    # the brackets come from the bracket pass; there is no second route
+    with pytest.raises(TypeError):
+        DeformationSeries(dc, 3, 1, {})
 
 
 def test_series_evaluate_pin():
@@ -353,7 +355,7 @@ def test_series_with_no_nonzero_bracket_builds_no_green_matrix():
 def test_hand_built_series_gets_the_brackets_of_its_coefficients():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=4)
-    again = DeformationSeries(dc, ser.params, ser.order, dict(ser.coeffs))
+    again = hand_built_series(dc, ser.params, ser.order, dict(ser.coeffs))
     assert again.brackets == ser.brackets
     assert obstructions(again) == obstructions(ser)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import in_span, solve_in_image, vscale, vsub
+from reference import in_span, parts, solve_in_image, vscale, vsub
 from nilcx.dolbeault import gram_schmidt, hdot, orthogonal_complement
 from nilcx.errors import NotSolvableError, PreconditionError
 from nilcx.linalg import (
@@ -212,10 +212,6 @@ def test_matrix_ops():
 F0 = Fraction(0)
 
 
-def _pair(z):
-    return (z.re, z.im)
-
-
 def _padd(x, y):
     return (x[0] + y[0], x[1] + y[1])
 
@@ -323,7 +319,7 @@ def as_matrix(pairs):
 
 
 def as_pairs(m):
-    return [[_pair(x) for x in row] for row in m.rows]
+    return [[parts(x) for x in row] for row in m.rows]
 
 
 def test_kernel_matches_dense_reference_on_sparse_matrices():
@@ -335,15 +331,15 @@ def test_kernel_matches_dense_reference_on_sparse_matrices():
         assert as_pairs(a * b) == dense_mul(pa, pb)
         v = sparse_pairs(rng, 1, nk, blank=False)[0]
         got = a.matvec(tuple(gr(re, im) for re, im in v))
-        assert [_pair(x) for x in got] == dense_matvec(pa, v)
+        assert [parts(x) for x in got] == dense_matvec(pa, v)
         u, w = sparse_pairs(rng, 2, nk, blank=False)
         got = hdot(tuple(gr(*x) for x in u), tuple(gr(*x) for x in w))
-        assert _pair(got) == dense_hdot(u, w)
+        assert parts(got) == dense_hdot(u, w)
         red, pivots = rref(a)
         want_rows, want_pivots = dense_rref(pa)
         assert pivots == want_pivots
         assert as_pairs(red) == want_rows
-        assert [[_pair(x) for x in k] for k in kernel_basis(a)] == dense_kernel(pa)
+        assert [[parts(x) for x in k] for k in kernel_basis(a)] == dense_kernel(pa)
         for row in red.rows + tuple(kernel_basis(a)):
             assert all(isinstance(x, GaussianRational) for x in row)
 
@@ -351,7 +347,7 @@ def test_kernel_matches_dense_reference_on_sparse_matrices():
 def test_zero_short_cuts_match_dense_and_stay_scalars():
     values = [gr(3), gr("-1/2"), gr(0, 2), gr(1, -1), gr("2/3", "5/7")]
     for x in values:
-        px = _pair(x)
+        px = parts(x)
         for z in (ZERO, gr(0, 0), 0, Fraction(0)):
             cases = [
                 (z * x, (F0, F0)),
@@ -363,12 +359,12 @@ def test_zero_short_cuts_match_dense_and_stay_scalars():
             ]
             for got, want in cases:
                 assert isinstance(got, GaussianRational)
-                assert _pair(got) == want
+                assert parts(got) == want
     for x in (gr(3), gr("-1/2"), ZERO):
         got = x.conjugate()
         assert isinstance(got, GaussianRational)
-        assert _pair(got) == _pconj(_pair(x))
-    assert _pair(gr(1, 2).conjugate()) == (Fraction(1), Fraction(-2))
+        assert parts(got) == _pconj(parts(x))
+    assert parts(gr(1, 2).conjugate()) == (Fraction(1), Fraction(-2))
 
 
 def textbook_gram_schmidt(vectors):

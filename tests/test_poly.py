@@ -40,7 +40,7 @@ def test_evaluate_exact():
     p = Poly(2, {(2, 0): gr(4), (1, 1): gr(Fraction(2, 5))})
     val = p.evaluate((Fraction(1, 2), Fraction(5, 2)))
     assert val == gr(Fraction(3, 2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^wrong number of parameters: got 1, expected 2$"):
         p.evaluate((1,))
 
 
