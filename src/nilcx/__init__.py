@@ -10,8 +10,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _MODULE_EXPORTS = {
-    "algfile": ("AlgebraFile", "parse", "parse_text", "render", "render_entry"),
-    "catalog": ("CatalogEntry", "get"),
+    "algfile": ("AlgebraFile", "parse", "parse_text"),
+    "brackets": ("infinitesimal_abelian_locus",),
+    "catalog": ("CatalogEntry", "get", "render", "render_entry"),
     "cxs": (
         "AlmostComplexStructure",
         "ComplexFrame",
@@ -35,7 +36,6 @@ _MODULE_EXPORTS = {
         "ObstructionSet",
         "classify_deformation",
         "deform_structure",
-        "infinitesimal_abelian_locus",
         "kuranishi_series",
         "mc_residual",
         "obstructions",

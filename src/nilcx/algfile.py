@@ -4,9 +4,9 @@ Layout, in order: one ``algebra NAME`` line, one ``dim M`` line, zero or
 more ``bracket ei ej = c1*ek + c2*el ...`` lines with i < j, then zero or
 more blocks of ``structure NAME`` followed by ``J ei = c*ej + ...`` lines.
 Coefficients are integers or fractions ``p/q``; ``#`` starts a comment;
-spacing within a line is free. The writer emits every column of J, so a
-rendered file is self-checking on re-parse: redundant image lines must
-agree with the rest or parsing fails.
+spacing within a line is free. Redundant image lines of J must agree with
+the rest or parsing fails, so a file written by ``catalog.render``, which
+emits every column of J, is self-checking on re-parse.
 
 Syntax problems raise :class:`~nilcx.errors.ParseError` with position;
 well-formed files with bad mathematics (Jacobi failure, inconsistent J)
@@ -172,31 +172,3 @@ def parse_text(text: str) -> AlgebraFile:
 def parse(path) -> AlgebraFile:
     with open(path, encoding="utf-8") as fh:
         return parse_text(fh.read())
-
-
-def _terms_text(pairs) -> str:
-    return " + ".join(f"{c}*e{k}" for k, c in pairs)
-
-
-def render(name: str, algebra: LieAlgebra, structures=()) -> str:
-    """Deterministic text for an algebra and named structures.
-
-    Renders the full bracket table sorted by index pair and every J column
-    in order; parsing the output reproduces the inputs exactly.
-    """
-    lines = [f"algebra {name}", f"dim {algebra.dim}"]
-    for (i, j), targets in algebra._scalar_table().items():
-        lines.append(f"bracket e{i} e{j} = {_terms_text(targets.items())}")
-    for sname, j in structures:
-        lines.append(f"structure {sname}")
-        for col in range(algebra.dim):
-            vec = j.matrix.column(col)
-            # J is real, and a real scalar prints as its Fraction does
-            pairs = [(k + 1, x) for k, x in enumerate(vec) if x]
-            lines.append(f"J e{col + 1} = {_terms_text(pairs)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_entry(entry) -> str:
-    """Catalog entry as file text."""
-    return render(entry.name, entry.algebra, entry.structures)

@@ -12,6 +12,9 @@ Every entry carries an expected-facts record. Nothing in the package
 reads those numbers back: the test suite recomputes each fact of every
 entry from the live objects (``tests/reference.py::verify_entry``), and
 perfbench checks its jobs against them.
+
+The ``.alg`` writer (:func:`render`) is here too: ``catalog`` is the only
+command that writes a file, so the other commands do not compile it.
 """
 
 from __future__ import annotations
@@ -263,3 +266,30 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
         )
     raise ValidationError(f"unknown catalog name: {name}")
 
+
+def _terms_text(pairs) -> str:
+    return " + ".join(f"{c}*e{k}" for k, c in pairs)
+
+
+def render(name: str, algebra: LieAlgebra, structures=()) -> str:
+    """Deterministic text for an algebra and named structures.
+
+    Renders the full bracket table sorted by index pair and every J column
+    in order; parsing the output reproduces the inputs exactly.
+    """
+    lines = [f"algebra {name}", f"dim {algebra.dim}"]
+    for (i, j), targets in algebra._scalar_table().items():
+        lines.append(f"bracket e{i} e{j} = {_terms_text(targets.items())}")
+    for sname, j in structures:
+        lines.append(f"structure {sname}")
+        for col in range(algebra.dim):
+            vec = j.matrix.column(col)
+            # J is real, and a real scalar prints as its Fraction does
+            pairs = [(k + 1, x) for k, x in enumerate(vec) if x]
+            lines.append(f"J e{col + 1} = {_terms_text(pairs)}")
+    return "\n".join(lines) + "\n"
+
+
+def render_entry(entry) -> str:
+    """Catalog entry as file text."""
+    return render(entry.name, entry.algebra, entry.structures)

@@ -1,84 +1,36 @@
-"""The CLI handlers that build a Dolbeault complex.
-
-``cohomology``, ``kuranishi`` and ``abelian-locus`` run through here; ``cli``
-imports this module only for them, so the other commands do not compile
-it. The Kuranishi layer and ``poly`` are imported by the handlers that use
-them, so ``cohomology`` loads neither.
-"""
-
-from __future__ import annotations
+"""``nilcx kuranishi``: the deformation series, its obstructions, and the
+structure it deforms to at an ``--at`` point."""
 
 import sys
 
 from .algfile import parse
-from .cli_common import SCHEMA, emit_json, parse_rational, pick_structure
-from .dolbeault import DolbeaultComplex
+from .cli_common import (
+    SCHEMA,
+    emit_json,
+    matrix_rows,
+    open_complex,
+    parse_point,
+    pick_structure,
+    print_rows,
+)
 from .errors import ValidationError
-from .scalars import GaussianRational
+from .kuranishi import (
+    classify_deformation,
+    deform_structure,
+    kuranishi_series,
+    obstructions,
+    residual_by_degree,
+)
+from .poly import mono_str
 
 
-def _parse_point(text: str) -> tuple[GaussianRational, ...]:
-    return tuple(parse_rational(tok) for tok in text.split(","))
-
-
-def _matrix_rows(m) -> list[list[str]]:
-    return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
-
-
-def _print_rows(rows: list[list[str]], indent: str = "  ") -> None:
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-    for r in rows:
-        cells = " ".join(c.rjust(w) for c, w in zip(r, widths))
-        print(f"{indent}[{cells}]")
-
-
-def cmd_cohomology(args) -> int:
-    af = parse(args.file)
-    name, acs = pick_structure(af, args.structure)
-    dc = DolbeaultComplex(af.algebra, acs)
-    space = dc.cohomology(args.degree)
-    if args.json:
-        emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "cohomology",
-                "algebra": af.name,
-                "structure": name,
-                "degree": args.degree,
-                "dim": space.dimension,
-                "basis": [str(h) for h in space.harmonic_basis],
-                "gram": _matrix_rows(space.gram),
-            }
-        )
-        return 0
-    print(f"algebra {af.name} (dim {af.algebra.dim}), structure {name}")
-    print(f"degree {args.degree}")
-    print(f"dim = {space.dimension}")
-    if space.dimension:
-        print("harmonic basis:")
-        for i, h in enumerate(space.harmonic_basis):
-            print(f"  h{i + 1} = {h}")
-        print("gram matrix:")
-        _print_rows(_matrix_rows(space.gram))
-    return 0
-
-
-def cmd_kuranishi(args) -> int:
-    from .kuranishi import (
-        classify_deformation,
-        deform_structure,
-        kuranishi_series,
-        obstructions,
-        residual_by_degree,
-    )
-    from .poly import mono_str
-
+def run(args) -> int:
     af = parse(args.file)
     name, acs = pick_structure(af, args.structure)
     if args.order < 1:
         raise ValidationError("order must be at least 1")
-    point = None if args.at is None else _parse_point(args.at)
-    dc = DolbeaultComplex(af.algebra, acs)
+    point = None if args.at is None else parse_point(args.at)
+    dc = open_complex(af.algebra, name, acs)
     if point is not None and len(point) != (h1 := dc.cohomology(1).dimension):
         raise ValidationError(
             f"wrong number of parameters: --at has {len(point)} values; H^1 has dimension {h1}"
@@ -158,7 +110,7 @@ def cmd_kuranishi(args) -> int:
             ("abelian" if rep.abelian else "not abelian"),
         ]
         payload["point"] = [str(t) for t in point]
-        payload["deformed_j"] = _matrix_rows(deformed.j_new.matrix)
+        payload["deformed_j"] = matrix_rows(deformed.j_new.matrix)
         payload["classification"] = {
             "integrable": rep.integrable,
             "abelian": rep.abelian,
@@ -167,44 +119,9 @@ def cmd_kuranishi(args) -> int:
         if not args.json:
             print(f"at t = ({at})")
             print("deformed J matrix:")
-            _print_rows(_matrix_rows(deformed.j_new.matrix))
+            print_rows(matrix_rows(deformed.j_new.matrix))
             print("classification: " + ", ".join(words))
 
     if args.json:
         emit_json(payload)
     return 0
-
-
-def cmd_abelian_locus(args) -> int:
-    from .kuranishi import infinitesimal_abelian_locus
-
-    af = parse(args.file)
-    name, acs = pick_structure(af, args.structure)
-    dc = DolbeaultComplex(af.algebra, acs)
-    rows = infinitesimal_abelian_locus(dc)
-    k = dc.cohomology(1).dimension
-    if args.json:
-        emit_json(
-            {
-                "schema": SCHEMA,
-                "command": "abelian-locus",
-                "algebra": af.name,
-                "structure": name,
-                "dim": len(rows),
-                "basis": [[str(c) for c in row] for row in rows],
-            }
-        )
-        return 0
-    print(f"algebra {af.name} (dim {af.algebra.dim}), structure {name}")
-    print(f"infinitesimal abelian subspace: dim {len(rows)}")
-    if rows:
-        print(f"basis (coordinates t1..t{k}):")
-        _print_rows([[str(c) for c in row] for row in rows])
-    return 0
-
-
-COMMANDS = {
-    "cohomology": cmd_cohomology,
-    "kuranishi": cmd_kuranishi,
-    "abelian-locus": cmd_abelian_locus,
-}

@@ -149,7 +149,7 @@ def _sparse_columns(j: AlmostComplexStructure) -> list[dict[int, GaussianRationa
 
 
 def _pair_parts(algebra: LieAlgebra, cols: list[dict]):
-    """(R, S) for each basis pair a < b, on the sparse constants.
+    """((a, b), R, S) for each basis pair a < b (1-based), on the sparse constants.
 
     R = [Je_a, Je_b] - [e_a, e_b] and S = [Je_a, e_b] + [e_a, Je_b], so
     that [X - iJX, Y - iJY] = -R - iS for X = e_a, Y = e_b. Both are
@@ -159,7 +159,7 @@ def _pair_parts(algebra: LieAlgebra, cols: list[dict]):
     for a, b in combinations(range(algebra.dim), 2):
         ea, eb = {a: ONE}, {b: ONE}
         # -[e_a, e_b] = [e_b, e_a]
-        yield br((cols[a], cols[b]), (eb, ea)), br((cols[a], eb), (ea, cols[b]))
+        yield (a + 1, b + 1), br((cols[a], cols[b]), (eb, ea)), br((cols[a], eb), (ea, cols[b]))
 
 
 def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
@@ -169,26 +169,31 @@ def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
     on the sparse structure constants.
     """
     cols = _sparse_columns(j)
-    return all(r == combine_rows(s.items(), cols) for r, s in _pair_parts(algebra, cols))
+    return all(r == combine_rows(s.items(), cols) for _, r, s in _pair_parts(algebra, cols))
+
+
+def abelian_defect(algebra: LieAlgebra, j: AlmostComplexStructure) -> tuple[int, int] | None:
+    """The first basis pair (a, b), a < b and 1-based, with [J e_a, J e_b] != [e_a, e_b].
+
+    None when J is abelian. The second real route, [J e_a, e_b] +
+    [e_a, J e_b] = 0 (the imaginary part of the bracket of two
+    (1,0)-vectors), is computed too; it is equivalent for any J with
+    J^2 = -I, so disagreement raises a self-check error.
+    """
+    parts = list(_pair_parts(algebra, _sparse_columns(j)))
+    first = next((pair for pair, r, _ in parts if r), None)
+    by_imag = not any(s for _, _, s in parts)
+    if (first is None) != by_imag:
+        raise SelfCheckError(
+            f"abelianness criteria disagree on {algebra!r}: [Je_a, Je_b] = [e_a, e_b] "
+            f"says {first is None}, [Je_a, e_b] + [e_a, Je_b] = 0 says {by_imag}"
+        )
+    return first
 
 
 def is_abelian(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
-    """[J e_a, J e_b] = [e_a, e_b] for all pairs, on the sparse constants.
-
-    The second real route, [J e_a, e_b] + [e_a, J e_b] = 0 (the imaginary
-    part of the bracket of two (1,0)-vectors), is computed too; it is
-    equivalent for any J with J^2 = -I, so disagreement raises a
-    self-check error.
-    """
-    parts = list(_pair_parts(algebra, _sparse_columns(j)))
-    by_real = not any(r for r, _ in parts)
-    by_imag = not any(s for _, s in parts)
-    if by_real != by_imag:
-        raise SelfCheckError(
-            f"abelianness criteria disagree on {algebra!r}: [Je_a, Je_b] = [e_a, e_b] "
-            f"says {by_real}, [Je_a, e_b] + [e_a, Je_b] = 0 says {by_imag}"
-        )
-    return by_real
+    """[J e_a, J e_b] = [e_a, e_b] for all pairs, on the sparse constants."""
+    return abelian_defect(algebra, j) is None
 
 
 def j_ascending_series(

@@ -11,8 +11,8 @@ orthogonal complement and Gram-Schmidt routines that build the harmonic
 bases are here too, since nothing else uses them.
 
 Everything is exact and deterministic; the differential, its adjoint,
-Laplacian, harmonic-space and Green-matrix caches are written once per
-degree and never mutated after.
+Laplacian, harmonic-space, cohomology and Green-matrix caches are written
+once per degree and never mutated after.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from itertools import combinations
 from math import comb
 
-from .cxs import AlmostComplexStructure, ComplexFrame, adapted_frame, is_abelian
+from .cxs import AlmostComplexStructure, ComplexFrame, abelian_defect, adapted_frame
 from .errors import PreconditionError, SelfCheckError, ValidationError
 from .lie import LieAlgebra
 from .linalg import (
@@ -231,8 +231,10 @@ class DolbeaultComplex:
         j: AlmostComplexStructure,
         frame: ComplexFrame | None = None,
     ):
-        if not is_abelian(algebra, j):
-            raise PreconditionError("J is not abelian")
+        pair = abelian_defect(algebra, j)
+        if pair is not None:
+            a, b = pair
+            raise PreconditionError(f"J is not abelian: [Je{a}, Je{b}] != [e{a}, e{b}]")
         if frame is None:
             frame = adapted_frame(algebra, j)
         else:
@@ -257,6 +259,7 @@ class DolbeaultComplex:
         self._dbar_h: dict[int, Matrix] = {}
         self._lap: dict[int, Matrix] = {}
         self._harm: dict[int, list[Vector]] = {}
+        self._coh: dict[int, CohomologySpace] = {}
         self._green: dict[int, Matrix] = {}
         # the bracket table, built by kuranishi on first use
         self._brackets: dict | None = None
@@ -400,12 +403,16 @@ class DolbeaultComplex:
 
     def cohomology(self, k: int) -> CohomologySpace:
         """Harmonic representatives of degree k, unnormalized, with Gram."""
+        got = self._coh.get(k)
+        if got is not None:
+            return got
         self._check_degree(k)
         vecs = self._harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
         supports = [nonzero_entries(w) for w in vecs]
         gram = Matrix._of(tuple(tuple(hdot_support(u, s) for s in supports) for u in vecs))
-        return CohomologySpace(k, len(basis), basis, gram)
+        got = self._coh[k] = CohomologySpace(k, len(basis), basis, gram)
+        return got
 
     def green_matrix(self, k: int) -> Matrix:
         """G_k = L_k^+, the Moore-Penrose inverse of the Laplacian.

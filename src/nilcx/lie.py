@@ -229,7 +229,9 @@ def _validate(a: LieAlgebra) -> tuple[tuple[str, ...], Flag | None]:
         if not errors:
             flag, reached = ascending_flag(a.dim, a.ad_rows())
             if not reached:
-                errors, flag = ("not nilpotent",), None
+                top = flag.dims[-1] if flag.levels else 0
+                stop = f"stops at level {flag.depth}, dim {top} of {a.dim}"
+                errors, flag = (f"not nilpotent: the ascending central series {stop}",), None
         object.__setattr__(a, "_checked", (errors, flag))
     return a._checked
 

@@ -10,6 +10,14 @@ the same exit codes and bytes exactly when they print the same lines:
     python tests/cli_sweep.py > after.txt    # in the other
     diff before.txt after.txt
 
+With ``--compiled`` it prints instead, for each argv, the nilcx source a
+job of that argv compiles: the total source lines and AST nodes, then each
+nilcx module the run loads with its lines and nodes. Each argv runs after
+the nilcx modules are dropped from ``sys.modules``, so it loads what a
+fresh ``python -m nilcx.cli`` process would:
+
+    python tests/cli_sweep.py --compiled
+
 The script imports nilcx from the ``src`` directory beside it, and sets
 ``COLUMNS=80`` so that argparse wraps help text the same way everywhere.
 It uses the standard library only. ``tests/test_package.py`` runs
@@ -20,6 +28,7 @@ command enters.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import os
@@ -205,11 +214,11 @@ ENTRY_ARGVS = [
 
 def write_inputs(directory: Path) -> None:
     """The .alg files the argvs name, rendered from the catalog or written out."""
-    from nilcx.algfile import render_entry
-    from nilcx.catalog import get
+    import nilcx
 
     for stem, (name, params) in CATALOG_FILES.items():
-        (directory / f"{stem}.alg").write_text(render_entry(get(name, **params)), encoding="utf-8")
+        text = nilcx.render_entry(nilcx.get(name, **params))
+        (directory / f"{stem}.alg").write_text(text, encoding="utf-8")
     for stem, text in TEXT_FILES.items():
         (directory / f"{stem}.alg").write_text(text, encoding="utf-8")
 
@@ -227,11 +236,42 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def compiled(argv: list[str]) -> list[tuple[str, int, int]]:
+    """(module, source lines, AST nodes) of each nilcx module that one run
+    of argv loads from a clean start.
+
+    Drops every nilcx module from ``sys.modules`` first, so objects that
+    the caller took from nilcx before no longer belong to the package.
+    """
+    for name in [m for m in sys.modules if m.partition(".")[0] == "nilcx"]:
+        del sys.modules[name]
+    run(argv)
+    out = []
+    for name in sorted(m for m in sys.modules if m.partition(".")[0] == "nilcx"):
+        text = Path(sys.modules[name].__file__).read_text(encoding="utf-8")
+        out.append((name, text.count("\n"), sum(1 for _ in ast.walk(ast.parse(text)))))
+    return out
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main() -> int:
+def _report(argv: list[str], show_compiled: bool) -> str:
+    shown = " ".join(argv) or "(no arguments)"
+    if not show_compiled:
+        rc, out, err = run(argv)
+        return f"{rc} {_digest(out)} {_digest(err)} {shown}"
+    modules = compiled(argv)
+    lines, nodes = sum(m[1] for m in modules), sum(m[2] for m in modules)
+    parts = "".join(f"\n    {n:>6} {k:>7}  {name}" for name, n, k in modules)
+    return f"{lines} lines {nodes} nodes: {shown}{parts}"
+
+
+def main(args: list[str]) -> int:
+    if args not in ([], ["--compiled"]):
+        print("usage: python tests/cli_sweep.py [--compiled]", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(SRC))
     os.environ["COLUMNS"] = "80"
     home = os.getcwd()
@@ -240,12 +280,11 @@ def main() -> int:
         try:
             write_inputs(Path(tmp))
             for argv in ARGVS:
-                rc, out, err = run(argv)
-                print(rc, _digest(out), _digest(err), " ".join(argv) or "(no arguments)")
+                print(_report(argv, bool(args)))
         finally:
             os.chdir(home)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

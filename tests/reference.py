@@ -30,7 +30,8 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex, VectorForm, hdot
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
-from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table, infinitesimal_abelian_locus
+from nilcx.brackets import infinitesimal_abelian_locus
+from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table
 from nilcx.lie import LieAlgebra, _null_space, validate_lie
 from nilcx.linalg import Matrix, Vector, is_zero_vector, kernel_basis, rank, rref
 from nilcx.poly import mono_add, mono_degree
@@ -364,8 +365,6 @@ def integrability_witness(algebra: LieAlgebra, j: AlmostComplexStructure):
 
 def reference_parser() -> argparse.ArgumentParser:
     """The command line as one add_argument call per argument."""
-    from nilcx.cli import _complex_command, cmd_catalog, cmd_series, cmd_validate
-
     parser = argparse.ArgumentParser(
         prog="nilcx",
         description="exact invariant complex structures on nilpotent Lie algebras",
@@ -384,17 +383,14 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="Jacobi, step, and structure checks")
     with_file(p, structure=False)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("series", help="ascending series and adapted frame")
     with_file(p)
-    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("cohomology", help="harmonic basis in one degree")
     with_file(p)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
 
     p = sub.add_parser("kuranishi", help="deformation series and obstructions")
     with_file(p)
@@ -405,17 +401,14 @@ def reference_parser() -> argparse.ArgumentParser:
         help="comma-separated rational coordinates in the printed basis order",
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
 
     p = sub.add_parser("abelian-locus", help="infinitesimal abelian subspace")
     with_file(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_complex_command)
 
     p = sub.add_parser("catalog", help="list built-ins or emit one as .alg")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--s", default="1", help="n10 parameter s (rational)")
     p.add_argument("--t", default="0", help="n10 parameter t (rational)")
     p.add_argument("--n", type=int, default=3, help="torus half-dimension")
-    p.set_defaults(func=cmd_catalog)
     return parser

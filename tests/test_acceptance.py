@@ -28,9 +28,9 @@ from fractions import Fraction
 import pytest
 from conftest import h9, h15, j_std6, unit
 from reference import harmonic_projection, in_span, inner_product, laplacian
-from nilcx.algfile import parse_text, render
-from nilcx.catalog import get
-from nilcx.cli import _vector_str
+from nilcx.algfile import parse_text
+from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
+from nilcx.catalog import get, render
 from nilcx.cxs import (
     AlmostComplexStructure,
     is_abelian,
@@ -39,17 +39,14 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex
 from nilcx.kuranishi import (
-    _coform_core,
-    _contraction_table,
     classify_deformation,
     deform_structure,
-    infinitesimal_abelian_locus,
     kuranishi_series,
     mc_residual,
     obstructions,
     schouten,
 )
-from nilcx.lie import LieAlgebra, validate_lie
+from nilcx.lie import LieAlgebra, validate_lie, vector_text
 from nilcx.linalg import Matrix, inverse, row_space_basis
 from nilcx.scalars import ZERO, GaussianRational, gr
 
@@ -307,7 +304,7 @@ def test_criterion_5():
             failures.append(
                 f"(s,t)=({s},{t}): J-ascending series DOES exhaust the algebra "
                 f"(computed level dims {flag.dims}, first level span("
-                f"{', '.join(_vector_str(v, 'e') for v in flag.levels[0])}) "
+                f"{', '.join(vector_text(v, 'e') for v in flag.levels[0])}) "
                 "= the J-invariant part of the center; "
                 "expected it to stall below 10)"
             )

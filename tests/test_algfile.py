@@ -5,8 +5,8 @@ from importlib import resources
 
 import pytest
 
-from nilcx.algfile import parse_text, render, render_entry
-from nilcx.catalog import get
+from nilcx.algfile import parse_text
+from nilcx.catalog import get, render, render_entry
 from nilcx.errors import ParseError, ValidationError
 from nilcx.lie import validate_lie
 

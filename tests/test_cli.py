@@ -15,9 +15,10 @@ from reference import reference_parser
 
 import nilcx
 from nilcx import cli_common
-from nilcx.algfile import parse_text, render_entry
-from nilcx.catalog import get
-from nilcx.cli import COMMANDS, build_parser, main, read_argv
+from nilcx.algfile import parse_text
+from nilcx.catalog import get, render_entry
+from nilcx.cli import COMMANDS, main, read_argv
+from nilcx.cli_help import build_parser
 
 
 def _dumps(value) -> str:
@@ -335,6 +336,61 @@ def test_exit_code_validation_failure(tmp_path, capsys):
     assert "not nilpotent" in err
 
 
+@pytest.mark.parametrize(
+    "text, stop",
+    [
+        # [e1, e2] = e2: the center is zero
+        ("algebra solvable\ndim 2\nbracket e1 e2 = 1*e2\n", "level 0, dim 0 of 2"),
+        # the same with a central e3: the series stops at the center
+        ("algebra s3\ndim 3\nbracket e1 e2 = 1*e2\n", "level 1, dim 1 of 3"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["validate"], ["series"], ["cohomology", "--degree", "1"]])
+def test_not_nilpotent_names_where_the_central_series_stops(tmp_path, capsys, text, stop, argv):
+    p = tmp_path / "solvable.alg"
+    p.write_text(text)
+    err = f"error: algebra fails validation: not nilpotent: the ascending central series stops at {stop}\n"
+    assert run(capsys, [argv[0], str(p), *argv[1:]]) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cohomology", "--degree", "1"], ["kuranishi", "--order", "2"], ["abelian-locus", "--json"]],
+)
+def test_non_abelian_structure_names_its_block_and_a_pair(tmp_path, capsys, argv):
+    # n10 at (s, t) = (2, 1): [Je1, Je2] = [e1, e2], and [Je1, Je3] = 0 != [e1, e3]
+    path = alg_path(tmp_path, "n10", s=2, t=1)
+    err = "error: structure J: J is not abelian: [Je1, Je3] != [e1, e3]\n"
+    assert run(capsys, [argv[0], path, *argv[1:]]) == (3, "", err)
+
+
+@pytest.mark.parametrize(
+    "name, params, argv",
+    [
+        ("h15", {}, ["kuranishi", "--order", "2", "--at", "0,0,1/10,0,0"]),
+        ("h15", {}, ["kuranishi", "--order", "2", "--at", "0,0,1/10,0,0", "--json"]),
+        ("h9", {}, ["abelian-locus"]),
+        ("n10", {"s": 1, "t": 0}, ["abelian-locus", "--json"]),
+    ],
+)
+def test_a_job_builds_each_cohomology_degree_once(
+    tmp_path, capsys, monkeypatch, name, params, argv
+):
+    from nilcx import dolbeault
+
+    built = []
+    space = dolbeault.CohomologySpace
+
+    def counted(*fields):
+        built.append(fields[0])
+        return space(*fields)
+
+    monkeypatch.setattr(dolbeault, "CohomologySpace", counted)
+    rc, out, _ = run(capsys, [argv[0], alg_path(tmp_path, name, **params), *argv[1:]])
+    assert rc == 0 and out
+    assert built == [1]
+
+
 def test_exit_code_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, ["validate", str(tmp_path / "none.alg")])
     assert rc == 2
@@ -593,7 +649,7 @@ def test_command_table_reads_argv_as_argparse_does(monkeypatch):
         declined += 1
         if refused is None:
             # argparse reads what the table declines: abbreviations, repeats
-            assert _outcome(lambda a: build_parser().parse_args(a), argv) == (want, None), argv
+            assert _outcome(lambda a: build_parser(COMMANDS).parse_args(a), argv) == (want, None), argv
         else:
             assert _outcome(main, argv) == (None, refused), argv
     assert accepted >= 200 and declined >= 200

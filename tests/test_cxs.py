@@ -9,6 +9,7 @@ d w(X, Y) = -w([X, Y]) on the adapted frames and are asserted exactly.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from conftest import abelian, filiform4, h9, h15, j_std6, jst, n10, pair_j, unit
@@ -23,7 +24,9 @@ from reference import (
     parts,
 )
 
+from nilcx.brackets import _contraction_table
 from nilcx.cxs import (
+    abelian_defect,
     AlmostComplexStructure,
     ComplexFrame,
     adapted_frame,
@@ -38,7 +41,6 @@ from nilcx.errors import (
     ValidationError,
 )
 from nilcx.dolbeault import DolbeaultComplex
-from nilcx.kuranishi import _contraction_table
 from nilcx.lie import LieAlgebra, ascending_series
 from nilcx.linalg import Matrix, inverse, kernel_basis, row_space_basis
 from nilcx.scalars import gr
@@ -372,7 +374,7 @@ def test_dbar_closed_conjugates():
     for make in (h9, h15):
         assert DolbeaultComplex(make(), j).n == 3
     # the (0,2) part of d wb^l vanishes exactly for abelian J, checked up front
-    with pytest.raises(PreconditionError, match="^J is not abelian$"):
+    with pytest.raises(PreconditionError, match=r"^J is not abelian: \[Je1, Je3\] != \[e1, e3\]$"):
         DolbeaultComplex(filiform4(), pair_j(4, [(0, 1), (2, 3)]))
 
 
@@ -585,12 +587,25 @@ def test_real_structure_tests_match_the_frame_oracle():
     grid = [Fraction(x) for x in (-2, -1, 0, Fraction(1, 2), 1, 3)]
     cases += [(n10(), jst(s, t)) for s in grid for t in grid if s * s != t * t][::3]
     cases += [(a, _rational_conjugate(j, rng)) for a, j in list(cases) for _ in range(2)]
-    seen = set()
+    seen, pairs = set(), set()
     for a, j in cases:
         got = (is_integrable(a, j), is_abelian(a, j))
         assert got == _frame_oracle(a, j), (a, j.matrix)
         seen.add(got)
+        pair = abelian_defect(a, j)
+        assert pair == _first_non_abelian_pair(a, j), (a, j.matrix)
+        pairs.add(pair)
     assert seen == {(True, True), (True, False), (False, False)}
+    assert len(pairs) >= 3 and None in pairs
+
+
+def _first_non_abelian_pair(a, j):
+    """The first pair x < y, 1-based, with [J e_x, J e_y] != [e_x, e_y], by dense brackets."""
+    cols = [j.matrix.column(k) for k in range(a.dim)]
+    for x, y in combinations(range(a.dim), 2):
+        if a.bracket(cols[x], cols[y]) != a.bracket(unit(a.dim, x), unit(a.dim, y)):
+            return x + 1, y + 1
+    return None
 
 
 def test_abelian_routes_disagree_on_a_forged_operator():

@@ -22,16 +22,14 @@ import pytest
 
 from conftest import abelian, h9, h15, j_std6, jst, n10, pair_j
 from reference import InvariantForm, by_degree, hand_built_series, inner_product, laplacian
+from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
 from nilcx.dolbeault import DolbeaultComplex
 from nilcx.errors import PreconditionError, ValidationError
 from nilcx.kuranishi import (
     DeformationSeries,
     DeformedStructure,
-    _coform_core,
-    _contraction_table,
     classify_deformation,
     deform_structure,
-    infinitesimal_abelian_locus,
     kuranishi_series,
     mc_residual,
     obstructions,

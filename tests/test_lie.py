@@ -66,7 +66,7 @@ def test_abelian_is_one_step():
 def test_so3_not_nilpotent():
     rep = validate_lie(so3())
     assert not rep.ok
-    assert "not nilpotent" in rep.errors
+    assert rep.errors == ("not nilpotent: the ascending central series stops at level 0, dim 0 of 3",)
     assert rep.step is None
 
 
@@ -210,6 +210,46 @@ def _echelon(rows):
     return out
 
 
+def _dense_kernel(rows, dim):
+    """Basis of {x : r . x = 0 for every row r}, by Fraction elimination."""
+    pivots = {}  # pivot column -> reduced row
+    for r in rows:
+        r = list(r)
+        for col, p in pivots.items():
+            if r[col]:
+                r = [x - r[col] * y for x, y in zip(r, p)]
+        col = next((k for k, x in enumerate(r) if x), None)
+        if col is None:
+            continue
+        r = [x / r[col] for x in r]
+        pivots = {c: [x - p[col] * y for x, y in zip(p, r)] for c, p in pivots.items()}
+        pivots[col] = r
+    basis = []
+    for free in (k for k in range(dim) if k not in pivots):
+        x = [Fraction(int(k == free)) for k in range(dim)]
+        for col, p in pivots.items():
+            x[col] = -p[free]
+        basis.append(x)
+    return basis
+
+
+def _dense_stop(c, dim):
+    """(level, dim) where the ascending central series Z_k stops:
+    Z_{k+1} = {x : n . [x, e_i] = 0 for every i and every n that annihilates Z_k}."""
+    level, depth = [], 0
+    while True:
+        ann = _dense_kernel(level, dim)
+        conds = [
+            [sum(x * y for x, y in zip(n, c[a][i])) for a in range(dim)]
+            for n in ann
+            for i in range(dim)
+        ]
+        nxt = _dense_kernel(conds, dim)
+        if len(nxt) == len(level):
+            return depth, len(level)
+        level, depth = nxt, depth + 1
+
+
 def _dense_errors(dim, table):
     """validate_lie's errors by brackets of dense brackets over Fraction."""
     c = _dense_constants(dim, table)
@@ -234,8 +274,12 @@ def _dense_errors(dim, table):
     while level:
         nxt = _echelon([br(x, w) for x in e for w in level])
         if len(nxt) == len(level):
-            return ("not nilpotent",)
+            depth, top = _dense_stop(c, dim)
+            assert top < dim
+            series = f"the ascending central series stops at level {depth}, dim {top} of {dim}"
+            return (f"not nilpotent: {series}",)
         level = nxt
+    assert _dense_stop(c, dim)[1] == dim
     return ()
 
 
@@ -288,7 +332,7 @@ _SEEDS = [
 
 def test_sparse_jacobi_matches_dense_reference():
     rng = random.Random(20261019)
-    outcomes = set()
+    outcomes, stops = set(), set()
     for case in range(90):
         dim = rng.randint(3, 7)
         kind = case % 3
@@ -306,5 +350,10 @@ def test_sparse_jacobi_matches_dense_reference():
         want = _dense_errors(dim, table)
         got = validate_lie(LieAlgebra(dim, table)).errors
         assert got == want, (dim, table)
-        outcomes.add("jacobi" if want and want[0].startswith("jacobi") else want)
-    assert outcomes == {"jacobi", ("not nilpotent",), ()}
+        outcomes.add(want[0].split(":")[0].split(" at ")[0] if want else want)
+        if want and want[0].startswith("not nilpotent"):
+            stops.add(want[0].rsplit(" at ", 1)[1])
+    assert outcomes == {"jacobi violated", "not nilpotent", ()}
+    # the series stops at a zero center, and at a nonzero one
+    assert "level 0, dim 0 of 3" in stops
+    assert any(stop.startswith("level 1") for stop in stops)

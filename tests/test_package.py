@@ -5,6 +5,7 @@ a caller and is entered by a command."""
 import ast
 import os
 import re
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,7 @@ import cli_sweep
 import pytest
 
 import nilcx
-from nilcx.algfile import render_entry
-from nilcx.catalog import get
+from nilcx.catalog import get, render_entry
 from nilcx.cli import COMMANDS
 
 SRC = Path(nilcx.__file__).resolve().parents[1]
@@ -44,10 +44,11 @@ PUBLIC = [
 ]
 
 
-def _python(code: str, *args: str) -> str:
-    """Run code in a fresh interpreter that writes no bytecode; its stdout."""
+def _python(code: str, *args: str, src: Path = SRC) -> str:
+    """Run code in a fresh interpreter that writes no bytecode, with nilcx
+    imported from ``src``; its stdout."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
@@ -61,18 +62,50 @@ STDLIB = (
 )
 
 
-def _modules_loaded_by(argv: list[str]) -> set[str]:
-    """The nilcx modules, and those of STDLIB, loaded after one CLI run."""
-    code = (
+def _modules_loaded_by(argv: list[str], code: int = 0, src: Path = SRC) -> set[str]:
+    """The nilcx modules, and those of STDLIB, loaded after one CLI run that
+    exits with ``code``; nilcx is imported from ``src``."""
+    script = (
         "import sys\n"
         "from nilcx.cli import main\n"
-        "rc = main(sys.argv[1:])\n"
+        "try:\n"
+        "    rc = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
         f"names = sorted(m for m in sys.modules if m.startswith('nilcx') or m in {STDLIB})\n"
         "print('loaded', rc, *names)\n"
     )
-    last = _python(code, *argv).splitlines()[-1].split()
-    assert last[:2] == ["loaded", "0"]
+    last = _python(script, *argv, src=src).splitlines()[-1].split()
+    assert last[:2] == ["loaded", str(code)]
     return set(last[2:])
+
+
+# the nilcx modules each command loads: its own handler module and what that runs
+_CORE = {
+    "nilcx", "nilcx.cli", "nilcx.errors", "nilcx.cli_common", "nilcx.cxs", "nilcx.lie",
+    "nilcx.linalg", "nilcx.scalars",
+}
+_FILE = _CORE | {"nilcx.algfile"}
+_COMPLEX = _FILE | {"nilcx.dolbeault"}
+LOADS = {
+    "validate": _FILE | {"nilcx.cli_validate"},
+    "series": _FILE | {"nilcx.cli_series"},
+    "cohomology": _COMPLEX | {"nilcx.cli_cohomology"},
+    "abelian-locus": _COMPLEX | {"nilcx.cli_abelian_locus", "nilcx.brackets"},
+    "kuranishi": _COMPLEX
+    | {"nilcx.cli_kuranishi", "nilcx.brackets", "nilcx.kuranishi", "nilcx.poly"},
+    "catalog": _CORE | {"nilcx.cli_catalog", "nilcx.catalog"},
+}
+HANDLERS = {command: f"nilcx.{row[3]}" for command, row in COMMANDS.items()}
+HELP = {"nilcx", "nilcx.cli", "nilcx.errors", "nilcx.cli_help"}
+
+
+def _check_loads(command: str, loaded: set[str], via_help: bool = False) -> None:
+    """A job of ``command`` loads its own handler module and no other, and
+    exactly the nilcx modules of LOADS; cli_help only when argparse read argv."""
+    nilcx_loaded = {m for m in loaded if m.startswith("nilcx")}
+    assert nilcx_loaded & set(HANDLERS.values()) == {HANDLERS[command]}
+    assert nilcx_loaded == LOADS[command] | ({"nilcx.cli_help"} if via_help else set())
 
 
 @pytest.fixture
@@ -82,20 +115,11 @@ def h15_file(tmp_path):
     return str(p)
 
 
-HEAVY = {
-    "nilcx.dolbeault",
-    "nilcx.kuranishi",
-    "nilcx.poly",
-    "nilcx.catalog",
-    "nilcx.complex_cli",
-}
-
-
 @pytest.mark.parametrize("argv", [["validate"], ["validate", "--json"], ["series"]])
 def test_validate_and_series_load_no_heavy_module(h15_file, argv):
     loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
-    assert {"nilcx.lie", "nilcx.cxs", "nilcx.algfile"} <= loaded
-    assert not loaded & HEAVY
+    _check_loads(argv[0], loaded)
+    assert not loaded & {"nilcx.dolbeault", "nilcx.brackets", "nilcx.catalog"}
 
 
 @pytest.mark.parametrize(
@@ -117,27 +141,42 @@ def test_validate_and_series_load_no_heavy_module(h15_file, argv):
 def test_jobs_load_no_fractions_or_decimal(h15_file, argv):
     files = [] if argv[0] == "catalog" else [h15_file]
     loaded = _modules_loaded_by([argv[0], *files, *argv[1:]])
-    assert "nilcx.scalars" in loaded
+    _check_loads(argv[0], loaded)
     # argv is read from the command table, and --json is written without json
     assert not loaded & set(STDLIB)
 
 
 def test_help_loads_argparse():
-    code = (
-        "import sys\n"
-        "from nilcx.cli import main\n"
-        "try:\n"
-        "    main(sys.argv[1:])\n"
-        "except SystemExit as exc:\n"
-        "    print('exit', exc.code, 'argparse' in sys.modules)\n"
-    )
-    assert _python(code, "kuranishi", "--help").splitlines()[-1] == "exit 0 True"
+    loaded = _modules_loaded_by(["kuranishi", "--help"])
+    assert {m for m in loaded if m.startswith("nilcx")} == HELP
+    assert "argparse" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["abelian-locus", "-h"], 0),
+        ([], 2),
+        (["frobnicate"], 2),
+        (["kuranishi", "FILE"], 2),
+        (["cohomology", "FILE", "--degree", "x"], 2),
+    ],
+)
+def test_only_help_and_usage_errors_load_cli_help(h15_file, argv, code):
+    argv = [h15_file if a == "FILE" else a for a in argv]
+    assert {m for m in _modules_loaded_by(argv, code) if m.startswith("nilcx")} == HELP
+
+
+def test_argparse_reads_an_abbreviation_then_runs_only_its_handler(h15_file):
+    loaded = _modules_loaded_by(["cohomology", h15_file, "--deg", "1"])
+    _check_loads("cohomology", loaded, via_help=True)
 
 
 def test_cohomology_loads_dolbeault_only(h15_file):
     loaded = _modules_loaded_by(["cohomology", h15_file, "--degree", "1"])
-    assert {"nilcx.dolbeault", "nilcx.complex_cli"} <= loaded
-    assert not loaded & {"nilcx.kuranishi", "nilcx.poly", "nilcx.catalog"}
+    _check_loads("cohomology", loaded)
+    assert not loaded & {"nilcx.brackets", "nilcx.kuranishi", "nilcx.poly", "nilcx.catalog"}
 
 
 @pytest.mark.parametrize(
@@ -151,25 +190,82 @@ def test_cohomology_loads_dolbeault_only(h15_file):
 )
 def test_deformation_jobs_load_no_forms(h15_file, argv):
     loaded = _modules_loaded_by([argv[0], h15_file, *argv[1:]])
-    # the heavy modules a deformation job loads are exactly these: no catalog
-    assert loaded & HEAVY == HEAVY - {"nilcx.catalog"}
+    _check_loads(argv[0], loaded)
+    # abelian-locus runs the coform brackets alone: no series, no polynomials
+    if argv[0] == "abelian-locus":
+        assert not loaded & {"nilcx.kuranishi", "nilcx.poly"}
     # the invariant forms are a test reference now, not a module of the package
     with pytest.raises(ModuleNotFoundError):
         import_module("nilcx.forms")
 
 
 def test_catalog_loads_no_dolbeault_layer():
+    # the catalog command, then what perfbench's set-up calls: get and render
     code = (
         "import sys\n"
         "from nilcx.cli import main\n"
         "main(['catalog'])\n"
         "import nilcx\n"
-        "nilcx.get('h15')\n"
-        "print('loaded', *sorted(m for m in sys.modules if m.startswith('nilcx')))\n"
+        "nilcx.render_entry(nilcx.get('h15'))\n"
+        "print('loaded', 0, *sorted(m for m in sys.modules if m.startswith('nilcx')))\n"
     )
-    loaded = set(_python(code).splitlines()[-1].split()[1:])
-    assert {"nilcx.catalog", "nilcx.lie", "nilcx.cxs"} <= loaded
-    assert not loaded & HEAVY - {"nilcx.catalog"}
+    loaded = set(_python(code).splitlines()[-1].split()[2:])
+    _check_loads("catalog", loaded)
+    assert "nilcx.algfile" not in loaded
+
+
+def test_sweep_reports_the_source_a_job_compiles(h15_file):
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'tests')!r})\n"
+        "import cli_sweep\n"
+        "for row in cli_sweep.compiled(sys.argv[1:]):\n"
+        "    print(*row)\n"
+    )
+    out = _python(code, "abelian-locus", h15_file, "--json")
+    rows = [line.split() for line in out.splitlines()]
+    assert {name for name, _, _ in rows} == LOADS["abelian-locus"]
+    for name, lines, nodes in rows:
+        path = SRC / name.replace(".", "/")
+        text = (path / "__init__.py" if path.is_dir() else path.with_suffix(".py")).read_text()
+        assert int(lines) == text.count("\n")
+        assert int(nodes) == sum(1 for _ in ast.walk(ast.parse(text)))
+
+
+def _foreign_imports(path: Path) -> set[str]:
+    """The CLI modules that one handler module imports, other than cli_common."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("nilcx"):
+                continue
+            base = base.removeprefix("nilcx").lstrip(".")
+            found.update([base] if base else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("nilcx.") for a in node.names)
+    return {m for m in found if m == "cli" or m.startswith("cli_")} - {"cli_common"}
+
+
+def test_no_handler_module_imports_cli_or_another_handler():
+    handlers = sorted((SRC / "nilcx").glob("cli_*.py"))
+    assert {f"nilcx.{p.stem}" for p in handlers} == {
+        *HANDLERS.values(), "nilcx.cli_common", "nilcx.cli_help"
+    }
+    for path in handlers:
+        assert _foreign_imports(path) == set(), path.name
+
+
+def test_a_handler_that_imports_another_is_caught(tmp_path, h15_file):
+    mutant = tmp_path / "src"
+    shutil.copytree(SRC / "nilcx", mutant / "nilcx", ignore=shutil.ignore_patterns("__pycache__"))
+    path = mutant / "nilcx" / "cli_cohomology.py"
+    path.write_text(path.read_text() + "\nfrom . import cli_kuranishi  # noqa: E402, F401\n")
+    assert _foreign_imports(path) == {"cli_kuranishi"}
+    loaded = _modules_loaded_by(["cohomology", h15_file, "--degree", "1"], src=mutant)
+    assert "nilcx.cli_kuranishi" in loaded
+    with pytest.raises(AssertionError):
+        _check_loads("cohomology", loaded)
 
 
 def test_kuranishi_job_imports_no_dataclasses(h15_file):
