@@ -4,11 +4,12 @@ Chains in degree k are sums of wb^I (x) X_a with |I| = k, over the adapted
 (1,0)-frame of an abelian complex structure; the chain basis is declared
 orthonormal. On a (1,0)-vector, dbar V = sum_j wb^j (x) [conj X_j, V]^{1,0};
 the degree-k extension is dbar(wb^I (x) V) = (-1)^k wb^I ^ dbar V. The
-adjoint is the conjugate transpose in the orthonormal coordinates, the
-Laplacian is dbar dbar* + dbar* dbar, and the Green's operator inverts the
-Laplacian on the orthogonal complement of its kernel. The Hermitian form,
-orthogonal complement and Gram-Schmidt routines that build the harmonic
-bases are here too, since nothing else uses them.
+adjoint is the conjugate transpose in the orthonormal coordinates. The
+harmonic space ker dbar_k ∩ (im dbar_{k-1})^⊥ is read off the differentials
+alone; the Laplacian dbar dbar* + dbar* dbar and its Moore-Penrose inverse,
+the Green's operator, serve only ``green``. The orthogonal complement and
+Gram-Schmidt routines that build the harmonic bases are here too, since
+nothing else uses them.
 
 Everything is exact and deterministic; the differential, its adjoint,
 Laplacian, harmonic-space, cohomology and Green-matrix caches are written
@@ -23,33 +24,22 @@ from itertools import combinations
 from math import comb
 
 from .cxs import AlmostComplexStructure, ComplexFrame, abelian_defect, adapted_frame
-from .errors import PreconditionError, SelfCheckError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import (
     EchelonBasis,
     Matrix,
     Vector,
-    _as_scalar,
-    inverse,
-    is_zero_vector,
     kernel_basis,
     nonzero_entries,
+    pinv,
     row_space_basis,
 )
 from .scalars import ONE, ZERO, GaussianRational
 
 
-def hdot(u: Sequence, v: Sequence) -> GaussianRational:
-    """Standard Hermitian form, linear in the first slot."""
-    acc = ZERO
-    for a, b in zip(u, v, strict=True):
-        if a and b:
-            acc = acc + _as_scalar(a) * _as_scalar(b).conjugate()
-    return acc
-
-
 def hdot_support(v: Sequence, support: Sequence[tuple[int, GaussianRational]]) -> GaussianRational:
-    """hdot(v, u) for the u whose nonzero entries are ``support = nonzero_entries(u)``."""
+    """The Hermitian form <v, u> for the u with ``support = nonzero_entries(u)``."""
     acc = ZERO
     for k, x in support:
         a = v[k]
@@ -217,7 +207,7 @@ class CohomologySpace(
 
 
 class DolbeaultComplex:
-    """Differentials, metric, Laplacian, and harmonic spaces for one (g, J).
+    """Differentials, metric, harmonic spaces and Laplacian for one (g, J).
 
     Construction insists on an abelian J (the degree-k extension rule is
     only a complex in that case). Per-degree matrices and harmonic bases
@@ -364,42 +354,35 @@ class DolbeaultComplex:
             raise PreconditionError(f"degree out of range: {k} (degrees are 0..{self.n})")
 
     def laplacian_matrix(self, k: int) -> Matrix:
+        """L_k = M M^H with M = [dbar_{k-1} | dbar*_k], the maps into degree k."""
         self._check_degree(k)
         got = self._lap.get(k)
-        if got is not None:
-            return got
-        dim = self.chain_dim(k)
-        total = Matrix.zero(dim, dim)
-        if k >= 1:
-            total = total + self.dbar_matrix(k - 1) * self._dbar_adjoint_matrix(k - 1)
-        if k < self.n:
-            total = total + self._dbar_adjoint_matrix(k) * self.dbar_matrix(k)
-        self._lap[k] = total
-        return total
+        if got is None:
+            parts = [self.dbar_matrix(k - 1).rows] if k >= 1 else []
+            if k < self.n:
+                parts.append(self._dbar_adjoint_matrix(k).rows)
+            m = Matrix._of(tuple(sum(row, ()) for row in zip(*parts)))
+            got = self._lap[k] = m * m.conj_transpose()
+        return got
 
     def _harmonic_vectors(self, k: int) -> list[Vector]:
         got = self._harm.get(k)
         if got is not None:
             return got
         if k == self.n:
-            ker = [
-                tuple(ONE if t == r else ZERO for t in range(self.chain_dim(k)))
-                for r in range(self.chain_dim(k))
-            ]
+            ker = list(Matrix.identity(self.chain_dim(k)).rows)
         else:
             ker = kernel_basis(self.dbar_matrix(k))
         image = [] if k == 0 else row_space_basis(self.dbar_matrix(k - 1).columns())
-        # complement precondition doubles as the complex-property check
-        harm = orthogonal_complement(image, ker)
-        ortho = gram_schmidt(harm) if harm else []
-        lap = self.laplacian_matrix(k)
-        for v in ortho:
-            if not is_zero_vector(lap.matvec(v)):
-                raise SelfCheckError("harmonic candidate not in ker laplacian")
-        if len(ortho) != len(kernel_basis(lap)):
-            raise SelfCheckError("harmonic dimension mismatch")
-        self._harm[k] = ortho
-        return ortho
+        try:
+            harm = orthogonal_complement(image, ker)
+        except PreconditionError as exc:
+            raise PreconditionError(
+                f"dbar_{k} dbar_{k - 1} != 0 in degree {k}: im dbar_{k - 1} (dimension "
+                f"{len(image)}) is not contained in ker dbar_{k} (dimension {len(ker)})"
+            ) from exc
+        got = self._harm[k] = gram_schmidt(harm)
+        return got
 
     def cohomology(self, k: int) -> CohomologySpace:
         """Harmonic representatives of degree k, unnormalized, with Gram."""
@@ -409,33 +392,23 @@ class DolbeaultComplex:
         self._check_degree(k)
         vecs = self._harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
-        supports = [nonzero_entries(w) for w in vecs]
-        gram = Matrix._of(tuple(tuple(hdot_support(u, s) for s in supports) for u in vecs))
+        # Gram-Schmidt output is orthogonal, so its Gram is the squared norms
+        norms = [hdot_support(v, nonzero_entries(v)) for v in vecs]
+        gram = Matrix._of(
+            tuple(tuple(x if i == j else ZERO for j in range(len(vecs))) for i, x in enumerate(norms))
+        )
         got = self._coh[k] = CohomologySpace(k, len(basis), basis, gram)
         return got
 
     def green_matrix(self, k: int) -> Matrix:
         """G_k = L_k^+, the Moore-Penrose inverse of the Laplacian.
 
-        With P_k the orthogonal projector onto the harmonic space,
-        L_k + P_k is invertible and G_k = (L_k + P_k)^{-1} - P_k: zero on
-        harmonics, and G_k b is the x orthogonal to them with
+        Zero on harmonics, and G_k b is the x orthogonal to them with
         L_k x = b - H b. Built once per degree, from degree k alone.
         """
         got = self._green.get(k)
-        if got is not None:
-            return got
-        self._check_degree(k)
-        dim = self.chain_dim(k)
-        proj = [[ZERO] * dim for _ in range(dim)]
-        for h in self._harmonic_vectors(k):
-            norm, support = hdot(h, h), nonzero_entries(h)
-            for r, x in support:
-                for c, y in support:
-                    proj[r][c] = proj[r][c] + x * y.conjugate() / norm
-        proj = Matrix._of(tuple(map(tuple, proj)))
-        got = inverse(self.laplacian_matrix(k) + proj) - proj
-        self._green[k] = got
+        if got is None:
+            got = self._green[k] = pinv(self.laplacian_matrix(k))
         return got
 
     def green(self, mu: VectorForm) -> VectorForm:

@@ -7,9 +7,12 @@ basis in its linear term and extends order by order through
     phi_r = -1/2 * adjoint(green(sum_{s} {phi_s, phi_{r-s}}))
 
 where ``{.,.}`` is the graded bracket implemented by :func:`schouten`,
-whose table is read off the complex's own frame brackets. All
-coefficients are exact, so the truncated Maurer-Cartan residual and the
-obstruction polynomials are computed without rounding. Evaluating a series
+whose table is read off the complex's own frame brackets. Since
+dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
+inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
+with no Laplacian and no Green's operator. All coefficients are exact, so
+the truncated Maurer-Cartan residual and the obstruction polynomials are
+computed without rounding. Evaluating a series
 at a parameter point and conjugating the eigenspace splitting produces a
 genuine almost complex structure on the same algebra, which the classifier
 then inspects with the usual integrability and bracket tests; nothing about
@@ -28,7 +31,7 @@ from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_
 from .dolbeault import DolbeaultComplex, VectorForm
 from .errors import NotSolvableError, PreconditionError, ValidationError
 from .lie import LieAlgebra
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, pinv
 from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
 from .scalars import ZERO, GaussianRational
 
@@ -99,8 +102,8 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     keyed as ``VectorForm.coeffs``; brackets are sparse degree-2 rows of
     ``dc.chain_basis(2)``, as the harmonic vectors and D's columns are.
     The pass puts phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for
-    r <= order, with D = -1/2 dbar*_1 G_2 built as sparse columns on the
-    first nonzero bracket.
+    r <= order, with D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built
+    as sparse columns on the first nonzero bracket.
     """
     table = _bracket_table(dc)
     brackets: dict = {}
@@ -125,7 +128,7 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
             break
         if acc and step is None:
             keys = dc.chain_basis(1)
-            d = dc._dbar_adjoint_matrix(1) * dc.green_matrix(2)
+            d = pinv(dc.dbar_matrix(1))
             step = [[(keys[i], -HALF * x) for i, x in enumerate(col) if x] for col in d.columns()]
         by_degree[r] = []
         for m in sorted(acc):

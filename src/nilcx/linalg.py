@@ -1,11 +1,11 @@
-"""Exact dense linear algebra over Gaussian rationals.
+"""Exact linear algebra over Gaussian rationals.
 
-Echelon forms, kernels, inverses and incremental spans; the substrate
-every other module computes on. All routines are deterministic: reduced
-row echelon form with leftmost pivot column and smallest pivot row, so
-identical inputs produce identical outputs, bit for bit. Products and row
-updates loop over nonzero entries only; the matrices here (differentials,
-ad maps, Laplacians) are mostly zeros.
+Echelon forms, kernels, inverses, pseudo-inverses and incremental spans;
+the substrate every other module computes on. One elimination on sparse
+rows, :class:`EchelonBasis`, serves them all. The reduced row echelon form
+of a row space is unique, so identical inputs produce identical outputs,
+bit for bit. Products and row updates loop over nonzero entries only; the
+matrices here (differentials, ad maps) are mostly zeros.
 
 Vectors are tuples of :class:`~nilcx.scalars.GaussianRational`.
 """
@@ -132,20 +132,6 @@ class Matrix:
         c = _as_scalar(c)
         return Matrix._of(tuple(tuple(c * x for x in row) for row in self.rows))
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix._of(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + other.scaled(-1)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(str(x) for x in row) for row in self.rows
@@ -160,48 +146,6 @@ def nonzero_entries(v: Sequence[GaussianRational]) -> list[tuple[int, GaussianRa
 
 def is_zero_vector(v: Vector) -> bool:
     return all(not x for x in v)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns.
-
-    Pivot choice is leftmost nonzero column, then smallest row index; no
-    other freedom exists, so the result is a canonical form of the row
-    space.
-    """
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        pivot_row = rows[r]
-        support = [(j, inv * x) for j, x in nonzero_entries(pivot_row)]
-        for j, y in support:
-            pivot_row[j] = y
-        for i in range(nr):
-            f = rows[i][c]
-            if i != r and f:
-                row = rows[i]
-                for j, y in support:
-                    row[j] = row[j] - f * y
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix._of(tuple(tuple(row) for row in rows)), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -273,6 +217,35 @@ class EchelonBasis:
         return True
 
 
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns.
+
+    The rows of M are added to an :class:`EchelonBasis`; each kept row is
+    then reduced at the pivots after its own, from the last pivot back, and
+    the rows are sorted by pivot, with zero rows after them. The RREF of a
+    row space is unique, so the result is a canonical form of it.
+    """
+    nc = m.ncols
+    kept = sorted(EchelonBasis(m.rows)._rows, reverse=True)
+    done = EchelonBasis()
+    rows = []
+    for p, entries in kept:
+        w = [ZERO] * nc
+        for k, x in entries:
+            w[k] = x
+        # the rows in done have later pivots, and each is zero at the others'
+        w = done._remainder(w)
+        done._rows.append((p, nonzero_entries(w)))
+        rows.append(tuple(w))
+    rows.reverse()
+    rows += [(ZERO,) * nc] * (m.nrows - len(rows))
+    return Matrix._of(tuple(rows)), tuple(p for p, _ in reversed(kept))
+
+
+def rank(m: Matrix) -> int:
+    return len(EchelonBasis(m.rows)._rows)
+
+
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise PreconditionError("matrix not square")
@@ -282,3 +255,19 @@ def inverse(m: Matrix) -> Matrix:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise NotSolvableError("matrix not invertible")
     return Matrix._of(tuple(red.rows[i][n:] for i in range(n)))
+
+
+def pinv(m: Matrix) -> Matrix:
+    """Moore-Penrose inverse, from the full-rank factorisation M = C F.
+
+    F is the nonzero rows of rref(M) and C the pivot columns of M, so
+    M^+ = F^H (F F^H)^{-1} (C^H C)^{-1} C^H (Penrose 1955); both inverted
+    matrices are rank by rank and positive definite.
+    """
+    red, pivots = rref(m)
+    if not pivots:
+        return Matrix.zero(m.ncols, m.nrows)
+    f = Matrix._of(red.rows[: len(pivots)])
+    c = Matrix._of(tuple(tuple(row[p] for p in pivots) for row in m.rows))
+    fh, ch = f.conj_transpose(), c.conj_transpose()
+    return fh * (inverse(f * fh) * (inverse(ch * c) * ch))

@@ -21,7 +21,7 @@ fresh ``python -m nilcx.cli`` process would:
 The script imports nilcx from the ``src`` directory beside it, and sets
 ``COLUMNS=80`` so that argparse wraps help text the same way everywhere.
 It uses the standard library only. ``tests/test_package.py`` runs
-``ENTRY_ARGVS``, a part of ``ARGVS`` that builds no complex on the
+``ENTRY_ARGVS``, a part of ``ARGVS`` that builds one complex on the
 ten-dimensional inputs, under a profiler to find the library functions no
 command enters.
 """
@@ -48,6 +48,7 @@ CATALOG_FILES = {
     "torus1": ("torus", {"n": 1}),
     "torus2": ("torus", {"n": 2}),
     "torus3": ("torus", {"n": 3}),
+    "torus4": ("torus", {"n": 4}),
 }
 
 # files the catalog cannot produce: two structure blocks, none, a syntax
@@ -167,6 +168,12 @@ def _argvs() -> list[list[str]]:
             for order in sorted({1, 2, ORDERS[stem]}):
                 out.append(["kuranishi", path, "--order", str(order), *_at(point)])
             out.append(["kuranishi", path, "--order", "2", *_at(point), "--json"])
+    # every degree of the all-zero differential the benchmark's cohomology jobs use
+    for k in range(5):
+        out += [
+            ["cohomology", "torus4.alg", "--degree", str(k)],
+            ["cohomology", "torus4.alg", "--degree", str(k), "--json"],
+        ]
     return out
 
 
@@ -175,7 +182,8 @@ ARGVS = _argvs()
 # the profiled sweep: every command in text and --json, --at points that
 # are unobstructed, truncated, obstructed, degenerate, of the wrong arity
 # or unreadable, help, usage errors, a parse error, validation and I/O
-# errors, and precondition errors; nothing that builds a complex on n10
+# errors, and precondition errors; one complex on n10, whose Gram-Schmidt
+# is the only division by a scalar other than 1 that the commands make
 ENTRY_ARGVS = [
     [],
     ["--help"],
@@ -196,6 +204,7 @@ ENTRY_ARGVS = [
     ["series", "plain.alg"],
     ["series", "two.alg", "--struct", "K"],
     ["cohomology", "h9.alg", "--degree", "1"],
+    ["cohomology", "n10.alg", "--degree", "1"],
     ["cohomology", "torus1.alg", "--degree", "0", "--json"],
     ["cohomology", "h15.alg", "--degree", "4"],
     ["cohomology", "plain.alg", "--degree", "1"],

@@ -1,10 +1,12 @@
 """Reference routines the tests compare the library against.
 
 Textbook versions of what the package computes another way: the real and
-imaginary parts of a scalar read off its integer triple, a solve
-orthogonal to the kernel, span membership by rank, the center as the null
-space of every ad row, the chain-level differential, inner product,
-Laplacian and harmonic projection of a Dolbeault complex, and the
+imaginary parts of a scalar read off its integer triple, the Hermitian
+form on dense vectors, a solve orthogonal to the kernel, span membership
+by rank, the center as the null space of every ad row, the chain-level
+differential, inner product, Laplacian, harmonic projection and the
+projector off the harmonic space of a Dolbeault complex, the check that
+its harmonic vectors span the Laplacian's kernel, and the
 hand-written argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
 (p,q)-forms and their differentials from an eigen-frame of J, and names
 the witness of a failed integrability test. ``verify_entry`` recomputes a
@@ -28,7 +30,7 @@ from nilcx.cxs import (
     is_integrable,
     j_ascending_series,
 )
-from nilcx.dolbeault import DolbeaultComplex, VectorForm, hdot
+from nilcx.dolbeault import DolbeaultComplex, VectorForm
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
 from nilcx.brackets import infinitesimal_abelian_locus
 from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table
@@ -56,6 +58,15 @@ def vsub(u: Vector, v: Vector) -> Vector:
 def vscale(c, v: Vector) -> Vector:
     c = _scalar(c)
     return tuple(c * x for x in v)
+
+
+def hdot(u: Sequence, v: Sequence) -> GaussianRational:
+    """Standard Hermitian form, linear in the first slot."""
+    acc = ZERO
+    for a, b in zip(u, v, strict=True):
+        if a and b:
+            acc = acc + _scalar(a) * _scalar(b).conjugate()
+    return acc
 
 
 def _particular_solution(m: Matrix, b: Vector) -> Vector:
@@ -148,6 +159,29 @@ def harmonic_projection(dc, mu: VectorForm) -> VectorForm:
         if c:
             out = out + dc._from_vec(mu.degree, h).scaled(c)
     return out
+
+
+def check_harmonic_is_laplacian_kernel(dc) -> None:
+    """Assert, in every degree k, that the harmonic vectors are a basis of
+    ker L_k: L_k v = 0 for each of them, and there are dim ker L_k."""
+    for k in range(dc.n + 1):
+        lap, vecs = dc.laplacian_matrix(k), dc._harmonic_vectors(k)
+        for v in vecs:
+            assert not any(lap.matvec(v)), f"L_{k} v != 0 for harmonic v = {v}"
+        assert len(vecs) == len(kernel_basis(lap)), f"dim H^{k} != dim ker L_{k}"
+
+
+def off_harmonic_projector(dc, k: int) -> Matrix:
+    """I - P_k, with P_k the orthogonal projector onto the harmonic space
+    of degree k, built entry by entry from the harmonic basis."""
+    dim = dc.chain_dim(k)
+    rows = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
+    for h in dc._harmonic_vectors(k):
+        norm = hdot(h, h)
+        for r in range(dim):
+            for c in range(dim):
+                rows[r][c] = rows[r][c] - h[r] * h[c].conjugate() / norm
+    return Matrix(rows)
 
 
 def basis_vector_form(frame: ComplexFrame, anti, a: int) -> VectorForm:

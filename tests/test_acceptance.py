@@ -27,7 +27,13 @@ from fractions import Fraction
 
 import pytest
 from conftest import h9, h15, j_std6, unit
-from reference import harmonic_projection, in_span, inner_product, laplacian
+from reference import (
+    check_harmonic_is_laplacian_kernel,
+    harmonic_projection,
+    in_span,
+    inner_product,
+    laplacian,
+)
 from nilcx.algfile import parse_text
 from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
 from nilcx.catalog import get, render
@@ -481,7 +487,8 @@ def test_criterion_6():
 def test_seeded_conjugates_keep_the_invariants(name):
     """Facts no implementation choice can move, on two seeded conjugates:
     the Euler characteristic of the Dolbeault complex is 0, dim H^k is
-    that of the template, and render -> parse -> render is byte-stable."""
+    that of the template, the harmonic vectors span the kernel of the
+    Laplacian, and render -> parse -> render is byte-stable."""
     template = {
         "h9": (h9(), j_std6()),
         "h15": (h15(), j_std6()),
@@ -492,6 +499,7 @@ def test_seeded_conjugates_keep_the_invariants(name):
 
     def dims(algebra, acs):
         dc = DolbeaultComplex(algebra, acs)
+        check_harmonic_is_laplacian_kernel(dc)
         return [dc.cohomology(k).dimension for k in range(dc.n + 1)]
 
     want = dims(*template)

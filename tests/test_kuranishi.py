@@ -36,6 +36,7 @@ from nilcx.kuranishi import (
     residual_by_degree,
     schouten,
 )
+from nilcx.linalg import pinv
 from nilcx.poly import Poly, mono_degree, mono_eval
 from nilcx.scalars import gr
 
@@ -348,6 +349,31 @@ def test_series_with_no_nonzero_bracket_builds_no_green_matrix():
     ser = kuranishi_series(dc, order=3)
     assert not any(p.coeffs for p in obstructions(ser).polys)
     assert dc._green == {}
+
+
+def _dc_n10():
+    return DolbeaultComplex(n10(), jst(1, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [dc_h9, dc_h15, lambda: DolbeaultComplex(abelian(6), j_std6()), _dc_n10],
+    ids=["h9", "h15", "torus3", "n10"],
+)
+def test_the_step_is_the_pseudo_inverse_of_dbar_1(build):
+    # so the series step D = -1/2 dbar_1^+ is the old -1/2 dbar*_1 G_2
+    dc = build()
+    d1 = dc.dbar_matrix(1)
+    assert pinv(d1) == d1.conj_transpose() * dc.green_matrix(2)
+
+
+@pytest.mark.parametrize("build,order", [(dc_h15, 6), (_dc_n10, 4)], ids=["h15", "n10"])
+def test_series_and_obstructions_build_no_laplacian(build, order):
+    dc = build()
+    ser = kuranishi_series(dc, order=order)
+    assert any(mono_degree(m) >= 2 for m in ser.coeffs)
+    obstructions(ser)
+    assert dc._lap == {} and dc._green == {}
 
 
 def test_hand_built_series_gets_the_brackets_of_its_coefficients():

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from reference import in_span, parts, solve_in_image, vscale, vsub
-from nilcx.dolbeault import gram_schmidt, hdot, orthogonal_complement
+from reference import hdot, in_span, parts, solve_in_image, vscale, vsub
+from nilcx.dolbeault import gram_schmidt, orthogonal_complement
 from nilcx.errors import NotSolvableError, PreconditionError
 from nilcx.linalg import (
     EchelonBasis,
@@ -17,6 +17,7 @@ from nilcx.linalg import (
     inverse,
     is_zero_vector,
     kernel_basis,
+    pinv,
     rank,
     row_space_basis,
     rref,
@@ -169,6 +170,23 @@ def test_inverse_roundtrip():
     assert m * inverse(m) == Matrix.identity(2)
     with pytest.raises(NotSolvableError):
         inverse(Matrix([[1, 2], [2, 4]]))
+
+
+def test_pinv_satisfies_the_four_penrose_equations():
+    rng = random.Random(20261019)
+    cases = [Matrix.zero(3, 2), Matrix([[1, 2], [2, 4]]), Matrix([[1, I, 0]])]
+    for _ in range(12):
+        nr, nc, r = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        # a product of nr x r and r x nc factors has rank at most r
+        cases.append(random_matrix(rng, nr, r) * random_matrix(rng, r, nc))
+    for a in cases:
+        p = pinv(a)
+        assert (p.nrows, p.ncols) == (a.ncols, a.nrows)
+        assert a * p * a == a
+        assert p * a * p == p
+        assert (a * p).conj_transpose() == a * p
+        assert (p * a).conj_transpose() == p * a
+    assert pinv(Matrix.zero(3, 2)) == Matrix.zero(2, 3)
 
 
 def test_row_space_basis_canonical():
@@ -398,6 +416,16 @@ def test_gram_schmidt_matches_the_textbook_routine():
         assert all(type(w) is tuple for w in got)
 
 
+def dense_in_span(v, kept):
+    """Span membership by the dense reference's rank, which shares no code
+    with EchelonBasis, as rank and in_span do not."""
+
+    def dense_rank(vs):
+        return len(dense_rref([[parts(x) for x in u] for u in vs])[1]) if vs else 0
+
+    return dense_rank(kept + [v]) == dense_rank(kept)
+
+
 def test_echelon_basis_membership_matches_in_span():
     rng = random.Random(20261019)
     for _ in range(80):
@@ -405,12 +433,13 @@ def test_echelon_basis_membership_matches_in_span():
         vs = [tuple(gr(*x) for x in row) for row in sparse_pairs(rng, rng.randint(1, 8), n, blank=False)]
         span, kept = EchelonBasis(), []
         for v in vs:
-            assert (v in span) == in_span(v, kept)
-            assert span.add(v) == (not in_span(v, kept))
-            if not in_span(v, kept):
+            inside = dense_in_span(v, kept)
+            assert (v in span) == inside
+            assert span.add(v) == (not inside)
+            if not inside:
                 kept.append(v)
             assert v in span
         assert not kept or rank(Matrix(kept)) == len(kept)
         probe = tuple(gr(*x) for x in sparse_pairs(rng, 1, n, blank=False)[0])
-        assert (probe in span) == in_span(probe, kept)
-        assert (probe in EchelonBasis(row_space_basis(vs))) == in_span(probe, vs)
+        assert (probe in span) == dense_in_span(probe, kept)
+        assert (probe in EchelonBasis(row_space_basis(vs))) == dense_in_span(probe, vs)

@@ -445,8 +445,11 @@ def test_every_library_function_has_a_caller():
 # when function F references it and F is entered or listed for another
 # kind of reason.
 UNENTERED = {
+    "dolbeault.DolbeaultComplex._dbar_adjoint_matrix": "via dolbeault.DolbeaultComplex.dbar_adjoint: its matrix",
     "dolbeault.DolbeaultComplex.dbar_adjoint": "perfbench: the probes time single adjoint calls",
     "dolbeault.DolbeaultComplex.green": "perfbench: the probes time single Green calls",
+    "dolbeault.DolbeaultComplex.green_matrix": "via dolbeault.DolbeaultComplex.green: its matrix",
+    "dolbeault.DolbeaultComplex.laplacian_matrix": "perfbench: the probes time the Laplacian's elimination",
     "kuranishi.mc_residual": "roadmap item 1: the exact solve deletes it",
     "lie.LieAlgebra.bracket_table": "perfbench: inputs.relabel permutes the constants",
     "scalars.GaussianRational.re": "via lie.LieAlgebra.bracket_table: its Fraction values",
