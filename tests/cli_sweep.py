@@ -10,6 +10,14 @@ the same exit codes and bytes exactly when they print the same lines:
     python tests/cli_sweep.py > after.txt    # in the other
     diff before.txt after.txt
 
+The lines of the checkout are kept in ``GOLDEN``, under a header that
+names the Python minor version they were made with (argparse writes the
+help and usage text, and its wording moves between versions).
+``tests/test_cli_golden.py`` reruns the sweep and compares it with that
+file line by line. A change that means to move output rewrites the file:
+
+    python tests/cli_sweep.py --write
+
 With ``--compiled`` it prints instead, for each argv, the nilcx source a
 job of that argv compiles: the total source lines and AST nodes, then each
 nilcx module the run loads with its lines and nodes. Each argv runs after
@@ -38,6 +46,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).with_name("cli_sweep.golden")
 
 # stem -> (catalog name, parameters); n10_21 is a non-abelian member of the family
 CATALOG_FILES = {
@@ -266,20 +275,33 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def shown(argv: list[str]) -> str:
+    return " ".join(argv) or "(no arguments)"
+
+
+def line(rc: int, out: str, err: str, argv: list[str]) -> str:
+    """The sweep's line for one run: exit code, digests of stdout and stderr, argv."""
+    return f"{rc} {_digest(out)} {_digest(err)} {shown(argv)}"
+
+
+def header() -> str:
+    """The first line of ``GOLDEN``, naming this interpreter's minor version."""
+    version = f"{sys.version_info.major}.{sys.version_info.minor}"
+    return f"# python {version}; rewrite with: python tests/cli_sweep.py --write"
+
+
 def _report(argv: list[str], show_compiled: bool) -> str:
-    shown = " ".join(argv) or "(no arguments)"
     if not show_compiled:
-        rc, out, err = run(argv)
-        return f"{rc} {_digest(out)} {_digest(err)} {shown}"
+        return line(*run(argv), argv)
     modules = compiled(argv)
     lines, nodes = sum(m[1] for m in modules), sum(m[2] for m in modules)
     parts = "".join(f"\n    {n:>6} {k:>7}  {name}" for name, n, k in modules)
-    return f"{lines} lines {nodes} nodes: {shown}{parts}"
+    return f"{lines} lines {nodes} nodes: {shown(argv)}{parts}"
 
 
 def main(args: list[str]) -> int:
-    if args not in ([], ["--compiled"]):
-        print("usage: python tests/cli_sweep.py [--compiled]", file=sys.stderr)
+    if args not in ([], ["--compiled"], ["--write"]):
+        print("usage: python tests/cli_sweep.py [--compiled | --write]", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
     os.environ["COLUMNS"] = "80"
@@ -288,10 +310,13 @@ def main(args: list[str]) -> int:
         os.chdir(tmp)
         try:
             write_inputs(Path(tmp))
-            for argv in ARGVS:
-                print(_report(argv, bool(args)))
+            lines = [_report(argv, args == ["--compiled"]) for argv in ARGVS]
         finally:
             os.chdir(home)
+    if args == ["--write"]:
+        GOLDEN.write_text("\n".join([header(), *lines]) + "\n", encoding="utf-8")
+    else:
+        print("\n".join(lines))
     return 0
 
 
