@@ -37,9 +37,7 @@ _MODULE_EXPORTS = {
         "classify_deformation",
         "deform_structure",
         "kuranishi_series",
-        "mc_residual",
         "obstructions",
-        "schouten",
     ),
     "lie": (
         "Flag",

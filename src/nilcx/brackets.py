@@ -8,7 +8,7 @@ the series (``kuranishi``) or ``poly``."""
 
 from __future__ import annotations
 
-from .dolbeault import DolbeaultComplex, VectorForm
+from .dolbeault import DolbeaultComplex
 from .linalg import Matrix, Vector, kernel_basis
 from .scalars import ZERO
 
@@ -42,10 +42,11 @@ def _wedge_pair(i: int, q: int):
     return (q, i), True
 
 
-def _coform_core(table: dict, mu: VectorForm, ell: int) -> dict:
-    """{mu, wb^ell} = wb^i ^ (A _| d wb^ell) as a scalar (0,2)-form {((), pair): c}."""
+def _coform_core(table: dict, mu: dict, ell: int) -> dict:
+    """{mu, wb^ell} = wb^i ^ (A _| d wb^ell) for a degree-1 chain mu, as a
+    scalar (0,2)-form {((), pair): c}."""
     out: dict = {}
-    for ((i,), a), cm in mu.coeffs.items():
+    for ((i,), a), cm in mu.items():
         for q, coef in table.get((ell, a), {}).items():
             hit = _wedge_pair(i, q)
             if hit is None:
@@ -68,7 +69,7 @@ def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
     rows_by_key: dict = {}
     for idx, h in enumerate(coh.harmonic_basis):
         for ell in range(dc.n):
-            for (_, pair), c in _coform_core(table, h, ell).items():
+            for (_, pair), c in _coform_core(table, h.coeffs, ell).items():
                 row = rows_by_key.setdefault((ell, pair), [ZERO] * coh.dimension)
                 row[idx] = row[idx] + c
     if rows_by_key:

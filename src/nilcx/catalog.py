@@ -60,7 +60,7 @@ class CatalogEntry:
     parameterized families and is None otherwise.
     """
 
-    __slots__ = ("name", "algebra", "structures", "facts", "structure_facts", "display", "params")
+    __slots__ = ("name", "algebra", "structures", "facts", "structure_facts", "params")
 
     def __init__(
         self,
@@ -69,7 +69,6 @@ class CatalogEntry:
         structures: tuple,
         facts: dict,
         structure_facts: dict,
-        display: tuple,
         params: tuple | None = None,
     ):
         object.__setattr__(self, "name", name)
@@ -77,7 +76,6 @@ class CatalogEntry:
         object.__setattr__(self, "structures", structures)
         object.__setattr__(self, "facts", facts)
         object.__setattr__(self, "structure_facts", structure_facts)
-        object.__setattr__(self, "display", display)
         object.__setattr__(self, "params", params)
 
     def __setattr__(self, name, value):
@@ -116,42 +114,9 @@ def differentials_from_brackets(algebra: LieAlgebra) -> dict:
     return out
 
 
-def _render_differentials(dim: int, diffs: dict) -> tuple:
-    lines = []
-    for m in range(1, dim + 1):
-        table = diffs.get(m)
-        if not table:
-            lines.append(f"de{m} = 0")
-            continue
-        parts = []
-        for (i, j) in sorted(table):
-            c = table[(i, j)]
-            if c == 1:
-                parts.append(f"e{i}{j}" if j < 10 else f"e{i},{j}")
-            elif c == -1:
-                parts.append(f"-e{i}{j}" if j < 10 else f"-e{i},{j}")
-            else:
-                parts.append(f"{c}*e{i}{j}" if j < 10 else f"{c}*e{i},{j}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        lines.append(f"de{m} = {text}")
-    return tuple(lines)
-
-
-def _render_brackets(brackets: dict) -> tuple:
-    lines = []
-    for (i, j) in sorted(brackets):
-        targets = brackets[(i, j)]
-        parts = []
-        for m in sorted(targets):
-            c = targets[m]
-            if c == 1:
-                parts.append(f"e{m}")
-            elif c == -1:
-                parts.append(f"-e{m}")
-            else:
-                parts.append(f"{c}*e{m}")
-        lines.append(f"[e{i},e{j}] = " + " + ".join(parts).replace("+ -", "- "))
-    return tuple(lines)
+def _differential_text(table: dict) -> str:
+    """d e^m from its table {(i, j): c}, as ``(c)*e1^e2 + ...``, or ``0``."""
+    return " + ".join(f"({c})*e{i}^e{j}" for (i, j), c in sorted(table.items())) or "0"
 
 
 def standard_pairing(dim: int) -> AlmostComplexStructure:
@@ -200,7 +165,6 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
             structure_facts={
                 "J": {"integrable": True, "abelian": True, "nilpotent": True}
             },
-            display=_render_brackets(_H9_BRACKETS),
         )
     if name == "h15":
         algebra = _validated(LieAlgebra(6, _H15_BRACKETS, name="h15"))
@@ -212,7 +176,6 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
             structure_facts={
                 "J": {"integrable": True, "abelian": True, "nilpotent": True}
             },
-            display=_render_brackets(_H15_BRACKETS),
         )
     if name == "n10":
         if s is None or t is None:
@@ -225,7 +188,13 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
         algebra = _validated(LieAlgebra(_N10_DIM, brackets, name="n10"))
         back = differentials_from_brackets(algebra)
         if back != _N10_DIFFERENTIALS:
-            raise SelfCheckError("differential round trip failed for n10")
+            keys = back.keys() | _N10_DIFFERENTIALS.keys()
+            m = min(k for k in keys if back.get(k) != _N10_DIFFERENTIALS.get(k))
+            raise SelfCheckError(
+                f"differential round trip failed for n10 at de{m}: the table gives "
+                f"{_differential_text(_N10_DIFFERENTIALS.get(m, {}))}, the brackets give "
+                f"{_differential_text(back.get(m, {}))}"
+            )
         return CatalogEntry(
             name="n10",
             algebra=algebra,
@@ -238,7 +207,6 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
                     "nilpotent": True,
                 }
             },
-            display=_render_differentials(_N10_DIM, _N10_DIFFERENTIALS),
             params=(s, t),
         )
     if name == "torus":
@@ -261,7 +229,6 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
             structure_facts={
                 "J": {"integrable": True, "abelian": True, "nilpotent": True}
             },
-            display=("abelian",),
             params=(n,),
         )
     raise ValidationError(f"unknown catalog name: {name}")

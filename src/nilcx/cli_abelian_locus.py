@@ -2,7 +2,8 @@
 
 from .algfile import parse
 from .brackets import infinitesimal_abelian_locus
-from .cli_common import SCHEMA, emit_json, open_complex, pick_structure, print_rows
+from .cli_common import SCHEMA, emit_json, pick_structure
+from .cli_complex import open_complex, print_rows
 
 
 def run(args) -> int:

@@ -1,7 +1,8 @@
 """``nilcx cohomology``: the harmonic basis of one degree, with its Gram."""
 
 from .algfile import parse
-from .cli_common import SCHEMA, emit_json, matrix_rows, open_complex, pick_structure, print_rows
+from .cli_common import SCHEMA, emit_json, pick_structure
+from .cli_complex import matrix_rows, open_complex, print_rows
 
 
 def run(args) -> int:

@@ -1,15 +1,15 @@
 """Helpers that the CLI handler modules share.
 
-The JSON schema version and writer, the choice of a structure block and
-of its Dolbeault complex, the reading of rational arguments, and the
-printing of matrices. They sit apart from ``cli`` so that no handler
-imports ``cli``, which under ``python -m nilcx.cli`` would compile and run
-it a second time.
+The JSON schema version and writer, the choice of a structure block, and
+the reading of rational arguments. They sit apart from ``cli`` so that no
+handler imports ``cli``, which under ``python -m nilcx.cli`` would compile
+and run it a second time. The helpers of the commands on a Dolbeault
+complex are in ``cli_complex``.
 """
 
 from __future__ import annotations
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .scalars import GaussianRational
 
 SCHEMA = 1
@@ -22,10 +22,6 @@ def parse_rational(tok: str) -> GaussianRational:
         raise ValidationError(f"not a rational number: {tok.strip()!r}") from None
 
 
-def parse_point(text: str) -> tuple[GaussianRational, ...]:
-    return tuple(parse_rational(tok) for tok in text.split(","))
-
-
 def pick_structure(af, wanted: str | None):
     """(name, structure) of the block named ``wanted`` of a parsed file, or its first."""
     if not af.structures:
@@ -36,27 +32,6 @@ def pick_structure(af, wanted: str | None):
         if name == wanted:
             return name, acs
     raise ValidationError(f"no structure named {wanted}")
-
-
-def open_complex(algebra, name: str, acs):
-    """The Dolbeault complex of structure block ``name``; a refusal names the block."""
-    from .dolbeault import DolbeaultComplex
-
-    try:
-        return DolbeaultComplex(algebra, acs)
-    except PreconditionError as exc:
-        raise PreconditionError(f"structure {name}: {exc}") from None
-
-
-def matrix_rows(m) -> list[list[str]]:
-    return [[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)]
-
-
-def print_rows(rows: list[list[str]]) -> None:
-    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-    for r in rows:
-        cells = " ".join(c.rjust(w) for c, w in zip(r, widths))
-        print(f"  [{cells}]")
 
 
 # json.dumps's ensure_ascii escapes; other controls, U+007F and non-ASCII

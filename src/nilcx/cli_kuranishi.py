@@ -4,15 +4,9 @@ structure it deforms to at an ``--at`` point."""
 import sys
 
 from .algfile import parse
-from .cli_common import (
-    SCHEMA,
-    emit_json,
-    matrix_rows,
-    open_complex,
-    parse_point,
-    pick_structure,
-    print_rows,
-)
+from .cli_common import SCHEMA, emit_json, parse_rational, pick_structure
+from .cli_complex import matrix_rows, open_complex, print_rows
+from .dolbeault import chain_text
 from .errors import ValidationError
 from .kuranishi import (
     classify_deformation,
@@ -29,7 +23,7 @@ def run(args) -> int:
     name, acs = pick_structure(af, args.structure)
     if args.order < 1:
         raise ValidationError("order must be at least 1")
-    point = None if args.at is None else parse_point(args.at)
+    point = None if args.at is None else tuple(map(parse_rational, args.at.split(",")))
     dc = open_complex(af.algebra, name, acs)
     if point is not None and len(point) != (h1 := dc.cohomology(1).dimension):
         raise ValidationError(
@@ -55,9 +49,9 @@ def run(args) -> int:
         "algebra": af.name,
         "structure": name,
         "order": args.order,
-        "coordinates": [str(h) for h in linear],
+        "coordinates": [chain_text(h) for h in linear],
         "coefficients": {
-            mono_str(m): str(f)
+            mono_str(m): chain_text(f)
             for m, f in series.coeffs.items()
             if sum(m) >= 2
         },
@@ -69,14 +63,14 @@ def run(args) -> int:
         print(f"order {args.order}")
         print(f"coordinates t1..t{series.params} (degree-one harmonic basis):")
         for i, h in enumerate(linear):
-            print(f"  t{i + 1}: {h}")
+            print(f"  t{i + 1}: {chain_text(h)}")
         if trivial:
             print("φ_r = 0 for r ≥ 2; no obstructions")
         else:
             print("phi coefficients of degree >= 2:")
             if higher:
                 for m, f in higher:
-                    print(f"  {mono_str(m)}: {f}")
+                    print(f"  {mono_str(m)}: {chain_text(f)}")
             else:
                 print("  none")
             print("obstructions:")
@@ -100,7 +94,7 @@ def run(args) -> int:
                 print(
                     f"note: the order-{args.order} series does not solve the "
                     f"Maurer-Cartan equation at t = ({at}): dbar Phi(t) + 1/2 "
-                    f"{{Phi(t), Phi(t)}} has the nonzero degree-{d} term {term}; "
+                    f"{{Phi(t), Phi(t)}} has the nonzero degree-{d} term {chain_text(term)}; "
                     "the classification is of the truncated structure",
                     file=sys.stderr,
                 )

@@ -237,7 +237,10 @@ def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFram
                 continue
             jb = j.matrix.matvec(b)
             if not span.add(jb):
-                raise SelfCheckError("J pairs collapse inside a level")
+                raise SelfCheckError(
+                    f"J pairs collapse inside level {ell}: Jb = {vector_text(jb, 'e')} lies "
+                    f"in the span of the frame so far, for b = {vector_text(b, 'e')}"
+                )
             chosen.append(tuple(x - IMAG * y for x, y in zip(b, jb)))
             levels.append(ell)
     frame = ComplexFrame(algebra, chosen, levels=levels)

@@ -9,7 +9,9 @@ harmonic space ker dbar_k ∩ (im dbar_{k-1})^⊥ is read off the differentials
 alone; the Laplacian dbar dbar* + dbar* dbar and its Moore-Penrose inverse,
 the Green's operator, serve only ``green``. The orthogonal complement and
 Gram-Schmidt routines that build the harmonic bases are here too, since
-nothing else uses them.
+nothing else uses them. A chain is a coefficient dict {(anti, a): c} with
+no zero entries, which ``chain_text`` prints; a :class:`VectorForm` wraps
+one with its frame and degree.
 
 Everything is exact and deterministic; the differential, its adjoint,
 Laplacian, harmonic-space, cohomology and Green-matrix caches are written
@@ -107,6 +109,19 @@ def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
     return out
 
 
+def chain_text(coeffs: dict) -> str:
+    """A chain {(anti, a): c} with no zero entries, as ``(c)*wb1^wb3 ox X2``
+    terms joined by `` + `` in key order; ``0`` when it is empty."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for (anti, a), c in sorted(coeffs.items()):
+        legs = "^".join(f"wb{i + 1}" for i in anti)
+        head = f"({c})*{legs} ox " if legs else f"({c})*"
+        parts.append(head + f"X{a + 1}")
+    return " + ".join(parts)
+
+
 class VectorForm:
     """(0,k)-form with values in the (1,0)-space, in frame coordinates.
 
@@ -140,9 +155,6 @@ class VectorForm:
     def __setattr__(self, name, value):
         raise AttributeError("VectorForm is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         if not isinstance(other, VectorForm):
             return NotImplemented
@@ -155,34 +167,8 @@ class VectorForm:
     def __hash__(self):
         return hash((self.degree, frozenset(self.coeffs.items())))
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValidationError("degree mismatch")
-        if not _same_frame(self.frame, other.frame):
-            raise ValidationError("frame mismatch")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return VectorForm(self.frame, self.degree, out)
-
-    def scaled(self, c) -> "VectorForm":
-        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return VectorForm(
-            self.frame, self.degree, {k: c * v for k, v in self.coeffs.items()}
-        )
-
-    def items(self):
-        return sorted(self.coeffs.items())
-
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (anti, a), c in self.items():
-            legs = "^".join(f"wb{i + 1}" for i in anti)
-            head = f"({c})*{legs} ox " if legs else f"({c})*"
-            parts.append(head + f"X{a + 1}")
-        return " + ".join(parts)
+        return chain_text(self.coeffs)
 
     def __repr__(self):
         return f"VectorForm(deg {self.degree}): {self}"
@@ -275,9 +261,6 @@ class DolbeaultComplex:
     def form(self, degree: int, coeffs: dict) -> VectorForm:
         return VectorForm(self.frame, degree, coeffs)
 
-    def zero_form(self, degree: int) -> VectorForm:
-        return VectorForm(self.frame, degree, {})
-
     def _to_vec(self, mu: VectorForm) -> Vector:
         return tuple(mu.coeffs.get(key, ZERO) for key in self.chain_basis(mu.degree))
 
@@ -286,10 +269,6 @@ class DolbeaultComplex:
         return VectorForm(
             self.frame, k, {keys[r]: c for r, c in enumerate(vec) if c}
         )
-
-    def _own(self, mu: VectorForm) -> None:
-        if not _same_frame(mu.frame, self.frame):
-            raise ValidationError("frame mismatch")
 
     # ------------------------------------------------------ differentials
 
@@ -330,20 +309,14 @@ class DolbeaultComplex:
             self._dbar_h[k] = got
         return got
 
-    def dbar(self, mu: VectorForm) -> VectorForm:
-        self._own(mu)
-        k = mu.degree
-        if k >= self.n:
-            return self.zero_form(k + 1)
-        return self._from_vec(k + 1, self.dbar_matrix(k).matvec(self._to_vec(mu)))
-
     def dbar_adjoint(self, mu: VectorForm) -> VectorForm:
-        self._own(mu)
+        if not _same_frame(mu.frame, self.frame):
+            raise ValidationError("frame mismatch")
         k = mu.degree
         if k < 1:
             raise PreconditionError("adjoint needs degree at least 1")
         if k > self.n:
-            return self.zero_form(k - 1)
+            return self.form(k - 1, {})
         m = self._dbar_adjoint_matrix(k - 1)
         return self._from_vec(k - 1, m.matvec(self._to_vec(mu)))
 
@@ -413,6 +386,7 @@ class DolbeaultComplex:
 
     def green(self, mu: VectorForm) -> VectorForm:
         """Green's operator: zero on harmonics, inverts the Laplacian off them."""
-        self._own(mu)
+        if not _same_frame(mu.frame, self.frame):
+            raise ValidationError("frame mismatch")
         k = mu.degree
         return self._from_vec(k, self.green_matrix(k).matvec(self._to_vec(mu)))

@@ -6,8 +6,9 @@ basis in its linear term and extends order by order through
 
     phi_r = -1/2 * adjoint(green(sum_{s} {phi_s, phi_{r-s}}))
 
-where ``{.,.}`` is the graded bracket implemented by :func:`schouten`,
-whose table is read off the complex's own frame brackets. Since
+where ``{.,.}`` is the graded bracket, applied by :func:`_bracket` from a
+table read off the complex's own frame brackets. Each phi_m is a degree-1
+chain, a coefficient dict {((i,), a): c} with no zero entries. Since
 dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
 inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
 with no Laplacian and no Green's operator. All coefficients are exact, so
@@ -28,7 +29,7 @@ from collections import namedtuple
 
 from .brackets import _contraction_table, _wedge_pair
 from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
-from .dolbeault import DolbeaultComplex, VectorForm
+from .dolbeault import DolbeaultComplex
 from .errors import NotSolvableError, PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import Matrix, inverse, pinv
@@ -79,28 +80,12 @@ def _bracket(table: dict, mu: dict, nu: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def schouten(dc: DolbeaultComplex, mu: VectorForm, nu: VectorForm) -> VectorForm:
-    """Graded bracket of two degree-1 vector forms; symmetric, degree 2.
-
-    {wb^i (x) A, wb^j (x) B} = wb^j ^ (B _| d wb^i) (x) A
-                             + wb^i ^ (A _| d wb^j) (x) B
-    with ``_|`` the contraction of a frame vector into the holomorphic leg.
-    """
-    if mu.degree != 1 or nu.degree != 1:
-        raise PreconditionError("bracket arguments must have degree 1")
-    dc._own(mu)
-    dc._own(nu)
-    keys = dc.chain_basis(2)
-    rows = _bracket(_bracket_table(dc), mu.coeffs, nu.coeffs)
-    return dc.form(2, {keys[r]: c for r, c in rows.items()})
-
-
 def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     """{Phi, Phi} through degree order + 1, each unordered pair of terms once.
 
-    ``by_degree[s]`` lists (monomial, coefficient dict) per degree-s term,
-    keyed as ``VectorForm.coeffs``; brackets are sparse degree-2 rows of
-    ``dc.chain_basis(2)``, as the harmonic vectors and D's columns are.
+    ``by_degree[s]`` lists (monomial, degree-1 chain) per degree-s term;
+    brackets are sparse degree-2 rows of ``dc.chain_basis(2)``, as the
+    harmonic vectors and D's columns are.
     The pass puts phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for
     r <= order, with D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built
     as sparse columns on the first nonzero bracket.
@@ -146,10 +131,10 @@ class DeformationSeries:
     """Truncated deformation series Phi(t) = sum_m t^m phi_m.
 
     ``coeffs`` maps exponent tuples (one slot per parameter) to degree-1
-    vector forms; zero coefficients are omitted. Linear coefficients are
-    harmonic, higher ones orthogonal to every harmonic form. ``brackets``
-    maps monomials to {Phi, Phi} through degree order + 1 as degree-2
-    chain rows {row: scalar}, as the bracket pass of
+    chains {((i,), a): c}; zero coefficients are omitted. Linear
+    coefficients are harmonic, higher ones orthogonal to every harmonic
+    form. ``brackets`` maps monomials to {Phi, Phi} through degree
+    order + 1 as degree-2 chain rows {row: scalar}, as the bracket pass of
     :func:`kuranishi_series` leaves them.
     """
 
@@ -160,15 +145,15 @@ class DeformationSeries:
     ):
         if order < 1:
             raise ValidationError("order must be at least 1")
+        keys = set(dolbeault.chain_basis(1))
         for mono, f in coeffs.items():
             if len(mono) != params:
                 raise ValidationError("monomial arity does not match parameter count")
             d = mono_degree(mono)
             if not 1 <= d <= order:
                 raise ValidationError("coefficient degree outside series order")
-            if f.degree != 1:
-                raise ValidationError("series coefficients must have degree 1")
-            dolbeault._own(f)
+            if not keys >= f.keys():
+                raise ValidationError("series coefficients must be degree-1 chains")
         object.__setattr__(self, "dolbeault", dolbeault)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "order", order)
@@ -178,15 +163,20 @@ class DeformationSeries:
     def __setattr__(self, name, value):
         raise AttributeError("DeformationSeries is immutable")
 
-    def evaluate(self, t_point) -> VectorForm:
-        """Phi at a parameter point, a single degree-1 vector form."""
-        pt = coerce_point(t_point, self.params)
-        out = self.dolbeault.zero_form(1)
-        for m, f in sorted(self.coeffs.items()):
-            w = mono_eval(m, pt)
-            if w:
-                out = out + f.scaled(w)
-        return out
+    def evaluate(self, t_point) -> dict:
+        """Phi at a parameter point, a single degree-1 chain."""
+        return _sum_terms(self.coeffs, coerce_point(t_point, self.params))
+
+
+def _sum_terms(coeffs: dict, pt: tuple) -> dict:
+    """sum of t^m phi_m over the (m, phi_m) of ``coeffs``, at the point ``pt``."""
+    out: dict = {}
+    for m, f in coeffs.items():
+        w = mono_eval(m, pt)
+        if w:
+            for key, c in f.items():
+                out[key] = out.get(key, ZERO) + w * c
+    return {key: c for key, c in out.items() if c}
 
 
 class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
@@ -239,7 +229,7 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     linear = [tuple(int(j == k) for j in range(p)) for k in range(p)]
     by_degree = {1: [(m, h.coeffs) for m, h in zip(linear, coh.harmonic_basis)]}
     brackets = _bracket_pass(dc, by_degree, order)
-    coeffs = {m: dc.form(1, f) for r in range(1, order + 1) for m, f in by_degree[r]}
+    coeffs = {m: f for r in range(1, order + 1) for m, f in by_degree[r]}
     return DeformationSeries(dc, p, order, coeffs, brackets)
 
 
@@ -276,39 +266,29 @@ def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point)
 
     Phi_s(t) is the degree-s part of the evaluated series; degree d
     collects dbar Phi_d(t) and 1/2 {Phi_s(t), Phi_u(t)} for s + u = d.
-    Only the nonzero parts are returned, by increasing degree; none means
-    the evaluated series solves the Maurer-Cartan equation exactly at t.
+    Returns {d: degree-2 chain} with only the nonzero parts, by increasing
+    degree; none means the evaluated series solves the Maurer-Cartan
+    equation exactly at t. With no degree-2 chains (n = 1) there are none.
     """
     _owned_series(dc, series)
     pt = coerce_point(t_point, series.params)
-    parts: dict = {}
-    for m, f in sorted(series.coeffs.items()):
-        w = mono_eval(m, pt)
-        if w:
-            s = mono_degree(m)
-            parts[s] = parts[s] + f.scaled(w) if s in parts else f.scaled(w)
-    out = {s: dc.dbar(f) for s, f in parts.items()}
+    if dc.n < 2:
+        return {}
+    terms: dict = {}
+    for m, f in series.coeffs.items():
+        terms.setdefault(mono_degree(m), {})[m] = f
+    parts = {s: _sum_terms(fs, pt) for s, fs in terms.items()}
+    d1, table, ones = dc.dbar_matrix(1), _bracket_table(dc), dc.chain_basis(1)
+    # each degree's sum as a dense row over dc.chain_basis(2) until the end
+    out = {s: list(d1.matvec([f.get(k, ZERO) for k in ones])) for s, f in parts.items()}
     for s, fs in parts.items():
         for u, fu in parts.items():
-            br = schouten(dc, fs, fu).scaled(HALF)
-            out[s + u] = out[s + u] + br if s + u in out else br
-    return {d: v for d, v in sorted(out.items()) if not v.is_zero()}
-
-
-def mc_residual(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> VectorForm:
-    """dbar Phi(t) + 1/2 {Phi(t), Phi(t)}, truncated past total degree order.
-
-    The bracket convolution is cut at the series order: beyond it there is
-    no coefficient left to absorb the non-harmonic part, so degrees above
-    order say nothing about the truncated series. Zero exactly when the
-    evaluated series solves the structure equation to the stated order at
-    that point.
-    """
-    acc = dc.zero_form(2)
-    for d, v in residual_by_degree(dc, series, t_point).items():
-        if d <= series.order:
-            acc = acc + v
-    return acc
+            acc = out.setdefault(s + u, [ZERO] * d1.nrows)
+            for r, v in _bracket(table, fs, fu).items():
+                acc[r] = acc[r] + HALF * v
+    twos = dc.chain_basis(2)
+    out = {d: {twos[r]: v for r, v in enumerate(row) if v} for d, row in sorted(out.items())}
+    return {d: chain for d, chain in out.items() if chain}
 
 
 def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> DeformedStructure:
@@ -327,7 +307,7 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
     for jj in range(n):
         w = list(frame.frame_vector(n + jj))
         for a in range(n):
-            c = phi.coeffs.get(((jj,), a))
+            c = phi.get(((jj,), a))
             if c:
                 xa = frame.vectors[a]
                 w = [wi + c * xi for wi, xi in zip(w, xa)]

@@ -3,11 +3,13 @@
 Textbook versions of what the package computes another way: the real and
 imaginary parts of a scalar read off its integer triple, the Hermitian
 form on dense vectors, a solve orthogonal to the kernel, span membership
-by rank, the center as the null space of every ad row, the chain-level
-differential, inner product, Laplacian, harmonic projection and the
-projector off the harmonic space of a Dolbeault complex, the check that
-its harmonic vectors span the Laplacian's kernel, and the
-hand-written argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
+by rank, the center as the null space of every ad row, the sum, multiple
+and differential of ``VectorForm`` chains, their inner product, Laplacian,
+harmonic projection and the projector off the harmonic space of a
+Dolbeault complex, the check that its harmonic vectors span the
+Laplacian's kernel, the graded bracket and the truncated Maurer-Cartan
+residual on forms, and the hand-written argparse parser that
+``cli.COMMANDS`` replaced. The frame route derives invariant
 (p,q)-forms and their differentials from an eigen-frame of J, and names
 the witness of a failed integrability test. ``verify_entry`` recomputes a
 catalog entry's facts, and ``hand_built_series`` brackets coefficients
@@ -30,10 +32,10 @@ from nilcx.cxs import (
     is_integrable,
     j_ascending_series,
 )
-from nilcx.dolbeault import DolbeaultComplex, VectorForm
+from nilcx.dolbeault import DolbeaultComplex, VectorForm, _same_frame
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
 from nilcx.brackets import infinitesimal_abelian_locus
-from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table
+from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table, residual_by_degree
 from nilcx.lie import LieAlgebra, _null_space, validate_lie
 from nilcx.linalg import Matrix, Vector, is_zero_vector, kernel_basis, rank, rref
 from nilcx.poly import mono_add, mono_degree
@@ -111,6 +113,44 @@ def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
     return rank(Matrix(list(basis) + [v])) == rank(Matrix(list(basis)))
 
 
+def add(*forms: VectorForm) -> VectorForm:
+    """The sum of forms of one degree on one frame."""
+    out: dict = {}
+    for mu in forms:
+        if mu.degree != forms[0].degree or not _same_frame(mu.frame, forms[0].frame):
+            raise ValidationError("degree or frame mismatch")
+        for key, c in mu.coeffs.items():
+            out[key] = out.get(key, ZERO) + c
+    return VectorForm(forms[0].frame, forms[0].degree, out)
+
+
+def scaled(c, mu: VectorForm) -> VectorForm:
+    return VectorForm(mu.frame, mu.degree, {k: _scalar(c) * x for k, x in mu.coeffs.items()})
+
+
+def dbar(dc, mu: VectorForm) -> VectorForm:
+    """dbar of one chain through the cached matrix; zero from the top degree."""
+    if mu.degree >= dc.n:
+        return dc.form(mu.degree + 1, {})
+    return dc._from_vec(mu.degree + 1, dc.dbar_matrix(mu.degree).matvec(dc._to_vec(mu)))
+
+
+def schouten(dc, mu: VectorForm, nu: VectorForm) -> VectorForm:
+    """The graded bracket of two degree-1 forms, symmetric, of degree 2:
+    {wb^i (x) A, wb^j (x) B} = wb^j ^ (B _| d wb^i) (x) A + wb^i ^ (A _| d wb^j) (x) B."""
+    if mu.degree != 1 or nu.degree != 1:
+        raise PreconditionError("bracket arguments must have degree 1")
+    keys, rows = dc.chain_basis(2), _bracket(_bracket_table(dc), mu.coeffs, nu.coeffs)
+    return dc.form(2, {keys[r]: c for r, c in rows.items()})
+
+
+def mc_residual(dc, series, t_point) -> VectorForm:
+    """dbar Phi(t) + 1/2 {Phi(t), Phi(t)} truncated past the series order:
+    the parts of ``residual_by_degree`` up to that order, summed."""
+    parts = residual_by_degree(dc, series, t_point).items()
+    return add(dc.form(2, {}), *(dc.form(2, v) for d, v in parts if d <= series.order))
+
+
 def dbar_vector(dc, v) -> VectorForm:
     """dbar of a (1,0)-vector given in real-basis coordinates."""
     cf = dc.frame.to_frame(tuple(v))
@@ -130,8 +170,6 @@ def dbar_vector(dc, v) -> VectorForm:
 
 def inner_product(dc, mu: VectorForm, nu: VectorForm) -> GaussianRational:
     """The chain inner product, with the chain basis orthonormal."""
-    dc._own(mu)
-    dc._own(nu)
     if mu.degree != nu.degree:
         raise ValidationError("degree mismatch")
     total = ZERO
@@ -144,21 +182,15 @@ def inner_product(dc, mu: VectorForm, nu: VectorForm) -> GaussianRational:
 
 def laplacian(dc, mu: VectorForm) -> VectorForm:
     """The Laplacian applied to one chain, through the cached matrix."""
-    dc._own(mu)
     k = mu.degree
     return dc._from_vec(k, dc.laplacian_matrix(k).matvec(dc._to_vec(mu)))
 
 
 def harmonic_projection(dc, mu: VectorForm) -> VectorForm:
     """The orthogonal projection of a chain onto the harmonic space."""
-    dc._own(mu)
-    vec = dc._to_vec(mu)
-    out = dc.zero_form(mu.degree)
-    for h in dc._harmonic_vectors(mu.degree):
-        c = hdot(vec, h) / hdot(h, h)
-        if c:
-            out = out + dc._from_vec(mu.degree, h).scaled(c)
-    return out
+    vec, harm = dc._to_vec(mu), dc._harmonic_vectors(mu.degree)
+    terms = (scaled(hdot(vec, h) / hdot(h, h), dc._from_vec(mu.degree, h)) for h in harm)
+    return add(dc.form(mu.degree, {}), *terms)
 
 
 def check_harmonic_is_laplacian_kernel(dc) -> None:
@@ -211,7 +243,7 @@ def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationS
             m = mono_add(ma, mb)
             if mono_degree(m) > order + 1:
                 continue
-            for k, v in _bracket(table, fa.coeffs, fb.coeffs).items():
+            for k, v in _bracket(table, fa, fb).items():
                 row = brackets.setdefault(m, {})
                 row[k] = row.get(k, ZERO) + v
     brackets = {m: rows for m, rows in brackets.items() if any(rows.values())}

@@ -117,22 +117,30 @@ def test_unknown_name():
         get("h10")
 
 
-def test_display_lines():
-    assert get("h9").display == ("[e1,e2] = e3", "[e1,e3] = e6", "[e2,e4] = e6")
-    disp = get("n10", s=1, t=0).display
-    assert disp[0] == "de1 = 0"
-    assert disp[3] == "de4 = -e12 + e13 + e27"
-    assert (
-        disp[5]
-        == "de6 = -e14 - e15 - e19 + e24 - e25 + e28 - 2*e45 + e48 - e49 + e58 + e59 - e89"
-    )
-    assert disp[9] == "de10 = 0"
-
-
 def test_differential_helpers_invert_each_other():
     table = get("n10", s=1, t=0).algebra.bracket_table()
     diffs = differentials_from_brackets(get("n10", s=1, t=0).algebra)
     assert brackets_from_differentials(10, diffs) == table
+
+
+def test_a_failed_round_trip_names_the_differential(monkeypatch):
+    import nilcx.catalog as catalog
+
+    real = catalog.differentials_from_brackets
+
+    def dropped(algebra):
+        # de4 loses its e2^e7 term on the way back
+        out = real(algebra)
+        del out[4][(2, 7)]
+        return out
+
+    monkeypatch.setattr(catalog, "differentials_from_brackets", dropped)
+    with pytest.raises(SelfCheckError) as info:
+        get("n10", s=1, t=0)
+    assert str(info.value) == (
+        "differential round trip failed for n10 at de4: the table gives "
+        "(-1)*e1^e2 + (1)*e1^e3 + (1)*e2^e7, the brackets give (-1)*e1^e2 + (1)*e1^e3"
+    )
 
 
 def test_standard_pairing_needs_even_dimension():
@@ -148,7 +156,6 @@ def test_verify_catches_stale_facts():
         structures=good.structures,
         facts=dict(good.facts, h1_dim=4),
         structure_facts=good.structure_facts,
-        display=good.display,
     )
     with pytest.raises(SelfCheckError, match="stale fact h1_dim"):
         verify_entry(tampered)
@@ -162,7 +169,6 @@ def test_verify_catches_stale_structure_facts():
         structures=good.structures,
         facts=good.facts,
         structure_facts={"J": dict(good.structure_facts["J"], abelian=False)},
-        display=good.display,
     )
     with pytest.raises(SelfCheckError, match="stale fact J.abelian"):
         verify_entry(tampered)

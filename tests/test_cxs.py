@@ -239,6 +239,28 @@ def test_adapted_frame_requires_series_preservation():
         adapted_frame(a, j)
 
 
+def test_collapsing_j_pairs_name_the_level_and_vectors(monkeypatch):
+    import nilcx.cxs as cxs
+
+    class Collapsing(cxs.EchelonBasis):
+        """A span begun empty takes its first vector and refuses the rest."""
+
+        def __init__(self, vectors=()):
+            super().__init__(vectors)
+            self.capped = not self._rows
+
+        def add(self, v):
+            return not (getattr(self, "capped", False) and self._rows) and super().add(v)
+
+    monkeypatch.setattr(cxs, "EchelonBasis", Collapsing)
+    with pytest.raises(SelfCheckError) as info:
+        adapted_frame(h9(), j_std6())
+    assert str(info.value) == (
+        "J pairs collapse inside level 1: Jb = (1)*e6 lies in the span of the "
+        "frame so far, for b = (1)*e5"
+    )
+
+
 def test_adapted_frame_is_deterministic():
     a, j = h15(), j_std6()
     f1, f2 = adapted_frame(a, j), adapted_frame(a, j)

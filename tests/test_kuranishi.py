@@ -21,9 +21,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import abelian, h9, h15, j_std6, jst, n10, pair_j
-from reference import InvariantForm, by_degree, hand_built_series, inner_product, laplacian
+from reference import (
+    InvariantForm,
+    add,
+    by_degree,
+    dbar,
+    hand_built_series,
+    inner_product,
+    laplacian,
+    mc_residual,
+    scaled,
+    schouten,
+)
 from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
-from nilcx.dolbeault import DolbeaultComplex
+from nilcx.catalog import get
+from nilcx.dolbeault import DolbeaultComplex, chain_text
 from nilcx.errors import PreconditionError, ValidationError
 from nilcx.kuranishi import (
     DeformationSeries,
@@ -31,10 +43,8 @@ from nilcx.kuranishi import (
     classify_deformation,
     deform_structure,
     kuranishi_series,
-    mc_residual,
     obstructions,
     residual_by_degree,
-    schouten,
 )
 from nilcx.linalg import pinv
 from nilcx.poly import Poly, mono_degree, mono_eval
@@ -68,7 +78,7 @@ def test_schouten_h9_harmonic_pairs_all_vanish():
     basis = dc.cohomology(1).harmonic_basis
     for u in basis:
         for v in basis:
-            assert schouten(dc, u, v).is_zero()
+            assert not schouten(dc, u, v).coeffs
 
 
 def test_schouten_h15_diagonal_pin():
@@ -84,8 +94,8 @@ def test_schouten_h15_mixed_pins():
     assert schouten(dc, b[0], b[1]) == dc.form(2, {((0, 2), 0): gr(2)})
     assert schouten(dc, b[0], b[2]) == dc.form(2, {((1, 2), 0): gr(2)})
     assert schouten(dc, b[1], b[2]) == dc.form(2, {((1, 2), 1): gr(2)})
-    assert schouten(dc, b[0], b[3]).is_zero()
-    assert schouten(dc, b[4], b[4]).is_zero()
+    assert not schouten(dc, b[0], b[3]).coeffs
+    assert not schouten(dc, b[4], b[4]).coeffs
 
 
 def test_schouten_symmetric_on_random_pairs():
@@ -101,21 +111,21 @@ def test_schouten_bilinear():
     dc = dc_h15()
     rng = random.Random(71)
     u, v, w = (rand_form(dc, 1, rng) for _ in range(3))
-    left = schouten(dc, u + v.scaled(3), w)
-    assert left == schouten(dc, u, w) + schouten(dc, v, w).scaled(3)
+    left = schouten(dc, add(u, scaled(3, v)), w)
+    assert left == add(schouten(dc, u, w), scaled(3, schouten(dc, v, w)))
 
 
 def test_schouten_torus_vanishes():
     dc = dc_torus()
     rng = random.Random(12)
     for _ in range(10):
-        assert schouten(dc, rand_form(dc, 1, rng), rand_form(dc, 1, rng)).is_zero()
+        assert not schouten(dc, rand_form(dc, 1, rng), rand_form(dc, 1, rng)).coeffs
 
 
 def test_schouten_rejects_wrong_degree():
     dc = dc_h15()
     with pytest.raises(PreconditionError):
-        schouten(dc, dc.zero_form(2), dc.zero_form(1))
+        schouten(dc, dc.form(2, {}), dc.form(1, {}))
 
 
 # ------------------------------------------------- bracket with a coform
@@ -123,7 +133,7 @@ def test_schouten_rejects_wrong_degree():
 
 def coform_bracket(dc, mu, ell):
     """{mu, wb^ell} = wb^i ^ (A _| d wb^ell), the scalar (0,2)-form the locus reads."""
-    return InvariantForm(0, 2, dc.n, _coform_core(_contraction_table(dc), mu, ell))
+    return InvariantForm(0, 2, dc.n, _coform_core(_contraction_table(dc), mu.coeffs, ell))
 
 
 def test_coform_bracket_h9_all_flat():
@@ -169,7 +179,7 @@ def test_series_order_one_is_linear_part():
     basis = dc.cohomology(1).harmonic_basis
     for k, h in enumerate(basis):
         mono = tuple(1 if j == k else 0 for j in range(5))
-        assert ser.coeffs[mono] == h
+        assert ser.coeffs[mono] == h.coeffs
 
 
 def test_series_h15_quadratic_coefficients_exact():
@@ -177,9 +187,9 @@ def test_series_h15_quadratic_coefficients_exact():
     ser = kuranishi_series(dc, order=2)
     quad = dict(by_degree(ser, 2))
     assert quad == {
-        (0, 1, 1, 0, 0): dc.form(1, {((1,), 2): gr(-2)}),
-        (0, 2, 0, 0, 0): dc.form(1, {((0,), 2): gr(Fraction(-2, 5))}),
-        (1, 0, 1, 0, 0): dc.form(1, {((2,), 2): gr(1)}),
+        (0, 1, 1, 0, 0): {((1,), 2): gr(-2)},
+        (0, 2, 0, 0, 0): {((0,), 2): gr(Fraction(-2, 5))},
+        (1, 0, 1, 0, 0): {((2,), 2): gr(1)},
     }
 
 
@@ -187,7 +197,7 @@ def test_series_linear_coefficients_are_harmonic():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=2)
     for mono, f in by_degree(ser, 1):
-        assert laplacian(dc, f).is_zero()
+        assert not laplacian(dc, dc.form(1, f)).coeffs
 
 
 def test_series_higher_coefficients_orthogonal_to_harmonics():
@@ -200,7 +210,7 @@ def test_series_higher_coefficients_orthogonal_to_harmonics():
             continue
         seen = True
         for h in basis:
-            assert not inner_product(dc, f, h)
+            assert not inner_product(dc, dc.form(1, f), h)
     assert seen
 
 
@@ -212,13 +222,13 @@ def test_series_recursion_reproducible_through_public_operators():
         r = mono_degree(m)
         if r < 2:
             continue
-        total = dc.zero_form(2)
+        total = dc.form(2, {})
         for ma, fa in ser.coeffs.items():
             for mb, fb in ser.coeffs.items():
                 if tuple(x + y for x, y in zip(ma, mb)) == m:
-                    total = total + schouten(dc, fa, fb)
-        rebuilt = dc.dbar_adjoint(dc.green(total)).scaled(Fraction(-1, 2))
-        assert rebuilt == f
+                    total = add(total, schouten(dc, dc.form(1, fa), dc.form(1, fb)))
+        rebuilt = scaled(Fraction(-1, 2), dc.dbar_adjoint(dc.green(total)))
+        assert rebuilt.coeffs == f
 
 
 def test_series_higher_monomials_avoid_flat_directions():
@@ -244,11 +254,12 @@ def test_series_rejects_bad_order():
 def test_series_constructor_validation():
     dc = dc_h9()
     with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(1, 0): dc.zero_form(1)}, {})
+        DeformationSeries(dc, 3, 1, {(1, 0): {}}, {})
     with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(2, 0, 0): dc.zero_form(1)}, {})
-    with pytest.raises(ValidationError):
-        DeformationSeries(dc, 3, 1, {(1, 0, 0): dc.zero_form(2)}, {})
+        DeformationSeries(dc, 3, 1, {(2, 0, 0): {}}, {})
+    # a coefficient is a degree-1 chain: one with a degree-2 key is refused
+    with pytest.raises(ValidationError, match="degree-1 chains"):
+        DeformationSeries(dc, 3, 1, {(1, 0, 0): {((0,), 0): gr(1), ((0, 1), 0): gr(1)}}, {})
     # the brackets come from the bracket pass; there is no second route
     with pytest.raises(TypeError):
         DeformationSeries(dc, 3, 1, {})
@@ -258,9 +269,7 @@ def test_series_evaluate_pin():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=2)
     phi = ser.evaluate((0, Fraction(1, 10), 0, 0, 0))
-    assert phi == dc.form(
-        1, {((0,), 1): gr(Fraction(1, 10)), ((0,), 2): gr(Fraction(-1, 250))}
-    )
+    assert phi == {((0,), 1): gr(Fraction(1, 10)), ((0,), 2): gr(Fraction(-1, 250))}
     with pytest.raises(ValidationError):
         ser.evaluate((0, 0))
 
@@ -270,12 +279,12 @@ def test_series_evaluate_on_flat_directions_is_linear():
     ser = kuranishi_series(dc, order=4)
     basis = dc.cohomology(1).harmonic_basis
     pt = (Fraction(1, 3), 0, 0, Fraction(-2, 7), Fraction(1, 2))
-    expected = (
-        basis[0].scaled(Fraction(1, 3))
-        + basis[3].scaled(Fraction(-2, 7))
-        + basis[4].scaled(Fraction(1, 2))
+    expected = add(
+        scaled(Fraction(1, 3), basis[0]),
+        scaled(Fraction(-2, 7), basis[3]),
+        scaled(Fraction(1, 2), basis[4]),
     )
-    assert ser.evaluate(pt) == expected
+    assert ser.evaluate(pt) == expected.coeffs
 
 
 def _ordered_pair_reference(dc, order):
@@ -291,11 +300,11 @@ def _ordered_pair_reference(dc, order):
             for ma, fa in by_degree[s]:
                 for mb, fb in by_degree[r - s]:
                     m = tuple(x + y for x, y in zip(ma, mb))
-                    acc[m] = acc[m] + schouten(dc, fa, fb) if m in acc else schouten(dc, fa, fb)
+                    acc[m] = add(acc[m], schouten(dc, fa, fb)) if m in acc else schouten(dc, fa, fb)
         by_degree[r] = []
-        for m in sorted(acc):
-            phi = dc.dbar_adjoint(dc.green(acc[m])).scaled(gr(Fraction(-1, 2)))
-            if not phi.is_zero():
+        for m in sorted(m for m, v in acc.items() if v.coeffs):
+            phi = scaled(Fraction(-1, 2), dc.dbar_adjoint(dc.green(acc[m])))
+            if phi.coeffs:
                 coeffs[m] = phi
                 by_degree[r].append((m, phi))
     conv = {}
@@ -303,12 +312,12 @@ def _ordered_pair_reference(dc, order):
         for mb, fb in coeffs.items():
             m = tuple(x + y for x, y in zip(ma, mb))
             if mono_degree(m) <= order + 1:
-                conv[m] = conv[m] + schouten(dc, fa, fb) if m in conv else schouten(dc, fa, fb)
+                conv[m] = add(conv[m], schouten(dc, fa, fb)) if m in conv else schouten(dc, fa, fb)
     polys = tuple(
         Poly(p, {m: inner_product(dc, v, gamma) for m, v in conv.items()})
-        for gamma in dc.cohomology(2).harmonic_basis
+        for gamma in (dc.cohomology(2).harmonic_basis if dc.n >= 2 else ())
     )
-    return coeffs, polys
+    return {m: f.coeffs for m, f in coeffs.items()}, polys
 
 
 @pytest.mark.parametrize(
@@ -448,7 +457,7 @@ def test_mc_residual_h9_zero_everywhere():
     rng = random.Random(23)
     for _ in range(5):
         pt = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 9)) for _ in range(3))
-        assert mc_residual(dc, ser, pt).is_zero()
+        assert not mc_residual(dc, ser, pt).coeffs
 
 
 def test_mc_residual_pin_off_the_flat_locus():
@@ -478,15 +487,14 @@ def test_mc_residual_pin_off_the_flat_locus():
 def _residual_reference(dc, ser, pt, cap):
     """sum_m t^m dbar phi_m + 1/2 sum_{|m| <= cap} t^m {phi_a, phi_b}, pair by pair."""
     pt = tuple(gr(x) for x in pt)
-    acc = dc.zero_form(2)
-    for m, f in ser.coeffs.items():
-        acc = acc + dc.dbar(f).scaled(mono_eval(m, pt))
-    for ma, fa in ser.coeffs.items():
-        for mb, fb in ser.coeffs.items():
+    forms = {m: dc.form(1, f) for m, f in ser.coeffs.items()}
+    acc = [scaled(mono_eval(m, pt), dbar(dc, f)) for m, f in forms.items()]
+    for ma, fa in forms.items():
+        for mb, fb in forms.items():
             m = tuple(x + y for x, y in zip(ma, mb))
             if mono_degree(m) <= cap:
-                acc = acc + schouten(dc, fa, fb).scaled(mono_eval(m, pt) * gr(Fraction(1, 2)))
-    return acc
+                acc.append(scaled(mono_eval(m, pt) * gr(Fraction(1, 2)), schouten(dc, fa, fb)))
+    return add(dc.form(2, {}), *acc)
 
 
 def test_residual_by_degree_splits_the_untruncated_residual():
@@ -497,16 +505,16 @@ def test_residual_by_degree_splits_the_untruncated_residual():
             pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(ser.params))
             parts = residual_by_degree(dc, ser, pt)
             assert list(parts) == sorted(parts)
-            assert all(not v.is_zero() for v in parts.values())
-            total = sum(parts.values(), dc.zero_form(2))
-            phi = ser.evaluate(pt)
+            assert all(parts.values())
+            total = add(dc.form(2, {}), *(dc.form(2, v) for v in parts.values()))
+            phi = dc.form(1, ser.evaluate(pt))
             # the whole residual costs one bracket of the evaluated series
-            assert total == dc.dbar(phi) + schouten(dc, phi, phi).scaled(Fraction(1, 2))
+            assert total == add(dbar(dc, phi), scaled(Fraction(1, 2), schouten(dc, phi, phi)))
             assert total == _residual_reference(dc, ser, pt, 2 * order)
             assert mc_residual(dc, ser, pt) == _residual_reference(dc, ser, pt, order)
             # degree d scales as lambda^d under t -> lambda t
-            scaled = residual_by_degree(dc, ser, tuple(2 * x for x in pt))
-            assert scaled == {d: v.scaled(2**d) for d, v in parts.items()}
+            doubled = residual_by_degree(dc, ser, tuple(2 * x for x in pt))
+            assert doubled == {d: scaled(2**d, dc.form(2, v)).coeffs for d, v in parts.items()}
 
 
 def test_residual_by_degree_names_the_truncation_of_the_n10_series():
@@ -514,10 +522,10 @@ def test_residual_by_degree_names_the_truncation_of_the_n10_series():
     ser = kuranishi_series(dc, order=2)
     pt = tuple(Fraction(1, 10) if i in (1, 10) else 0 for i in range(14))
     assert obstructions(ser).vanishes_at(pt)
-    assert mc_residual(dc, ser, pt).is_zero()
+    assert not mc_residual(dc, ser, pt).coeffs
     parts = residual_by_degree(dc, ser, pt)
     assert min(parts) == 3
-    assert str(parts[3]) == "(-1/500+1/500i)*wb3^wb4 ox X2"
+    assert chain_text(parts[3]) == "(-1/500+1/500i)*wb3^wb4 ox X2"
 
 
 def test_residual_by_degree_vanishes_where_the_series_ends():
@@ -535,6 +543,47 @@ def test_residual_by_degree_vanishes_where_the_series_ends():
     assert list(parts) == [2]
 
 
+def _torus_dc(n):
+    entry = get("torus", n=n)
+    return DolbeaultComplex(entry.algebra, entry.structures[0][1])
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [(dc_h9, 3), (dc_h15, 4), (lambda: _dc_n10(), 3)]
+    + [(lambda n=n: _torus_dc(n), 3) for n in (1, 2, 3)],
+    ids=["h9", "h15", "n10", "torus1", "torus2", "torus3"],
+)
+def test_chains_match_the_form_route(build, order):
+    # the coefficient dicts, Phi(t) and the residual by degree, against the
+    # same values built as VectorForms through green, dbar and schouten
+    dc = build()
+    ser = kuranishi_series(dc, order=order)
+    assert ser.coeffs == _ordered_pair_reference(dc, order)[0]
+    rng = random.Random(f"chains:{dc.algebra.name}:{order}")
+    for _ in range(3):
+        pt = tuple(gr(Fraction(rng.randint(-3, 3), rng.randint(1, 9))) for _ in range(ser.params))
+        parts: dict = {}
+        for m, f in ser.coeffs.items():
+            parts.setdefault(mono_degree(m), []).append(scaled(mono_eval(m, pt), dc.form(1, f)))
+        phis = {s: add(*fs) for s, fs in parts.items()}
+        assert ser.evaluate(pt) == add(*phis.values()).coeffs
+        want: dict = {}
+        for s, fs in phis.items():
+            want.setdefault(s, []).append(dbar(dc, fs))
+            for u, fu in phis.items():
+                want.setdefault(s + u, []).append(scaled(Fraction(1, 2), schouten(dc, fs, fu)))
+        want = {d: add(*terms).coeffs for d, terms in sorted(want.items())}
+        assert residual_by_degree(dc, ser, pt) == {d: v for d, v in want.items() if v}
+
+
+def test_residual_by_degree_is_empty_without_degree_two_chains():
+    # n = 1 has neither dbar_1 nor a degree-2 chain
+    dc = _torus_dc(1)
+    ser = kuranishi_series(dc, order=3)
+    assert residual_by_degree(dc, ser, (Fraction(1, 2),)) == {}
+
+
 def test_mc_residual_zero_on_flat_locus():
     dc = dc_h15()
     ser = kuranishi_series(dc, order=4)
@@ -543,7 +592,7 @@ def test_mc_residual_zero_on_flat_locus():
         (Fraction(-2, 3), 0, 0, 0, Fraction(5, 4)),
         (0, 0, 0, 0, 0),
     ]:
-        assert mc_residual(dc, ser, pt).is_zero()
+        assert not mc_residual(dc, ser, pt).coeffs
 
 
 def test_mc_residual_harmonic_part_matches_obstruction_values():
@@ -681,10 +730,7 @@ def test_locus_members_are_coform_flat():
     dc = dc_h15()
     basis = dc.cohomology(1).harmonic_basis
     for vec in infinitesimal_abelian_locus(dc):
-        mu = dc.zero_form(1)
-        for c, h in zip(vec, basis):
-            if c:
-                mu = mu + h.scaled(c)
+        mu = add(*(scaled(c, h) for c, h in zip(vec, basis)))
         for ell in range(dc.n):
             assert not coform_bracket(dc, mu, ell).coeffs
     assert coform_bracket(dc, basis[1], 0).coeffs
