@@ -227,7 +227,8 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     coh = dc.cohomology(1)
     p = coh.dimension
     linear = [tuple(int(j == k) for j in range(p)) for k in range(p)]
-    by_degree = {1: [(m, h.coeffs) for m, h in zip(linear, coh.harmonic_basis)]}
+    # copies, so that the series shares no dict with the cached harmonic basis
+    by_degree = {1: [(m, dict(h.coeffs)) for m, h in zip(linear, coh.harmonic_basis)]}
     brackets = _bracket_pass(dc, by_degree, order)
     coeffs = {m: f for r in range(1, order + 1) for m, f in by_degree[r]}
     return DeformationSeries(dc, p, order, coeffs, brackets)
