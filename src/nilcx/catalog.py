@@ -20,19 +20,18 @@ command that writes a file, so the other commands do not compile it.
 from __future__ import annotations
 
 from .cxs import AlmostComplexStructure
-from .errors import SelfCheckError, ValidationError
+from .errors import Frozen, SelfCheckError, ValidationError
 from .lie import LieAlgebra, validate_lie
 from .linalg import Matrix
-from .scalars import ONE, ZERO, GaussianRational, coerce
+from .scalars import ONE, ZERO, GaussianRational, scalar, terms_text
 
-_H9_BRACKETS = {(1, 2): {3: 1}, (1, 3): {6: 1}, (2, 4): {6: 1}}
-
-_H15_BRACKETS = {
-    (1, 2): {4: -1},
-    (1, 3): {5: 1},
-    (2, 4): {5: 1},
-    (1, 4): {6: -1},
-    (2, 3): {6: 1},
+# the six-dimensional entries: bracket table and dim H^1
+_SIX = {
+    "h9": ({(1, 2): {3: 1}, (1, 3): {6: 1}, (2, 4): {6: 1}}, 3),
+    "h15": (
+        {(1, 2): {4: -1}, (1, 3): {5: 1}, (2, 4): {5: 1}, (1, 4): {6: -1}, (2, 3): {6: 1}},
+        5,
+    ),
 }
 
 # d e^m = sum over i < j of coeff * e^i ^ e^j, exactly as displayed in the
@@ -51,7 +50,7 @@ _N10_DIFFERENTIALS = {
 _N10_DIM = 10
 
 
-class CatalogEntry:
+class CatalogEntry(Frozen):
     """A named algebra with its structures and an expected-facts record.
 
     ``structures`` is an ordered tuple of (name, structure) pairs;
@@ -71,26 +70,25 @@ class CatalogEntry:
         structure_facts: dict,
         params: tuple | None = None,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "structures", structures)
-        object.__setattr__(self, "facts", facts)
-        object.__setattr__(self, "structure_facts", structure_facts)
-        object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CatalogEntry is immutable")
+        self._set(
+            name=name,
+            algebra=algebra,
+            structures=structures,
+            facts=facts,
+            structure_facts=structure_facts,
+            params=params,
+        )
 
 
 def _rational(x, what: str) -> GaussianRational:
-    """An int, Fraction, real scalar or rational text as a real scalar."""
+    """A real exact scalar, or ValidationError naming ``what``."""
     try:
-        z = GaussianRational(x) if isinstance(x, str) else coerce(x)
-    except (ValueError, ZeroDivisionError):
-        z = None
-    if z is None or not z.is_real:
-        raise ValidationError(f"{what} must be rational")
-    return z
+        z = scalar(x)
+        if z.is_real:
+            return z
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ValidationError(f"{what} must be rational")
 
 
 def brackets_from_differentials(dim: int, diffs: dict) -> dict:
@@ -116,7 +114,7 @@ def differentials_from_brackets(algebra: LieAlgebra) -> dict:
 
 def _differential_text(table: dict) -> str:
     """d e^m from its table {(i, j): c}, as ``(c)*e1^e2 + ...``, or ``0``."""
-    return " + ".join(f"({c})*e{i}^e{j}" for (i, j), c in sorted(table.items())) or "0"
+    return terms_text((f"e{i}^e{j}", c) for (i, j), c in sorted(table.items()))
 
 
 def standard_pairing(dim: int) -> AlmostComplexStructure:
@@ -155,27 +153,14 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
     n10 needs rational s and t with t^2 != s^2; torus needs a positive
     half-dimension n. The other entries take no parameters.
     """
-    if name == "h9":
-        algebra = _validated(LieAlgebra(6, _H9_BRACKETS, name="h9"))
+    if name in _SIX:
+        brackets, h1 = _SIX[name]
         return CatalogEntry(
-            name="h9",
-            algebra=algebra,
+            name=name,
+            algebra=_validated(LieAlgebra(6, brackets, name=name)),
             structures=(("J", standard_pairing(6)),),
-            facts={"dim": 6, "step": 3, "center_dim": 2, "h1_dim": 3, "locus_dim": 3},
-            structure_facts={
-                "J": {"integrable": True, "abelian": True, "nilpotent": True}
-            },
-        )
-    if name == "h15":
-        algebra = _validated(LieAlgebra(6, _H15_BRACKETS, name="h15"))
-        return CatalogEntry(
-            name="h15",
-            algebra=algebra,
-            structures=(("J", standard_pairing(6)),),
-            facts={"dim": 6, "step": 3, "center_dim": 2, "h1_dim": 5, "locus_dim": 3},
-            structure_facts={
-                "J": {"integrable": True, "abelian": True, "nilpotent": True}
-            },
+            facts={"dim": 6, "step": 3, "center_dim": 2, "h1_dim": h1, "locus_dim": 3},
+            structure_facts={"J": {"integrable": True, "abelian": True, "nilpotent": True}},
         )
     if name == "n10":
         if s is None or t is None:

@@ -10,14 +10,14 @@ complex are in ``cli_complex``.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, scalar
 
 SCHEMA = 1
 
 
 def parse_rational(tok: str) -> GaussianRational:
     try:
-        return GaussianRational(tok.strip())
+        return scalar(tok.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a rational number: {tok.strip()!r}") from None
 

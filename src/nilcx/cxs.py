@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import (
+    Frozen,
     NotSolvableError,
     PreconditionError,
     SelfCheckError,
@@ -27,14 +28,14 @@ from .linalg import (
     rref,
 )
 from .scalars import I as IMAG
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, scalar
 
 
 def _conj_vector(v: Vector) -> Vector:
     return tuple(x.conjugate() for x in v)
 
 
-class AlmostComplexStructure:
+class AlmostComplexStructure(Frozen):
     """Rational operator J with J^2 = -I on the real basis."""
 
     __slots__ = ("dim", "matrix")
@@ -51,11 +52,7 @@ class AlmostComplexStructure:
                     raise ValidationError("J must be real")
         if matrix * matrix != Matrix.identity(m).scaled(-1):
             raise ValidationError("J*J != -I")
-        object.__setattr__(self, "dim", m)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlmostComplexStructure is immutable")
+        self._set(dim=m, matrix=matrix)
 
     @classmethod
     def from_images(cls, dim: int, images: dict[int, Vector]) -> "AlmostComplexStructure":
@@ -70,7 +67,7 @@ class AlmostComplexStructure:
         rows = []
         for i, v in sorted(images.items()):
             e = [ONE if c == i else ZERO for c in range(dim)]
-            v = [x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v]
+            v = list(map(scalar, v))
             rows.append(tuple(e + v))
             rows.append(tuple(v + [-x for x in e]))
         red, pivots = rref(Matrix._of(tuple(rows)))
@@ -93,7 +90,7 @@ class AlmostComplexStructure:
         return f"AlmostComplexStructure(dim {self.dim})"
 
 
-class ComplexFrame:
+class ComplexFrame(Frozen):
     """Basis X_1..X_n of the +i eigenspace of J, with exact dual coframe.
 
     ``levels``, when present, records the ascending-series level of each
@@ -115,14 +112,8 @@ class ComplexFrame:
             basis_inv = inverse(basis)
         except NotSolvableError:
             raise ValidationError("frame vectors do not span the complexification") from None
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "levels", tuple(levels) if levels is not None else None)
-        object.__setattr__(self, "_basis_inv", basis_inv)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexFrame is immutable")
+        levels = tuple(levels) if levels is not None else None
+        self._set(algebra=algebra, n=n, vectors=vectors, levels=levels, _basis_inv=basis_inv)
 
     def frame_vector(self, a: int) -> Vector:
         """Frame basis element by label: 0..n-1 are X, n..2n-1 are conj X."""

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb
 
 from .cxs import AlmostComplexStructure, ComplexFrame, abelian_defect, adapted_frame
-from .errors import PreconditionError, ValidationError
+from .errors import Frozen, PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import (
     EchelonBasis,
@@ -37,7 +37,7 @@ from .linalg import (
     pinv,
     row_space_basis,
 )
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, scalar, terms_text
 
 
 def hdot_support(v: Sequence, support: Sequence[tuple[int, GaussianRational]]) -> GaussianRational:
@@ -112,17 +112,13 @@ def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
 def chain_text(coeffs: dict) -> str:
     """A chain {(anti, a): c} with no zero entries, as ``(c)*wb1^wb3 ox X2``
     terms joined by `` + `` in key order; ``0`` when it is empty."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for (anti, a), c in sorted(coeffs.items()):
-        legs = "^".join(f"wb{i + 1}" for i in anti)
-        head = f"({c})*{legs} ox " if legs else f"({c})*"
-        parts.append(head + f"X{a + 1}")
-    return " + ".join(parts)
+    return terms_text(
+        ("^".join(f"wb{i + 1}" for i in anti) + (" ox " if anti else "") + f"X{a + 1}", c)
+        for (anti, a), c in sorted(coeffs.items())
+    )
 
 
-class VectorForm:
+class VectorForm(Frozen):
     """(0,k)-form with values in the (1,0)-space, in frame coordinates.
 
     Coefficients live on keys ``(anti, a)`` where ``anti`` is a strictly
@@ -145,15 +141,10 @@ class VectorForm:
                 raise ValidationError("indices must be strictly increasing")
             if not (0 <= a < n):
                 raise ValidationError("vector index out of range")
-            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+            c = scalar(c)
             if c:
                 clean[(anti, a)] = c
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorForm is immutable")
+        self._set(frame=frame, degree=degree, coeffs=clean)
 
     def __eq__(self, other):
         if not isinstance(other, VectorForm):

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its immutable records."""
+
+
+class Frozen:
+    """Base of the package's immutable records: assigning an attribute raises.
+    A subclass writes its ``__slots__`` once, in its constructor, with :meth:`_set`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 class ValidationError(Exception):

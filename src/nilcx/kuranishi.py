@@ -30,11 +30,11 @@ from collections import namedtuple
 from .brackets import _contraction_table, _wedge_pair
 from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
 from .dolbeault import DolbeaultComplex
-from .errors import NotSolvableError, PreconditionError, ValidationError
+from .errors import Frozen, NotSolvableError, PreconditionError, ValidationError
 from .lie import LieAlgebra
 from .linalg import Matrix, inverse, pinv
 from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
-from .scalars import ZERO, GaussianRational
+from .scalars import I, ZERO, GaussianRational
 
 HALF = GaussianRational("1/2")
 
@@ -127,7 +127,7 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     return brackets
 
 
-class DeformationSeries:
+class DeformationSeries(Frozen):
     """Truncated deformation series Phi(t) = sum_m t^m phi_m.
 
     ``coeffs`` maps exponent tuples (one slot per parameter) to degree-1
@@ -154,14 +154,7 @@ class DeformationSeries:
                 raise ValidationError("coefficient degree outside series order")
             if not keys >= f.keys():
                 raise ValidationError("series coefficients must be degree-1 chains")
-        object.__setattr__(self, "dolbeault", dolbeault)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "brackets", brackets)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformationSeries is immutable")
+        self._set(dolbeault=dolbeault, params=params, order=order, coeffs=coeffs, brackets=brackets)
 
     def evaluate(self, t_point) -> dict:
         """Phi at a parameter point, a single degree-1 chain."""
@@ -192,7 +185,7 @@ class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
         return all(not p.evaluate(t_point) for p in self.polys)
 
 
-class DeformedStructure:
+class DeformedStructure(Frozen):
     """An almost complex structure J on an algebra, with the point it came from.
 
     The classifier only looks at ``j_new``.
@@ -201,12 +194,7 @@ class DeformedStructure:
     __slots__ = ("t_point", "j_new", "algebra")
 
     def __init__(self, t_point: tuple, j_new: AlmostComplexStructure, algebra: LieAlgebra):
-        object.__setattr__(self, "t_point", t_point)
-        object.__setattr__(self, "j_new", j_new)
-        object.__setattr__(self, "algebra", algebra)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DeformedStructure is immutable")
+        self._set(t_point=t_point, j_new=j_new, algebra=algebra)
 
 
 class DeformationReport(namedtuple("DeformationReport", "integrable abelian nilpotent")):
@@ -323,10 +311,7 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
             + ", ".join(str(x) for x in pt)
             + ")"
         ) from None
-    eig = GaussianRational(0, 1)
-    scaled_rows = [
-        [(eig if i < n else -eig) * x for x in binv.rows[i]] for i in range(2 * n)
-    ]
+    scaled_rows = [[(I if i < n else -I) * x for x in binv.rows[i]] for i in range(2 * n)]
     j_new = AlmostComplexStructure(basis * Matrix(scaled_rows))
     return DeformedStructure(t_point=pt, j_new=j_new, algebra=dc.algebra)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .errors import SelfCheckError, ValidationError
+from .errors import Frozen, SelfCheckError, ValidationError
 from .linalg import (
     Matrix,
     Vector,
@@ -30,16 +30,15 @@ from .linalg import (
     rank,
     row_space_basis,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, scalar, terms_text
 
 
 def vector_text(entries, symbol: str) -> str:
     """``(c1)*e1 + (c2)*e2 ...`` over the nonzero coordinates, or ``0``."""
-    parts = [f"({c})*{symbol}{k + 1}" for k, c in enumerate(entries) if c]
-    return " + ".join(parts) if parts else "0"
+    return terms_text((f"{symbol}{k + 1}", c) for k, c in enumerate(entries) if c)
 
 
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Finite-dimensional real Lie algebra with rational constants.
 
     Immutable; the result of its validation is computed once and kept in
@@ -51,7 +50,7 @@ class LieAlgebra:
     __slots__ = ("dim", "name", "_c", "_checked")
 
     def __init__(self, dim: int, brackets, name: str = ""):
-        """brackets: {(i, j): {k: rational}} with 1-based i < j."""
+        """brackets: {(i, j): {k: exact real scalar}} with 1-based i < j."""
         if dim < 0:
             raise ValidationError("dimension must be nonnegative")
         c: dict[tuple[int, int], dict[int, GaussianRational]] = {}
@@ -64,7 +63,7 @@ class LieAlgebra:
             for k, coef in comps.items():
                 if not (1 <= k <= dim):
                     raise ValidationError(f"bracket target e{k} out of range")
-                x = coef if isinstance(coef, GaussianRational) else GaussianRational(coef)
+                x = scalar(coef)
                 if not x.is_real:
                     raise ValidationError(f"bracket constant c^{k}_{i}{j} is not real")
                 if x:
@@ -72,13 +71,7 @@ class LieAlgebra:
             if row:
                 c[(i - 1, j - 1)] = row
                 c[(j - 1, i - 1)] = {k: -x for k, x in row.items()}
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_checked", None)
-
-    def __setattr__(self, nm, value):
-        raise AttributeError("LieAlgebra is immutable")
+        self._set(dim=dim, name=name, _c=c, _checked=None)
 
     def _scalar_table(self) -> dict[tuple[int, int], dict[int, GaussianRational]]:
         """Nonzero brackets with 1-based indices i < j and real scalar values."""

@@ -14,32 +14,26 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import NotSolvableError, PreconditionError
-from .scalars import ONE, ZERO, GaussianRational
+from .errors import Frozen, NotSolvableError, PreconditionError
+from .scalars import ONE, ZERO, GaussianRational, scalar
 
 Vector = tuple[GaussianRational, ...]
 
 
-def _as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
-
-
-class Matrix:
-    """Immutable dense matrix, row-major."""
+class Matrix(Frozen):
+    """Immutable dense matrix, row-major, of exact scalars."""
 
     __slots__ = ("rows",)
 
     rows: tuple[Vector, ...]
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(scalar, row)) for row in rows)
         if rs:
             w = len(rs[0])
             if any(len(r) != w for r in rs):
                 raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
+        self._set(rows=rs)
 
     @classmethod
     def _of(cls, rows) -> "Matrix":
@@ -47,9 +41,6 @@ class Matrix:
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @property
     def nrows(self) -> int:
@@ -69,7 +60,7 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Matrix":
-        cols = [tuple(_as_scalar(x) for x in c) for c in cols]
+        cols = [tuple(map(scalar, c)) for c in cols]
         if any(len(c) != len(cols[0]) for c in cols):
             raise ValueError("ragged columns")
         return cls._of(tuple(zip(*cols)))
@@ -114,7 +105,7 @@ class Matrix:
         return NotImplemented
 
     def matvec(self, v: Sequence) -> Vector:
-        v = tuple(_as_scalar(x) for x in v)
+        v = tuple(map(scalar, v))
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")
         nz = nonzero_entries(v)
@@ -129,7 +120,7 @@ class Matrix:
         return tuple(out)
 
     def scaled(self, c) -> "Matrix":
-        c = _as_scalar(c)
+        c = scalar(c)
         return Matrix._of(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __repr__(self):

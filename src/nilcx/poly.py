@@ -8,17 +8,17 @@ degree; there is no notion of convergence.
 
 from __future__ import annotations
 
-from .errors import ValidationError
-from .scalars import ZERO, GaussianRational, coerce
+from .errors import Frozen, ValidationError
+from .scalars import ZERO, GaussianRational, scalar, terms_text
 
 Monomial = tuple[int, ...]
 
 
 def coerce_scalar(x) -> GaussianRational:
-    c = GaussianRational(x) if isinstance(x, str) else coerce(x)
-    if c is None:
-        raise ValidationError("coefficient is not rational")
-    return c
+    try:
+        return scalar(x)
+    except TypeError:
+        raise ValidationError("coefficient is not rational") from None
 
 
 def mono_add(a: Monomial, b: Monomial) -> Monomial:
@@ -55,7 +55,7 @@ def coerce_point(point, nvars: int) -> tuple[GaussianRational, ...]:
     return pt
 
 
-class Poly:
+class Poly(Frozen):
     """Polynomial with Gaussian-rational coefficients, zero terms dropped."""
 
     __slots__ = ("nvars", "coeffs")
@@ -74,11 +74,7 @@ class Poly:
             c = coerce_scalar(c)
             if c:
                 clean[mono] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._set(nvars=nvars, coeffs=clean)
 
     def items(self):
         """Terms sorted by total degree, then by exponent tuple."""
@@ -106,9 +102,7 @@ class Poly:
         return hash((self.nvars, tuple(self.items())))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"({c})*{mono_str(m)}" for m, c in self.items())
+        return terms_text((mono_str(m), c) for m, c in self.items())
 
     def __repr__(self):
         return f"Poly({self.nvars}, {{{', '.join(f'{m}: {c}' for m, c in self.items())}}})"

@@ -2,6 +2,15 @@
 
 Every coefficient in the package is a :class:`GaussianRational`; there is no
 floating point anywhere, so rank decisions and zero tests are exact.
+
+An exact scalar is a ``GaussianRational``, an ``int``, a ``Fraction`` or
+rational text: ``"3"``, ``"-1/9"``, or any text ``Fraction`` reads, so
+``"0.5"`` is one half. :func:`scalar` is the one way an outside value
+becomes a ``GaussianRational``; every constructor in the package reads its
+coefficients with it. Anything else raises ``TypeError``. Floats and
+``Decimal`` values are refused, not stored as the binary fraction they
+hold: ``0.1`` is an error, while ``"0.1"`` and ``Fraction(1, 10)`` are
+one tenth.
 """
 
 from __future__ import annotations
@@ -9,16 +18,16 @@ from __future__ import annotations
 import sys
 from math import gcd
 
+from .errors import Frozen
 
-class GaussianRational:
-    """A complex number ``re + im*i`` with ``re``, ``im`` rational.
+
+class GaussianRational(Frozen):
+    """A complex number ``re + im*i``, each part an exact scalar read by :func:`scalar`.
 
     Held as one integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``,
     canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have
     equal triples. Each operation is integer arithmetic plus at most one
     ``math.gcd``; ``re`` builds the real part's ``Fraction`` on request.
-    Text of the form ``[+-]digits[/digits]`` is parsed with ``int``; any
-    other text is read by ``Fraction``, with its values and exceptions.
     Immutable and hashable. Arithmetic accepts plain ``int`` and
     ``Fraction`` operands and coerces them to real Gaussian rationals.
     Sums with a zero operand return the other operand unchanged, since
@@ -31,16 +40,9 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
-            (p, q), (r, s) = _ratio(re), _ratio(im)
-            a, b, d = p * s, r * q, q * s
-            g = gcd(a, b, d)
-            a, b, d = a // g, b // g, d // g
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+            z = scalar(re) + I * scalar(im)
+            a, b, d = z._a, z._b, z._d
+        self._set(_a=a, _b=b, _d=d)
 
     @property
     def re(self) -> Fraction:
@@ -215,19 +217,25 @@ def _fraction(*args) -> Fraction:
     return Fraction(*args)
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, positive denominator) of an int, str or Fraction."""
-    if type(x) is int:
-        return x, 1
+def scalar(x) -> GaussianRational:
+    """x as an exact scalar: a GaussianRational unchanged; an int, a Fraction
+    or rational text as its exact value; TypeError for anything else.
+
+    Text ``[+-]digits[/digits]`` is read with ``int``, other text by
+    ``Fraction``, with its values and exceptions."""
+    if type(x) is GaussianRational:
+        return x
     if type(x) is str:
-        # [+-]digits[/digits] with a nonzero denominator is read with int
         num, slash, den = x.partition("/")
         den = den if slash else "1"
         digits = num[1:] if num[:1] in ("+", "-") else num
         if (digits + den).isascii() and digits.isdigit() and den.isdigit() and den.strip("0"):
-            return int(num), int(den)
-    f = _fraction(x)
-    return f.numerator, f.denominator
+            return _reduced(int(num), 0, int(den))
+        x = _fraction(x)
+    z = coerce(x)
+    if z is None:
+        raise TypeError(f"not an exact scalar: {type(x).__name__} {x!r}")
+    return z
 
 
 def coerce(x) -> GaussianRational | None:
@@ -252,11 +260,14 @@ def _rat_text(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def terms_text(terms) -> str:
+    """``(c1)*name1 + (c2)*name2 ...`` from (name, scalar) pairs, or ``0`` when empty."""
+    return " + ".join(f"({c})*{name}" for name, c in terms) or "0"
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-
-def gr(re: int | Fraction | str = 0, im: int | Fraction | str = 0) -> GaussianRational:
-    """Shorthand constructor."""
-    return GaussianRational(re, im)
+# shorthand constructor
+gr = GaussianRational

@@ -369,6 +369,26 @@ def test_records_are_immutable_and_value_records_hash_by_value():
         with pytest.raises(AttributeError):
             x.extra = 1
     entry, series, deformed, hand_fed = identities
+    # every subclass of Frozen, the package's one immutability guard
+    from nilcx.errors import Frozen
+    from nilcx.scalars import gr
+
+    def subclasses(cls):
+        return {s for c in cls.__subclasses__() for s in {c} | subclasses(c)}
+
+    dc, j = series.dolbeault, entry.structures[0][1]
+    polys = next(x for x, _ in twins if type(x).__name__ == "ObstructionSet").polys
+    frozen = [
+        gr(1), j.matrix, entry.algebra, j, dc.frame, dc.cohomology(1).harmonic_basis[0],
+        series, deformed, entry, polys[0],
+    ]
+    assert {type(x) for x in frozen} == subclasses(Frozen)
+    for x in frozen:
+        message = f"^{type(x).__name__} is immutable$"
+        with pytest.raises(AttributeError, match=message):
+            setattr(x, type(x).__slots__[0], getattr(x, type(x).__slots__[0]))
+        with pytest.raises(AttributeError, match=message):
+            x.extra = 1
     # identity records compare by identity, as the dataclasses did (eq=False)
     twin = type(hand_fed)(t_point=(), j_new=hand_fed.j_new, algebra=hand_fed.algebra)
     assert hand_fed == hand_fed and hand_fed != twin
@@ -453,7 +473,6 @@ UNENTERED = {
     "dolbeault._same_frame": "via dolbeault.DolbeaultComplex.green: it checks the input's frame",
     "lie.LieAlgebra.bracket_table": "perfbench: inputs.relabel permutes the constants",
     "scalars.GaussianRational.re": "via lie.LieAlgebra.bracket_table: its Fraction values",
-    "scalars.gr": "perfbench: the self-test builds scalars with it",
 }
 
 MODULE_HOOKS = {"__init__.__getattr__", "__init__.__dir__"}

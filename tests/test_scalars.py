@@ -1,18 +1,25 @@
 """Field arithmetic for exact complex rationals."""
 
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from reference import parts
 
-from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr
+from nilcx.errors import ValidationError
+from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr, scalar
 
 
 def test_construction_coerces_ints_and_strings():
     z = GaussianRational("3/4", -2)
     assert z.re == Fraction(3, 4)
     assert parts(z) == (Fraction(3, 4), -2)
+    assert scalar(z) is z and scalar(True) == 1 and scalar("2/4") == Fraction(1, 2)
+    # each part is an exact scalar, and re + im*i with complex parts is still re + im*i
+    assert gr(Fraction(3, 4), "0.25") == gr("3/4", "1/4")
+    assert GaussianRational(z, z) == z + I * z == gr("11/4", "-5/4")
 
 
 def test_field_axioms_on_random_values():
@@ -274,3 +281,78 @@ def test_text_and_fraction_values_keep_the_eq_hash_contract():
         z = GaussianRational(str(q))
         assert z == gr(q) == q and hash(z) == hash(gr(q)) == hash(q)
         assert {q: 1}.get(z) == 1 and {z: 1}.get(q) == 1
+
+
+# ------------------------------------------- one intake for every constructor
+
+
+INTAKES = [
+    "GaussianRational", "gr", "Matrix", "Matrix.from_columns", "Matrix.matvec", "LieAlgebra",
+    "AlmostComplexStructure.from_images", "dc.form", "Poly", "deform_structure point",
+    "catalog.get(s=...)",
+]
+
+
+@pytest.fixture(scope="module")
+def intakes():
+    """name -> (read, error, message): ``read(x)`` builds with the outside
+    value x and returns the exact scalar it stored; a float raises ``error``
+    with ``message``."""
+    from nilcx.catalog import get
+    from nilcx.cxs import AlmostComplexStructure
+    from nilcx.dolbeault import DolbeaultComplex
+    from nilcx.kuranishi import deform_structure, kuranishi_series
+    from nilcx.lie import LieAlgebra
+    from nilcx.linalg import Matrix
+    from nilcx.poly import Poly
+
+    entry = get("h15")
+    dc = DolbeaultComplex(entry.algebra, entry.structures[0][1])
+    series = kuranishi_series(dc, order=1)
+    refused = (TypeError, "not an exact scalar: float 0.1")
+    not_rational = (ValidationError, "coefficient is not rational")
+    e1, e2 = (1, 0, 0), (0, 1, 0)
+    return {
+        "GaussianRational": (GaussianRational, *refused),
+        "gr": (gr, *refused),
+        "Matrix": (lambda x: Matrix([[x]])[0, 0], *refused),
+        "Matrix.from_columns": (lambda x: Matrix.from_columns([[x]])[0, 0], *refused),
+        "Matrix.matvec": (lambda x: Matrix.identity(1).matvec([x])[0], *refused),
+        "LieAlgebra": (lambda x: LieAlgebra(3, {(1, 2): {3: x}}).bracket(e1, e2)[2], *refused),
+        "AlmostComplexStructure.from_images": (
+            lambda x: AlmostComplexStructure.from_images(2, {0: (0, x)}).matrix[1, 0],
+            *refused,
+        ),
+        "dc.form": (lambda x: dc.form(1, {((0,), 0): x}).coeffs[((0,), 0)], *refused),
+        "Poly": (lambda x: Poly(1, {(1,): x}).coeffs[(1,)], *not_rational),
+        # t2 = 1 keeps the deformed (0,1)-space nondegenerate on h15
+        "deform_structure point": (
+            lambda x: deform_structure(dc, series, (0, x, 0, 0, 0)).t_point[1],
+            *not_rational,
+        ),
+        "catalog.get(s=...)": (
+            lambda x: get("n10", s=x, t=Fraction(1, 2)).params[0],
+            ValidationError,
+            "s must be rational",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", INTAKES)
+def test_every_intake_refuses_a_float_and_reads_exact_values(intakes, name):
+    assert sorted(intakes) == sorted(INTAKES)
+    read, error, message = intakes[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(0.1)
+    tenths = [read(x) for x in (Fraction(1, 10), "1/10", "0.1", gr("1/10"))]
+    assert all(type(z) is GaussianRational and z == Fraction(1, 10) for z in tenths)
+    one = read(1)
+    assert type(one) is GaussianRational and one == 1
+
+
+@pytest.mark.parametrize("x", [0.5, 0.1, float("nan"), Decimal("0.1"), 1j, None, [1]])
+def test_scalar_refuses_what_is_not_exact(x):
+    with pytest.raises(TypeError, match=f"^not an exact scalar: {type(x).__name__} "):
+        scalar(x)
+    with pytest.raises(TypeError, match="^not an exact scalar"):
+        GaussianRational(1, x)
