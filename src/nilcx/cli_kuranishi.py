@@ -79,8 +79,8 @@ def run(args) -> int:
 
     if point is not None:
         at = ", ".join(str(t) for t in point)
-        if not obs.vanishes_at(point):
-            live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
+        live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
+        if live:
             print(
                 f"note: t = ({at}) is obstructed "
                 f"(nonzero there: {', '.join(live)}); the deformed J is not a "

@@ -166,20 +166,11 @@ def is_integrable(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
 def abelian_defect(algebra: LieAlgebra, j: AlmostComplexStructure) -> tuple[int, int] | None:
     """The first basis pair (a, b), a < b and 1-based, with [J e_a, J e_b] != [e_a, e_b].
 
-    None when J is abelian. The second real route, [J e_a, e_b] +
-    [e_a, J e_b] = 0 (the imaginary part of the bracket of two
-    (1,0)-vectors), is computed too; it is equivalent for any J with
-    J^2 = -I, so disagreement raises a self-check error.
+    None when J is abelian. The other real route, [J e_a, e_b] +
+    [e_a, J e_b] = 0, is not run: for J^2 = -I, R(x, Jy) = -S(x, y), so
+    the two cannot disagree.
     """
-    parts = list(_pair_parts(algebra, _sparse_columns(j)))
-    first = next((pair for pair, r, _ in parts if r), None)
-    by_imag = not any(s for _, _, s in parts)
-    if (first is None) != by_imag:
-        raise SelfCheckError(
-            f"abelianness criteria disagree on {algebra!r}: [Je_a, Je_b] = [e_a, e_b] "
-            f"says {first is None}, [Je_a, e_b] + [e_a, Je_b] = 0 says {by_imag}"
-        )
-    return first
+    return next((pair for pair, r, _ in _pair_parts(algebra, _sparse_columns(j)) if r), None)
 
 
 def is_abelian(algebra: LieAlgebra, j: AlmostComplexStructure) -> bool:
@@ -227,11 +218,8 @@ def adapted_frame(algebra: LieAlgebra, j: AlmostComplexStructure) -> ComplexFram
             if not span.add(b):
                 continue
             jb = j.matrix.matvec(b)
-            if not span.add(jb):
-                raise SelfCheckError(
-                    f"J pairs collapse inside level {ell}: Jb = {vector_text(jb, 'e')} lies "
-                    f"in the span of the frame so far, for b = {vector_text(b, 'e')}"
-                )
+            # the span so far is real and J-invariant, so Jb lies outside it
+            span.add(jb)
             chosen.append(tuple(x - IMAG * y for x, y in zip(b, jb)))
             levels.append(ell)
     frame = ComplexFrame(algebra, chosen, levels=levels)

@@ -85,7 +85,8 @@ def orthogonal_complement(
 
 
 def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
-    """Orthogonalize without normalizing; input must be independent.
+    """Orthogonalize without normalizing; input must be independent (a
+    dependent vector comes out zero).
 
     Each output keeps its support and squared norm, so a projection runs
     over that support only and is skipped when its coefficient is zero.
@@ -102,8 +103,6 @@ def gram_schmidt(vectors: Sequence[Vector]) -> list[Vector]:
                     w[k] = w[k] - f * x
         w = tuple(w)
         support = nonzero_entries(w)
-        if not support:
-            raise PreconditionError("gram_schmidt input not independent")
         out.append(w)
         done.append((support, hdot_support(w, support)))
     return out

@@ -181,9 +181,6 @@ class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
 
     __slots__ = ()
 
-    def vanishes_at(self, t_point) -> bool:
-        return all(not p.evaluate(t_point) for p in self.polys)
-
 
 class DeformedStructure(Frozen):
     """An almost complex structure J on an algebra, with the point it came from.

@@ -95,3 +95,12 @@ def jst(s, t):
         9: tuple(gr(-s) if c == 5 else (gr(-t) if c == 6 else gr(0)) for c in range(m)),
     }
     return AlmostComplexStructure.from_images(m, images)
+
+
+def error_of(call):
+    """(type, message) of the exception that call() raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None

@@ -12,8 +12,11 @@ residual on forms, and the hand-written argparse parser that
 ``cli.COMMANDS`` replaced. The frame route derives invariant
 (p,q)-forms and their differentials from an eigen-frame of J, and names
 the witness of a failed integrability test. ``verify_entry`` recomputes a
-catalog entry's facts, and ``hand_built_series`` brackets coefficients
-given by hand. Nothing in the package calls them.
+catalog entry's facts, ``differentials_from_brackets`` reads an algebra's
+coframe differentials, and ``abelian_routes`` runs both real abelianness
+tests on dense brackets. ``hand_built_series`` brackets coefficients given
+by hand, and ``vanishes_at`` tells whether every obstruction vanishes at a
+point. Nothing in the package calls them.
 
 Sign convention of the frame route: for an invariant 1-form,
 d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
@@ -250,7 +253,37 @@ def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationS
     return DeformationSeries(dc, params, order, coeffs, brackets)
 
 
+def vanishes_at(obs, t_point) -> bool:
+    """True when every polynomial of an obstruction set vanishes at the point."""
+    return all(not p.evaluate(t_point) for p in obs.polys)
+
+
 # ------------------------------------------------- catalog facts, live
+
+
+def differentials_from_brackets(algebra: LieAlgebra) -> dict:
+    """Coframe differentials of an algebra, {m: {(i, j): c}} with
+    d e^m = sum c e^i ^ e^j over i < j, 1-based."""
+    out: dict = {}
+    for (i, j), targets in algebra._scalar_table().items():
+        for m, c in targets.items():
+            out.setdefault(m, {})[(i, j)] = -c
+    return out
+
+
+def abelian_routes(algebra: LieAlgebra, j: AlmostComplexStructure) -> tuple[bool, bool]:
+    """(all [Je_a, Je_b] = [e_a, e_b], all [Je_a, e_b] + [e_a, Je_b] = 0),
+    over basis pairs, by dense brackets of J's columns."""
+    m = algebra.dim
+    units = Matrix.identity(m).rows
+    cols = j.matrix.columns()
+    br = algebra.bracket
+    real, imag = True, True
+    for a, b in combinations(range(m), 2):
+        real = real and br(cols[a], cols[b]) == br(units[a], units[b])
+        # [e_a, Je_b] = -[Je_b, e_a]
+        imag = imag and is_zero_vector(vsub(br(cols[a], units[b]), br(cols[b], units[a])))
+    return real, imag
 
 
 def center(a: LieAlgebra) -> list[Vector]:

@@ -28,6 +28,7 @@ from fractions import Fraction
 import pytest
 from conftest import h9, h15, j_std6, unit
 from reference import (
+    abelian_routes,
     add,
     check_harmonic_is_laplacian_kernel,
     dbar,
@@ -38,6 +39,7 @@ from reference import (
     mc_residual,
     scaled,
     schouten,
+    vanishes_at,
 )
 from nilcx.algfile import parse_text
 from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
@@ -161,7 +163,7 @@ def test_criterion_2():
         obs = obstructions(series)
         table = _contraction_table(dc)
         for pt in itertools.product(grid, repeat=series.params):
-            if not any(pt) or not obs.vanishes_at(pt):
+            if not any(pt) or not vanishes_at(obs, pt):
                 continue
             phi = series.evaluate(pt)
             rule = not any(_coform_core(table, phi, ell) for ell in range(dc.n))
@@ -250,7 +252,7 @@ def test_criterion_4():
     if in_span(to_vec(dc, schouten(dc, a, a)), exact):
         failures.append("{wb1(x)X2, wb1(x)X2} is dbar-exact")
     obstructed = (0, F(1, 10), 0, 0, 0)
-    if obs.vanishes_at(obstructed):
+    if vanishes_at(obs, obstructed):
         failures.append(f"obstructions vanish at {obstructed}")
     if not mc_residual(dc, series, obstructed).coeffs:
         failures.append(f"Maurer-Cartan residual zero at {obstructed}")
@@ -266,7 +268,7 @@ def test_criterion_4():
     # off the flat locus, where the obstructions vanish, the deformed
     # structures stay nilpotent but stop being abelian
     for pt in [(0, 0, F(1, 10), 0, 0), (F(1, 10), 0, F(1, 10), 0, 0)]:
-        if not obs.vanishes_at(pt):
+        if not vanishes_at(obs, pt):
             failures.append(f"obstructions do not vanish at {pt}")
         if mc_residual(dc, series, pt).coeffs:
             failures.append(f"Maurer-Cartan residual nonzero at {pt}")
@@ -441,7 +443,7 @@ def run_property_suite(tag, algebra, acs, rng, heavy=False):
                 )
         checked = 0
         for pt in pts:
-            if not obs.vanishes_at(pt):
+            if not vanishes_at(obs, pt):
                 continue
             checked += 1
             if mc_residual(dc, series, pt).coeffs:
@@ -511,6 +513,28 @@ def test_seeded_conjugates_keep_the_invariants(name):
         text = render(name, alg, [("J", acs)])
         parsed = parse_text(text)
         assert render(parsed.name, parsed.algebra, parsed.structures) == text
+
+
+def test_the_two_abelian_routes_agree():
+    """[Je_a, Je_b] = [e_a, e_b] for all pairs exactly when [Je_a, e_b] +
+    [e_a, Je_b] = 0 for all pairs, on dense reference brackets, and
+    is_abelian, which runs the first alone, agrees: on every catalog
+    structure, on the n10(s, t) members the tests use, and on nine seeded
+    conjugates of h9, h15 and kodaira6."""
+    entries = [get("h9"), get("h15"), *(get("torus", n=n) for n in (1, 2, 3))]
+    params = [(1, 0), (1, F(1, 2)), (2, 1), (2, F(1, 3)), (F(1, 2), F(1, 3)), (2, F(-1, 3))]
+    entries += [get("n10", s=s, t=t) for s, t in params]
+    cases = [(e.algebra, j) for e in entries for _, j in e.structures]
+    rng = random.Random("abelian-routes")
+    for template in [(h9(), j_std6()), (h15(), j_std6()), (kodaira6(), j_std6())]:
+        cases += [conjugated_pair(rng, *template) for _ in range(3)]
+    verdicts = []
+    for algebra, acs in cases:
+        real, imag = abelian_routes(algebra, acs)
+        assert real == imag == is_abelian(algebra, acs), (algebra, acs.matrix)
+        verdicts.append(real)
+    # n10 is abelian only at (s, t) = (1, 0)
+    assert verdicts == [True] * 6 + [False] * 5 + [True] * 9
 
 
 def test_criterion_7():

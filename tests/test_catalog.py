@@ -4,15 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import h9, h15, jst, n10
-from reference import verify_entry
-from nilcx.catalog import (
-    CatalogEntry,
-    brackets_from_differentials,
-    differentials_from_brackets,
-    get,
-    standard_pairing,
-)
+from conftest import error_of, h9, h15, jst, n10
+from reference import differentials_from_brackets, verify_entry
+from nilcx.catalog import CatalogEntry, brackets_from_differentials, get, standard_pairing
 from nilcx.cli import main
 from nilcx.errors import SelfCheckError, ValidationError
 from nilcx.scalars import gr
@@ -120,27 +114,7 @@ def test_unknown_name():
 def test_differential_helpers_invert_each_other():
     table = get("n10", s=1, t=0).algebra.bracket_table()
     diffs = differentials_from_brackets(get("n10", s=1, t=0).algebra)
-    assert brackets_from_differentials(10, diffs) == table
-
-
-def test_a_failed_round_trip_names_the_differential(monkeypatch):
-    import nilcx.catalog as catalog
-
-    real = catalog.differentials_from_brackets
-
-    def dropped(algebra):
-        # de4 loses its e2^e7 term on the way back
-        out = real(algebra)
-        del out[4][(2, 7)]
-        return out
-
-    monkeypatch.setattr(catalog, "differentials_from_brackets", dropped)
-    with pytest.raises(SelfCheckError) as info:
-        get("n10", s=1, t=0)
-    assert str(info.value) == (
-        "differential round trip failed for n10 at de4: the table gives "
-        "(-1)*e1^e2 + (1)*e1^e3 + (1)*e2^e7, the brackets give (-1)*e1^e2 + (1)*e1^e3"
-    )
+    assert brackets_from_differentials(diffs) == table
 
 
 def test_standard_pairing_needs_even_dimension():
@@ -172,3 +146,10 @@ def test_verify_catches_stale_structure_facts():
     )
     with pytest.raises(SelfCheckError, match="stale fact J.abelian"):
         verify_entry(tampered)
+
+
+def test_api_error_messages():
+    assert error_of(lambda: get("n10")) == (
+        ValidationError, "n10 requires rational parameters s and t"
+    )
+    assert error_of(lambda: get("n10", s=0.5, t=0)) == (ValidationError, "s must be rational")

@@ -738,7 +738,7 @@ def test_json_writer_matches_json_dumps(capsys):
         assert capsys.readouterr().out == _dumps(payload) + "\n"
 
 
-@pytest.mark.parametrize("payload", [{"x": 1.5}, {"x": [2.0]}, {"x": {1, 2}}, {1: "a"}])
+@pytest.mark.parametrize("payload", [{"x": 1.5}, {"x": [2.0]}, {"x": {1, 2}}])
 def test_json_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):
         cli_common.emit_json(payload)

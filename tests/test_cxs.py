@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import abelian, filiform4, h9, h15, j_std6, jst, n10, pair_j, unit
+from conftest import abelian, error_of, filiform4, h9, h15, j_std6, jst, n10, pair_j, unit
 from reference import (
     InvariantForm,
     center,
@@ -237,28 +237,6 @@ def test_adapted_frame_requires_series_preservation():
     j = pair_j(6, [(4, 0), (2, 3), (1, 5)])
     with pytest.raises(PreconditionError, match="ascending series"):
         adapted_frame(a, j)
-
-
-def test_collapsing_j_pairs_name_the_level_and_vectors(monkeypatch):
-    import nilcx.cxs as cxs
-
-    class Collapsing(cxs.EchelonBasis):
-        """A span begun empty takes its first vector and refuses the rest."""
-
-        def __init__(self, vectors=()):
-            super().__init__(vectors)
-            self.capped = not self._rows
-
-        def add(self, v):
-            return not (getattr(self, "capped", False) and self._rows) and super().add(v)
-
-    monkeypatch.setattr(cxs, "EchelonBasis", Collapsing)
-    with pytest.raises(SelfCheckError) as info:
-        adapted_frame(h9(), j_std6())
-    assert str(info.value) == (
-        "J pairs collapse inside level 1: Jb = (1)*e6 lies in the span of the "
-        "frame so far, for b = (1)*e5"
-    )
 
 
 def test_adapted_frame_is_deterministic():
@@ -630,16 +608,6 @@ def _first_non_abelian_pair(a, j):
     return None
 
 
-def test_abelian_routes_disagree_on_a_forged_operator():
-    # J = 0 passes no J^2 = -I check: [Je_a, Je_b] - [e_a, e_b] = -[e_a, e_b]
-    # is nonzero on h9 while [Je_a, e_b] + [e_a, Je_b] is zero everywhere
-    forged = object.__new__(AlmostComplexStructure)
-    object.__setattr__(forged, "dim", 6)
-    object.__setattr__(forged, "matrix", Matrix.zero(6, 6))
-    with pytest.raises(SelfCheckError, match="abelianness criteria disagree"):
-        is_abelian(h9(), forged)
-
-
 def test_integrability_witness_is_read_from_the_frame_on_demand():
     # the verdict is a plain bool; the witness comes from the frame route
     a, j = filiform4(), pair_j(4, [(0, 1), (2, 3)])
@@ -697,3 +665,26 @@ def test_sparse_series_match_a_dense_reference(name, build):
         levels, nilpotent = _dense_flag(m, ads + [ad * j.matrix for ad in ads])
         flag, verdict = j_ascending_series(a, j)
         assert (flag.levels, verdict) == (levels, nilpotent)
+
+
+def test_api_error_messages():
+    def acs(rows):
+        return lambda: AlmostComplexStructure(Matrix(rows))
+
+    i = gr(0, 1)
+    assert error_of(acs([[0, 1, 0], [-1, 0, 0]])) == (ValidationError, "J must be square")
+    assert error_of(acs([[1]])) == (ValidationError, "J needs an even-dimensional space")
+    assert error_of(acs([[0, i], [i, 0]])) == (ValidationError, "J must be real")
+    assert error_of(acs([[1, 0], [0, 1]])) == (ValidationError, "J*J != -I")
+    assert error_of(lambda: ComplexFrame(h9(), [(1, 0, 0, 0, 0, 0)])) == (
+        ValidationError, "frame size must be half the real dimension"
+    )
+    assert error_of(lambda: ComplexFrame(abelian(2), [(1, 0)])) == (
+        ValidationError, "frame vectors do not span the complexification"
+    )
+    # the conjugate frame spans the (0,1)-space of J
+    frame = adapted_frame(h9(), j_std6())
+    conjugate = ComplexFrame(h9(), [[x.conjugate() for x in v] for v in frame.vectors])
+    assert error_of(lambda: DolbeaultComplex(h9(), j_std6(), frame=conjugate)) == (
+        SelfCheckError, "frame vector is not a (1,0)-vector of J: X1"
+    )

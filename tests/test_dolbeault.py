@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import abelian, filiform4, h9, h15, jst, n10, pair_j, j_std6
+from conftest import abelian, error_of, filiform4, h9, h15, jst, n10, pair_j, j_std6
 from reference import (
     add,
     basis_vector_form,
@@ -587,3 +587,23 @@ def test_degree_errors_name_the_degree():
         with pytest.raises(PreconditionError) as info:
             call(4)
         assert str(info.value) == "degree out of range: 4 (degrees are 0..3)"
+
+
+def test_api_error_messages():
+    dc, other = DolbeaultComplex(h9(), j_std6()), DolbeaultComplex(h15(), j_std6())
+    assert error_of(lambda: dc.form(1, {((), 0): 1})) == (
+        ValidationError, "key arity does not match degree"
+    )
+    assert error_of(lambda: dc.form(1, {((3,), 0): 1})) == (ValidationError, "frame index out of range")
+    assert error_of(lambda: dc.form(2, {((1, 0), 0): 1})) == (
+        ValidationError, "indices must be strictly increasing"
+    )
+    assert error_of(lambda: dc.form(1, {((0,), 3): 1})) == (ValidationError, "vector index out of range")
+    assert error_of(lambda: dc.dbar_matrix(3)) == (
+        PreconditionError, "no differential at this degree: dbar_3 (differentials are dbar_0..dbar_2)"
+    )
+    assert error_of(lambda: dc.dbar_adjoint(other.form(1, {}))) == (ValidationError, "frame mismatch")
+    assert error_of(lambda: dc.dbar_adjoint(dc.form(0, {}))) == (
+        PreconditionError, "adjoint needs degree at least 1"
+    )
+    assert error_of(lambda: dc.green(other.form(1, {}))) == (ValidationError, "frame mismatch")

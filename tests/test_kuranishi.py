@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abelian, h9, h15, j_std6, jst, n10, pair_j
+from conftest import abelian, error_of, h9, h15, j_std6, jst, n10, pair_j
 from reference import (
     InvariantForm,
     add,
@@ -32,6 +32,7 @@ from reference import (
     mc_residual,
     scaled,
     schouten,
+    vanishes_at,
 )
 from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
 from nilcx.catalog import get
@@ -444,9 +445,9 @@ def test_obstructions_vanish_exactly_on_flat_directions():
         (0, 0, 0, Fraction(2, 9), 0),
     ]
     for pt in flat_points:
-        assert obs.vanishes_at(pt)
-    assert not obs.vanishes_at((0, Fraction(1, 10), 0, 0, 0))
-    assert not obs.vanishes_at((1, 1, 0, 0, 0))
+        assert vanishes_at(obs, pt)
+    assert not vanishes_at(obs, (0, Fraction(1, 10), 0, 0, 0))
+    assert not vanishes_at(obs, (1, 1, 0, 0, 0))
 
 
 # ---------------------------------------------------- structure residual
@@ -522,7 +523,7 @@ def test_residual_by_degree_names_the_truncation_of_the_n10_series():
     dc = DolbeaultComplex(n10(), jst(1, 0))
     ser = kuranishi_series(dc, order=2)
     pt = tuple(Fraction(1, 10) if i in (1, 10) else 0 for i in range(14))
-    assert obstructions(ser).vanishes_at(pt)
+    assert vanishes_at(obstructions(ser), pt)
     assert not mc_residual(dc, ser, pt).coeffs
     parts = residual_by_degree(dc, ser, pt)
     assert min(parts) == 3
@@ -735,3 +736,29 @@ def test_locus_members_are_coform_flat():
         for ell in range(dc.n):
             assert not coform_bracket(dc, mu, ell).coeffs
     assert coform_bracket(dc, basis[1], 0).coeffs
+
+
+def test_api_error_messages():
+    dc = DolbeaultComplex(h9(), j_std6())
+    series = kuranishi_series(dc, order=2)
+
+    def series_of(order, coeffs):
+        return lambda: DeformationSeries(dc, 3, order, coeffs, {})
+
+    assert error_of(series_of(0, {})) == (ValidationError, "order must be at least 1")
+    assert error_of(series_of(2, {(1, 0): {}})) == (
+        ValidationError, "monomial arity does not match parameter count"
+    )
+    assert error_of(series_of(2, {(3, 0, 0): {}})) == (
+        ValidationError, "coefficient degree outside series order"
+    )
+    assert error_of(series_of(2, {(1, 0, 0): {((0, 1), 0): gr(1)}})) == (
+        ValidationError, "series coefficients must be degree-1 chains"
+    )
+    assert error_of(lambda: kuranishi_series(dc, order=0)) == (
+        PreconditionError, "order must be at least 1"
+    )
+    twin = DolbeaultComplex(h9(), j_std6())
+    assert error_of(lambda: deform_structure(twin, series, (0, 0, 0))) == (
+        ValidationError, "series does not belong to this complex"
+    )

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import error_of
 from reference import center, in_span
 from nilcx.errors import ValidationError
 from nilcx.lie import LieAlgebra, ascending_series, validate_lie
@@ -357,3 +358,20 @@ def test_sparse_jacobi_matches_dense_reference():
     # the series stops at a zero center, and at a nonzero one
     assert "level 0, dim 0 of 3" in stops
     assert any(stop.startswith("level 1") for stop in stops)
+
+
+def test_api_error_messages():
+    assert error_of(lambda: LieAlgebra(-1, {})) == (ValidationError, "dimension must be nonnegative")
+    assert error_of(lambda: LieAlgebra(3, {(1, 4): {2: 1}})) == (
+        ValidationError, "bracket key (1,4) must satisfy 1 <= i < j <= dim"
+    )
+    assert error_of(lambda: LieAlgebra(3, {(1, 2): {4: 1}})) == (
+        ValidationError, "bracket target e4 out of range"
+    )
+    assert error_of(lambda: LieAlgebra(3, {(1, 2): {3: I}})) == (
+        ValidationError, "bracket constant c^3_12 is not real"
+    )
+    solvable = LieAlgebra(2, {(1, 2): {2: 1}})
+    assert error_of(lambda: ascending_series(solvable)) == (
+        ValidationError, "not nilpotent: the ascending central series stops at level 0, dim 0 of 2"
+    )

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import error_of
 from reference import hdot, in_span, parts, solve_in_image, vscale, vsub
 from nilcx.dolbeault import gram_schmidt, orthogonal_complement
 from nilcx.errors import NotSolvableError, PreconditionError
@@ -209,8 +210,8 @@ def test_gram_schmidt_orthogonal_unnormalized():
     assert hdot(u[1], u[0]) == ZERO
     # same span
     assert in_span(vs[1], u)
-    with pytest.raises(PreconditionError):
-        gram_schmidt([(ONE, ZERO), (ONE, ZERO)])
+    # a dependent vector comes out zero; the caller passes independent ones
+    assert gram_schmidt([(ONE, ZERO), (ONE, ZERO)]) == [(ONE, ZERO), (ZERO, ZERO)]
 
 
 def test_matrix_ops():
@@ -405,13 +406,16 @@ def test_gram_schmidt_matches_the_textbook_routine():
         # unit vectors and repeated supports, as the harmonic bases have them
         if rng.random() < 0.3:
             vs = [tuple(ONE if c == r else ZERO for c in range(n)) for r in rng.sample(range(n), min(n, nv))]
+        got = gram_schmidt(vs)
         try:
             want = textbook_gram_schmidt(vs)
         except PreconditionError:
-            with pytest.raises(PreconditionError, match="not independent"):
-                gram_schmidt(vs)
+            # dependent input: the first dependent vector comes out zero
+            k = next(i for i, w in enumerate(got) if not any(w))
+            assert got[:k] == textbook_gram_schmidt(vs[:k])
+            with pytest.raises(PreconditionError):
+                textbook_gram_schmidt(vs[: k + 1])
             continue
-        got = gram_schmidt(vs)
         assert got == want
         assert all(type(w) is tuple for w in got)
 
@@ -443,3 +447,12 @@ def test_echelon_basis_membership_matches_in_span():
         probe = tuple(gr(*x) for x in sparse_pairs(rng, 1, n, blank=False)[0])
         assert (probe in span) == dense_in_span(probe, kept)
         assert (probe in EchelonBasis(row_space_basis(vs))) == dense_in_span(probe, vs)
+
+
+def test_api_error_messages():
+    row = Matrix([[1, 2]])
+    assert error_of(lambda: Matrix([[1, 2], [3]])) == (ValueError, "ragged rows")
+    assert error_of(lambda: Matrix.from_columns([[1, 2], [3]])) == (ValueError, "ragged columns")
+    assert error_of(lambda: row * row) == (ValueError, "shape mismatch")
+    assert error_of(lambda: row.matvec((1,))) == (ValueError, "shape mismatch")
+    assert error_of(lambda: inverse(row)) == (PreconditionError, "matrix not square")

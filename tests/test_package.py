@@ -14,6 +14,7 @@ from pathlib import Path
 
 import cli_sweep
 import pytest
+from conftest import error_of
 
 import nilcx
 from nilcx.catalog import get, render_entry
@@ -462,7 +463,6 @@ def test_every_library_function_has_a_caller():
 # when function F references it and F is entered or listed for another
 # kind of reason.
 UNENTERED = {
-    "catalog._differential_text": "via catalog.get: it writes both tables of a failed round trip",
     "dolbeault.DolbeaultComplex._dbar_adjoint_matrix": "via dolbeault.DolbeaultComplex.dbar_adjoint: its matrix",
     "dolbeault.DolbeaultComplex._to_vec": "via dolbeault.DolbeaultComplex.green: its input as a dense vector",
     "dolbeault.DolbeaultComplex.form": "perfbench: the probes build seeded forms with it",
@@ -586,3 +586,61 @@ def test_every_library_function_is_entered(tmp_path, monkeypatch):
     assert set(unentered) - ruled == set(UNENTERED)
     for name, reason in UNENTERED.items():
         _reason_holds(name, reason, nodes, entered)
+
+
+def test_api_error_messages():
+    assert error_of(lambda: nilcx.no_such_name) == (
+        AttributeError, "module 'nilcx' has no attribute 'no_such_name'"
+    )
+
+
+def _unreached_reason_holds(site, reason: str) -> None:
+    kind, _, why = reason.partition(": ")
+    assert why, f"{site.name}: the reason {reason!r} gives no kind and explanation"
+    function = site.name.split(": ", 1)[0].rsplit(".", 1)[-1]
+    roadmap = re.fullmatch(r"roadmap item (\d+)\((\w)\)", kind)
+    if roadmap:
+        number, part = roadmap.groups()
+        _, found, text = _open_item(number).partition(f"**({part})")
+        assert found, f"{site.name}: ROADMAP.md item {number} has no part ({part})"
+        named = f"`{function}`" in text.split("**(", 1)[0]
+        assert named, f"{site.name}: {kind} does not name {function}"
+    elif re.fullmatch(r"test_\w+\.py::test_\w+", kind):
+        file, test = kind.split("::")
+        text = (ROOT / "tests" / file).read_text()
+        defs = [n for n in ast.parse(text).body if isinstance(n, ast.FunctionDef)]
+        fn = next((n for n in defs if n.name == test), None)
+        assert fn is not None, f"{site.name}: {kind} is not a test"
+        body = ast.get_source_segment(text, fn)
+        missing = [part for part in site.literals if part not in body]
+        assert not missing, f"{site.name}: {kind} does not spell out {missing}"
+    else:
+        raise AssertionError(f"{site.name}: {kind!r} is not a checked kind of reason")
+
+
+def test_every_raise_is_reached_or_listed(tmp_path, monkeypatch):
+    """Each raise under src/nilcx/ runs in some argv of the golden sweep, so
+    its message is pinned there, or cli_sweep.UNREACHED lists it with a
+    reason that holds."""
+    golden = cli_sweep.GOLDEN.read_text(encoding="utf-8").splitlines()[1:]
+    # the package re-raises what it catches, so only runs that exit non-zero
+    # raise; `python tests/cli_sweep.py --raises` traces every argv
+    failing = [argv for argv, line in zip(cli_sweep.ARGVS, golden) if not line.startswith("0 ")]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    cli_sweep.write_inputs(tmp_path)
+    reached = cli_sweep.raised(failing)
+    unreached = [s for s in cli_sweep.raise_sites() if (s.path, s.first) not in reached]
+    listed = cli_sweep.UNREACHED
+    unlisted = [
+        f"{Path(s.path).name}:{s.first} {s.name}" for s in unreached if s.name not in listed
+    ]
+    assert not unlisted, "\n  ".join(
+        ["no sweep argv reaches these raises, and UNREACHED does not list them:", *unlisted]
+    )
+    stale = sorted(set(listed) - {s.name for s in unreached})
+    assert not stale, "\n  ".join(
+        ["UNREACHED lists raises that a sweep argv reaches or that are gone:", *stale]
+    )
+    for site in unreached:
+        _unreached_reason_holds(site, listed[site.name])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import error_of
 from nilcx.errors import ValidationError
 from nilcx.poly import Poly, mono_add, mono_degree, mono_eval, mono_str
 from nilcx.scalars import gr
@@ -73,3 +74,17 @@ def test_immutable():
     p = Poly(1, {})
     with pytest.raises(AttributeError):
         p.nvars = 2
+
+
+def test_api_error_messages():
+    assert error_of(lambda: Poly(2, {(1,): 1})) == (
+        ValidationError, "monomial arity does not match parameter count"
+    )
+    assert error_of(lambda: Poly(2, {(1, -1): 1})) == (
+        ValidationError, "exponents must be nonnegative integers"
+    )
+    f = Poly(2, {(1, 0): 1})
+    assert error_of(lambda: f.evaluate((0.5, 0))) == (ValidationError, "coefficient is not rational")
+    assert error_of(lambda: f.evaluate((0,))) == (
+        ValidationError, "wrong number of parameters: got 1, expected 2"
+    )

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from conftest import error_of
 from reference import parts
 
 from nilcx.errors import ValidationError
@@ -356,3 +357,8 @@ def test_scalar_refuses_what_is_not_exact(x):
         scalar(x)
     with pytest.raises(TypeError, match="^not an exact scalar"):
         GaussianRational(1, x)
+
+
+def test_api_error_messages():
+    assert error_of(lambda: gr(0).inverse()) == (ZeroDivisionError, "inverse of zero")
+    assert error_of(lambda: gr(0.1)) == (TypeError, "not an exact scalar: float 0.1")
