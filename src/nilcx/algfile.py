@@ -8,9 +8,10 @@ spacing within a line is free. Redundant image lines of J must agree with
 the rest or parsing fails, so a file written by ``catalog.render``, which
 emits every column of J, is self-checking on re-parse.
 
-Syntax problems raise :class:`~nilcx.errors.ParseError` with position;
-well-formed files with bad mathematics (Jacobi failure, inconsistent J)
-raise :class:`~nilcx.errors.ValidationError`.
+Syntax problems raise :class:`~nilcx.errors.ParseError` at the first
+character of the token that broke the rule, or one past the line's end
+when a token is missing; well-formed files with bad mathematics (Jacobi
+failure, inconsistent J) raise :class:`~nilcx.errors.ValidationError`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ class AlgebraFile(namedtuple("AlgebraFile", "name algebra structures report")):
     """A parsed file; ``report`` is the parser's passing validation."""
 
     __slots__ = ()
+
+
+def _stop(rest: str, base: int, word: str, most: int = 1) -> int:
+    """Column of the token after up to ``most`` leading ``word`` tokens of ``rest``."""
+    m = _WORD_RE.match(rest, re.match(rf"(?:\s*{word}(?!\S)){{0,{most}}}", rest).end())
+    return base + (m.start(1) if m else len(rest)) + 1
 
 
 def _parse_terms(text: str, lineno: int, base: int, dim: int) -> dict:
@@ -93,7 +100,7 @@ def parse_text(text: str) -> AlgebraFile:
                 raise ParseError("duplicate algebra line", lineno, col)
             m = _NAME_RE.match(rest)
             if not m:
-                raise ParseError("algebra needs a single name", lineno, base + 1)
+                raise ParseError("algebra needs a single name", lineno, _stop(rest, base, r"\S+"))
             name = m.group(1)
         elif keyword == "dim":
             if name is None:
@@ -102,7 +109,8 @@ def parse_text(text: str) -> AlgebraFile:
                 raise ParseError("duplicate dim line", lineno, col)
             m = _DIM_RE.match(rest)
             if not m or int(m.group(1)) < 1:
-                raise ParseError("dim needs a positive integer", lineno, base + 1)
+                at = _stop(rest, base, r"0*[1-9]\d*")
+                raise ParseError("dim needs a positive integer", lineno, at)
             dim = int(m.group(1))
         elif keyword == "bracket":
             if dim is None:
@@ -111,10 +119,12 @@ def parse_text(text: str) -> AlgebraFile:
                 raise ParseError("bracket after a structure block", lineno, col)
             m = _BRACKET_HEAD_RE.match(rest)
             if not m:
-                raise ParseError("expected: bracket ei ej = terms", lineno, base + 1)
+                at = _stop(rest, base, r"e\d+", 2)
+                raise ParseError("expected: bracket ei ej = terms", lineno, at)
             i, j = int(m.group(1)), int(m.group(2))
             if not 1 <= i <= dim or not 1 <= j <= dim:
-                raise ParseError("vector index out of range", lineno, base + m.start(1))
+                at = base + m.start(1 if not 1 <= i <= dim else 2)
+                raise ParseError("vector index out of range", lineno, at)
             if i >= j:
                 raise ParseError("bracket needs i < j", lineno, base + m.start(1))
             if (i, j) in brackets:
@@ -127,20 +137,20 @@ def parse_text(text: str) -> AlgebraFile:
                 raise ParseError("structure before dim line", lineno, col)
             m = _NAME_RE.match(rest)
             if not m:
-                raise ParseError("structure needs a single name", lineno, base + 1)
+                raise ParseError("structure needs a single name", lineno, _stop(rest, base, r"\S+"))
             if any(b[0] == m.group(1) for b in blocks):
-                raise ParseError("duplicate structure name", lineno, base + 1)
-            blocks.append((m.group(1), {}))
+                raise ParseError("duplicate structure name", lineno, base + m.start(1) + 1)
+            blocks.append((m.group(1), lineno, {}))
         elif keyword == "J":
             if not blocks:
                 raise ParseError("J line outside a structure block", lineno, col)
             m = _J_HEAD_RE.match(rest)
             if not m:
-                raise ParseError("expected: J ei = terms", lineno, base + 1)
+                raise ParseError("expected: J ei = terms", lineno, _stop(rest, base, r"e\d+"))
             i = int(m.group(1))
             if not 1 <= i <= dim:
                 raise ParseError("vector index out of range", lineno, base + m.start(1))
-            images = blocks[-1][1]
+            images = blocks[-1][2]
             if i in images:
                 raise ParseError("repeated J image", lineno, base + m.start(1))
             images[i] = _parse_terms(rest[m.end() :], lineno, base + m.end(), dim)
@@ -156,14 +166,17 @@ def parse_text(text: str) -> AlgebraFile:
     if not report.ok:
         raise ValidationError(f"algebra fails validation: {report.errors[0]}")
     structures = []
-    for sname, images in blocks:
+    for sname, sline, images in blocks:
         if not images:
             raise ValidationError(f"structure {sname} has no J lines")
         cols = {
             i - 1: tuple(terms.get(k, ZERO) for k in range(1, dim + 1))
             for i, terms in images.items()
         }
-        structures.append((sname, AlmostComplexStructure.from_images(dim, cols)))
+        try:
+            structures.append((sname, AlmostComplexStructure.from_images(dim, cols)))
+        except ValidationError as exc:
+            raise ValidationError(f"structure {sname} (line {sline}): {exc}") from None
     return AlgebraFile(
         name=name, algebra=algebra, structures=tuple(structures), report=report
     )

@@ -56,27 +56,15 @@ class AlmostComplexStructure(Frozen):
 
     @classmethod
     def from_images(cls, dim: int, images: dict[int, Vector]) -> "AlmostComplexStructure":
-        """Build J from images of selected basis vectors, 0-based.
-
-        Each given J e_i = v also forces J v = -e_i. Every constraint J d = r
-        is a row [d | r], and rows [D | D J^T] reduce to [I | J^T] above zero
-        rows when they determine J. A pivot right of the bar means two
-        constraints disagree (inconsistent); fewer than dim pivots leave J
-        undetermined (incomplete).
-        """
+        """Build J from images of selected basis vectors, 0-based: each given
+        J e_i = v also forces J v = -e_i, and :func:`solve_j` reads J off both."""
         rows = []
         for i, v in sorted(images.items()):
             e = [ONE if c == i else ZERO for c in range(dim)]
             v = list(map(scalar, v))
             rows.append(tuple(e + v))
             rows.append(tuple(v + [-x for x in e]))
-        red, pivots = rref(Matrix._of(tuple(rows)))
-        if pivots and pivots[-1] >= dim:
-            raise ValidationError("J images inconsistent")
-        if len(pivots) < dim:
-            raise ValidationError("J images incomplete")
-        # the reduced rows hold J^T, so they are J's columns
-        return cls(Matrix.from_columns([row[dim:] for row in red.rows[:dim]]))
+        return cls(solve_j(dim, rows))
 
     def __eq__(self, other):
         if not isinstance(other, AlmostComplexStructure):
@@ -88,6 +76,20 @@ class AlmostComplexStructure(Frozen):
 
     def __repr__(self):
         return f"AlmostComplexStructure(dim {self.dim})"
+
+
+def solve_j(dim: int, rows) -> Matrix:
+    """The matrix of J from constraint rows [d | r], each saying J d = r: rows
+    [D | D J^T] reduce to [I | J^T] above zero rows when they determine J. A
+    pivot right of the bar means two constraints disagree (inconsistent);
+    fewer than dim pivots leave J undetermined (incomplete)."""
+    red, pivots = rref(Matrix._of(tuple(rows)))
+    if pivots and pivots[-1] >= dim:
+        raise ValidationError("J images inconsistent")
+    if len(pivots) < dim:
+        raise ValidationError("J images incomplete")
+    # the reduced rows hold J^T, so they are J's columns
+    return Matrix.from_columns([row[dim:] for row in red.rows[:dim]])
 
 
 class ComplexFrame(Frozen):

@@ -191,25 +191,15 @@ class DolbeaultComplex:
     concurrent reads are safe once built.
     """
 
-    def __init__(
-        self,
-        algebra: LieAlgebra,
-        j: AlmostComplexStructure,
-        frame: ComplexFrame | None = None,
-    ):
+    def __init__(self, algebra: LieAlgebra, j: AlmostComplexStructure):
         pair = abelian_defect(algebra, j)
         if pair is not None:
             a, b = pair
             raise PreconditionError(f"J is not abelian: [Je{a}, Je{b}] != [e{a}, e{b}]")
-        if frame is None:
-            frame = adapted_frame(algebra, j)
-        else:
-            frame.check_against(j)
         self.algebra = algebra
         self.j = j
-        self.frame = frame
-        self.n = frame.n
-        n = self.n
+        self.frame = frame = adapted_frame(algebra, j)
+        self.n = n = frame.n
         # _dv[a][jj] = (1,0)-part of [conj X_jj, X_a] in frame coordinates
         bracket = algebra.bracket
         self._dv = tuple(

@@ -13,11 +13,11 @@ dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
 inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
 with no Laplacian and no Green's operator. All coefficients are exact, so
 the truncated Maurer-Cartan residual and the obstruction polynomials are
-computed without rounding. Evaluating a series
-at a parameter point and conjugating the eigenspace splitting produces a
-genuine almost complex structure on the same algebra, which the classifier
-then inspects with the usual integrability and bracket tests; nothing about
-the deformed structure is inferred from the series itself.
+computed without rounding. At a parameter point the deformed (0,1)-space
+is the graph of Phi(t) over the old one, and eliminating the constraints
+that J is -i on it and +i on its conjugate gives a genuine almost complex
+structure on the same algebra, which the classifier inspects with the usual
+integrability and bracket tests; nothing is inferred from the series itself.
 
 Hand-fed instances of :class:`DeformedStructure` (a structure obtained some
 other way, wrapped with its algebra) are accepted by the classifier.
@@ -28,11 +28,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .brackets import _contraction_table, _wedge_pair
-from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
+from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series, solve_j
 from .dolbeault import DolbeaultComplex
-from .errors import Frozen, NotSolvableError, PreconditionError, ValidationError
+from .errors import Frozen, PreconditionError, ValidationError
 from .lie import LieAlgebra
-from .linalg import Matrix, inverse, pinv
+from .linalg import pinv
 from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
 from .scalars import I, ZERO, GaussianRational
 
@@ -278,39 +278,33 @@ def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point)
 
 
 def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> DeformedStructure:
-    """Almost complex structure whose (0,1)-space is spanned by Xb_j + Phi(Xb_j).
+    """Almost complex structure whose (0,1)-space is spanned by w_j = Xb_j + Phi(Xb_j).
 
-    Fails when that space meets its conjugate, which happens for parameter
-    values too large for the eigenspace splitting to survive. At t = 0 the
-    base structure is reproduced exactly.
+    :func:`~nilcx.cxs.solve_j` reads J off J w_j = -i w_j and J wb_j = i wb_j,
+    which leave J undetermined where the space meets its conjugate (parameter
+    values too large for the splitting to survive); at t = 0 they give the base J.
     """
     _owned_series(dc, series)
     pt = coerce_point(t_point, series.params)
     phi = series.evaluate(pt)
-    n = dc.n
-    frame = dc.frame
-    cols = []
+    n, frame = dc.n, dc.frame
+    rows = []
     for jj in range(n):
         w = list(frame.frame_vector(n + jj))
         for a in range(n):
             c = phi.get(((jj,), a))
             if c:
-                xa = frame.vectors[a]
-                w = [wi + c * xi for wi, xi in zip(w, xa)]
-        cols.append(tuple(w))
-    conj_cols = [tuple(x.conjugate() for x in w) for w in cols]
-    basis = Matrix.from_columns(conj_cols + cols)
+                w = [wi + c * xi for wi, xi in zip(w, frame.vectors[a])]
+        wb = [x.conjugate() for x in w]
+        rows += [tuple(w + [-I * x for x in w]), tuple(wb + [I * x for x in wb])]
     try:
-        binv = inverse(basis)
-    except NotSolvableError:
+        j_matrix = solve_j(2 * n, rows)
+    except ValidationError:
+        t = ", ".join(str(x) for x in pt)
         raise PreconditionError(
-            "parameter too large: deformed (0,1)-space degenerate at t = ("
-            + ", ".join(str(x) for x in pt)
-            + ")"
+            f"parameter too large: deformed (0,1)-space degenerate at t = ({t})"
         ) from None
-    scaled_rows = [[(I if i < n else -I) * x for x in binv.rows[i]] for i in range(2 * n)]
-    j_new = AlmostComplexStructure(basis * Matrix(scaled_rows))
-    return DeformedStructure(t_point=pt, j_new=j_new, algebra=dc.algebra)
+    return DeformedStructure(t_point=pt, j_new=AlmostComplexStructure(j_matrix), algebra=dc.algebra)
 
 
 def classify_deformation(algebra: LieAlgebra, deformed: DeformedStructure) -> DeformationReport:

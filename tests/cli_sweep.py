@@ -266,7 +266,8 @@ UNREACHED = {
     "cxs.ComplexFrame.__init__: frame vectors do not span the complexification":
         _API.format("cxs") + ": a frame given by hand; adapted_frame builds the commands' frames",
     "cxs.ComplexFrame.check_against: frame vector is not a (1,0)-vector of J: X{i + 1}":
-        _API.format("cxs") + ": a frame given to DolbeaultComplex by hand",
+        _API.format("cxs") + ": a frame given by hand; adapted_frame checks the frame it "
+        "built from b - iJb",
     "dolbeault.VectorForm.__init__: key arity does not match degree":
         _API.format("dolbeault") + ": a form given by hand",
     "dolbeault.VectorForm.__init__: frame index out of range":
@@ -316,6 +317,9 @@ UNREACHED = {
         _API.format("linalg") + ": the package multiplies matching shapes only",
     "linalg.inverse: matrix not square":
         _API.format("linalg") + ": the package inverts square matrices only",
+    "linalg.inverse: matrix not invertible":
+        _API.format("linalg") + ": pinv inverts positive definite Gram matrices, and "
+        "ComplexFrame reports a singular frame with its own message",
     "poly.coerce_scalar: coefficient is not rational":
         _API.format("poly") + ": the kuranishi command reads --at as rationals first",
     "poly.coerce_point: wrong number of parameters: got {len(pt)}, expected {nvars}":
@@ -343,8 +347,9 @@ UNREACHED = {
 
 # the profiled sweep: every command in text and --json, --at points that
 # are unobstructed, truncated, obstructed, degenerate, of the wrong arity
-# or unreadable, help, usage errors, a parse error, validation and I/O
-# errors, and precondition errors; one complex on n10, whose Gram-Schmidt
+# or unreadable, help, usage errors, parse errors at a token and between
+# tokens, validation and I/O errors, precondition errors, and an abelian
+# locus that some direction leaves; one complex on n10, whose Gram-Schmidt
 # is the only division by a scalar other than 1 that the commands make
 ENTRY_ARGVS = [
     [],
@@ -359,6 +364,7 @@ ENTRY_ARGVS = [
     ["validate", "h15.alg"],
     ["validate", "n10_21.alg", "--json"],
     ["validate", "syntax.alg"],
+    ["validate", "bracket_head.alg"],
     ["validate", "solvable.alg"],
     ["validate", "missing.alg"],
     ["series", "n10.alg"],
@@ -372,6 +378,7 @@ ENTRY_ARGVS = [
     ["cohomology", "plain.alg", "--degree", "1"],
     ["abelian-locus", "h9.alg", "--json"],
     ["abelian-locus", "two.alg", "--structure", "K"],
+    ["abelian-locus", "h15.alg"],
     ["kuranishi", "torus1.alg", "--order", "2"],
     ["kuranishi", "h15.alg", "--order", "0"],
     ["kuranishi", "h15.alg", "--order=2", "--at=0,0,1/10,0,0", "--json"],

@@ -15,8 +15,10 @@ the witness of a failed integrability test. ``verify_entry`` recomputes a
 catalog entry's facts, ``differentials_from_brackets`` reads an algebra's
 coframe differentials, and ``abelian_routes`` runs both real abelianness
 tests on dense brackets. ``hand_built_series`` brackets coefficients given
-by hand, and ``vanishes_at`` tells whether every obstruction vanishes at a
-point. Nothing in the package calls them.
+by hand, ``vanishes_at`` tells whether every obstruction vanishes at a
+point, and ``eigenbasis_deformed_j`` builds a deformed J as
+B diag(i, -i) B^-1 on an eigenbasis, where the package eliminates
+constraints. Nothing in the package calls them.
 
 Sign convention of the frame route: for an invariant 1-form,
 d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
@@ -40,8 +42,8 @@ from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, Va
 from nilcx.brackets import infinitesimal_abelian_locus
 from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table, residual_by_degree
 from nilcx.lie import LieAlgebra, _null_space, validate_lie
-from nilcx.linalg import Matrix, Vector, is_zero_vector, kernel_basis, rank, rref
-from nilcx.poly import mono_add, mono_degree
+from nilcx.linalg import Matrix, Vector, inverse, is_zero_vector, kernel_basis, rank, rref
+from nilcx.poly import coerce_point, mono_add, mono_degree
 from nilcx.scalars import I as IMAG
 from nilcx.scalars import ONE, ZERO, GaussianRational
 
@@ -256,6 +258,37 @@ def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationS
 def vanishes_at(obs, t_point) -> bool:
     """True when every polynomial of an obstruction set vanishes at the point."""
     return all(not p.evaluate(t_point) for p in obs.polys)
+
+
+def eigenbasis_deformed_j(dc, series: DeformationSeries, t_point) -> AlmostComplexStructure:
+    """The deformed J as B diag(i, -i) B^-1, B the columns conj(w_j), w_j.
+
+    w_j = Xb_j + sum_a phi_ja X_a spans the deformed (0,1)-space, so J is -i
+    on the w_j and +i on their conjugates. Refuses, as ``deform_structure``
+    does, where B is singular: the (0,1)-space meets its conjugate.
+    """
+    pt = coerce_point(t_point, series.params)
+    phi = series.evaluate(pt)
+    n, frame = dc.n, dc.frame
+    cols = []
+    for jj in range(n):
+        w = list(frame.frame_vector(n + jj))
+        for a in range(n):
+            c = phi.get(((jj,), a))
+            if c:
+                w = [wi + c * xi for wi, xi in zip(w, frame.vectors[a])]
+        cols.append(tuple(w))
+    basis = Matrix.from_columns([tuple(x.conjugate() for x in w) for w in cols] + cols)
+    try:
+        binv = inverse(basis)
+    except NotSolvableError:
+        raise PreconditionError(
+            "parameter too large: deformed (0,1)-space degenerate at t = ("
+            + ", ".join(str(x) for x in pt)
+            + ")"
+        ) from None
+    scaled_rows = [[(IMAG if i < n else -IMAG) * x for x in binv.rows[i]] for i in range(2 * n)]
+    return AlmostComplexStructure(basis * Matrix(scaled_rows))
 
 
 # ------------------------------------------------- catalog facts, live

@@ -32,6 +32,7 @@ from reference import (
     add,
     check_harmonic_is_laplacian_kernel,
     dbar,
+    eigenbasis_deformed_j,
     harmonic_projection,
     in_span,
     inner_product,
@@ -73,6 +74,14 @@ def report(n, failures, detail):
 
 def to_vec(dc, f):
     return tuple(f.coeffs.get(key, ZERO) for key in dc.chain_basis(f.degree))
+
+
+def checked_deform(dc, series, pt):
+    """deform_structure at pt, whose J must equal the eigenbasis route's exactly."""
+    got = deform_structure(dc, series, pt)
+    want = eigenbasis_deformed_j(dc, series, pt)
+    assert got.j_new == want, f"J differs from B diag(i, -i) B^-1 at {pt}"
+    return got
 
 
 def span_equal(rows_a, rows_b):
@@ -167,7 +176,7 @@ def test_criterion_2():
                 continue
             phi = series.evaluate(pt)
             rule = not any(_coform_core(table, phi, ell) for ell in range(dc.n))
-            abelian = is_abelian(dc.algebra, deform_structure(dc, series, pt).j_new)
+            abelian = is_abelian(dc.algebra, checked_deform(dc, series, pt).j_new)
             points += 1
             outcomes.add(abelian)
             if rule != abelian:
@@ -202,7 +211,7 @@ def test_criterion_3():
         (F(1, 5), F(-1, 7), F(1, 9)),
     ]
     for pt in points:
-        rep = classify_deformation(alg, deform_structure(dc, series, pt))
+        rep = classify_deformation(alg, checked_deform(dc, series, pt))
         if not rep.integrable:
             failures.append(f"deformation at {pt} not integrable")
         if not rep.abelian:
@@ -256,7 +265,7 @@ def test_criterion_4():
         failures.append(f"obstructions vanish at {obstructed}")
     if not mc_residual(dc, series, obstructed).coeffs:
         failures.append(f"Maurer-Cartan residual zero at {obstructed}")
-    deformed = deform_structure(dc, series, obstructed)
+    deformed = checked_deform(dc, series, obstructed)
     rep = classify_deformation(alg, deformed)
     if nijenhuis_vanishes(alg, deformed.j_new):
         failures.append(f"Nijenhuis tensor zero at obstructed point {obstructed}")
@@ -272,7 +281,7 @@ def test_criterion_4():
             failures.append(f"obstructions do not vanish at {pt}")
         if mc_residual(dc, series, pt).coeffs:
             failures.append(f"Maurer-Cartan residual nonzero at {pt}")
-        deformed = deform_structure(dc, series, pt)
+        deformed = checked_deform(dc, series, pt)
         rep2 = classify_deformation(alg, deformed)
         if not nijenhuis_vanishes(alg, deformed.j_new):
             failures.append(f"Nijenhuis tensor nonzero at {pt}")
@@ -285,7 +294,7 @@ def test_criterion_4():
         (0, 0, 0, 0, F(1, 10)),
         (F(1, 10), 0, 0, F(-1, 8), F(1, 10)),
     ]:
-        rep3 = classify_deformation(alg, deform_structure(dc, series, pt))
+        rep3 = classify_deformation(alg, checked_deform(dc, series, pt))
         if not rep3.abelian:
             failures.append(f"flat-locus deformation at {pt} not abelian")
     report(
@@ -453,7 +462,7 @@ def run_property_suite(tag, algebra, acs, rng, heavy=False):
             failures.append(f"{tag}: no obstruction-free sample points")
 
     zero = tuple(0 for _ in range(series.params))
-    if deform_structure(dc, series, zero).j_new != acs:
+    if checked_deform(dc, series, zero).j_new != acs:
         failures.append(f"{tag}: deformation at 0 is not the base structure")
     return failures
 

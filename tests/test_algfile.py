@@ -1,8 +1,10 @@
 """Text format for algebras: parsing, rendering, round trips, error positions."""
 
+import re
 from fractions import Fraction
 from importlib import resources
 
+import cli_sweep
 import pytest
 
 from nilcx.algfile import parse_text
@@ -104,13 +106,13 @@ def test_partial_pairing_block_completes():
 
 def test_incomplete_structure_rejected():
     text = "algebra flat\ndim 4\nstructure J\nJ e1 = 1*e2\n"
-    with pytest.raises(ValidationError, match="incomplete"):
+    with pytest.raises(ValidationError, match=r"^structure J \(line 3\): J images incomplete$"):
         parse_text(text)
 
 
 def test_inconsistent_structure_rejected():
     text = "algebra flat\ndim 2\nstructure J\nJ e1 = 1*e1\n"
-    with pytest.raises(ValidationError, match="inconsistent"):
+    with pytest.raises(ValidationError, match=r"^structure J \(line 3\): J images inconsistent$"):
         parse_text(text)
 
 
@@ -171,6 +173,29 @@ def test_error_positions():
     e = err("algebra a\ndim 3\nbracket e1 e2 = 1*e3 1*e3\n")
     assert (e.line, e.col) == (3, 22)
     assert "'+'" in e.message
+
+
+def test_error_columns_point_at_the_token_that_broke_the_rule():
+    """Every parse error of the sweep's error files has a column on its line
+    or one past its end; one on the line is not a blank, and an index out of
+    range points at that index."""
+    raised = 0
+    for stem, text in cli_sweep.ERROR_FILES.items():
+        try:
+            parse_text(text)
+        except ParseError as e:
+            line = text.splitlines()[e.line - 1]
+            raised += 1
+            assert 1 <= e.col <= len(line) + 1, f"{stem}: col {e.col} of {line!r}"
+            if e.col <= len(line):
+                assert not line[e.col - 1].isspace(), f"{stem}: col {e.col} of {line!r} is a blank"
+            if e.message == "vector index out of range":
+                dim = int(re.search(r"^dim (\d+)$", text, re.M).group(1))
+                token = line[e.col - 1 :].split()[0]
+                assert re.fullmatch(r"e\d+", token) and int(token[1:]) > dim, f"{stem}: {token}"
+        except ValidationError:
+            pass
+    assert raised == 26
 
 
 def test_duplicate_bracket_line_rejected():

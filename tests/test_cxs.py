@@ -685,6 +685,6 @@ def test_api_error_messages():
     # the conjugate frame spans the (0,1)-space of J
     frame = adapted_frame(h9(), j_std6())
     conjugate = ComplexFrame(h9(), [[x.conjugate() for x in v] for v in frame.vectors])
-    assert error_of(lambda: DolbeaultComplex(h9(), j_std6(), frame=conjugate)) == (
+    assert error_of(lambda: conjugate.check_against(j_std6())) == (
         SelfCheckError, "frame vector is not a (1,0)-vector of J: X1"
     )

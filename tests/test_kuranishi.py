@@ -20,12 +20,14 @@ from fractions import Fraction
 
 import pytest
 
+import cli_sweep
 from conftest import abelian, error_of, h9, h15, j_std6, jst, n10, pair_j
 from reference import (
     InvariantForm,
     add,
     by_degree,
     dbar,
+    eigenbasis_deformed_j,
     hand_built_series,
     inner_product,
     laplacian,
@@ -666,6 +668,45 @@ def test_deform_degenerate_parameter_raises():
     with pytest.raises(PreconditionError, match="parameter too large") as info:
         deform_structure(dc, ser, (1, 0, 0))
     assert str(info.value).endswith("degenerate at t = (1, 0, 0)")
+
+
+def _j_or_refusal(route, dc, series, pt):
+    try:
+        return route(dc, series, pt)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_deformed_j_is_the_eigenbasis_route_at_every_sweep_point():
+    """The constraint elimination of deform_structure and the reference
+    B diag(i, -i) B^-1 give the same J, or the same refusal, at every --at
+    point of the golden sweep that reaches deform_structure, at each order
+    the sweep deforms it."""
+    points, refused = set(), set()
+    for stem, texts in cli_sweep.POINTS.items():
+        name, params = cli_sweep.CATALOG_FILES[stem]
+        entry = get(name, **params)
+        dc = DolbeaultComplex(entry.algebra, entry.structures[0][1])
+        for order in sorted({1, 2, cli_sweep.ORDERS[stem]}):
+            series = kuranishi_series(dc, order=order)
+            for text in texts:
+                try:
+                    pt = tuple(Fraction(x) for x in text.split(","))
+                except (ValueError, ZeroDivisionError):
+                    continue
+                if len(pt) != series.params:
+                    continue
+                got = _j_or_refusal(lambda *a: deform_structure(*a).j_new, dc, series, pt)
+                assert got == _j_or_refusal(eigenbasis_deformed_j, dc, series, pt), (
+                    f"{stem} --order {order} --at {text}"
+                )
+                points.add((stem, text))
+                if isinstance(got, str):
+                    refused.add((stem, text, got))
+    assert len(points) == 17
+    assert refused == {
+        ("h9", "1,0,0", "parameter too large: deformed (0,1)-space degenerate at t = (1, 0, 0)")
+    }
 
 
 def test_deform_provenance():

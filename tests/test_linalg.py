@@ -456,3 +456,6 @@ def test_api_error_messages():
     assert error_of(lambda: row * row) == (ValueError, "shape mismatch")
     assert error_of(lambda: row.matvec((1,))) == (ValueError, "shape mismatch")
     assert error_of(lambda: inverse(row)) == (PreconditionError, "matrix not square")
+    assert error_of(lambda: inverse(Matrix([[1, 2], [2, 4]]))) == (
+        NotSolvableError, "matrix not invertible"
+    )
