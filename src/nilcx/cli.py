@@ -6,7 +6,11 @@ compute something to a stable-ordered, schema-versioned JSON document,
 byte-identical across runs for identical inputs.
 
 This module runs as ``__main__`` in every job, so it holds only the
-command table, the argv reader and ``main``. A command's handler is the
+command table, the argv reader, ``main`` and ``script``. ``script`` is the
+one entry of a process (``python -m nilcx.cli`` and the ``nilcx`` console
+script): it runs ``main`` and then freezes the garbage collector, so the
+interpreter's shutdown collections skip what the job leaves alive.
+``main(argv)`` called in-process freezes nothing. A command's handler is the
 ``run(args)`` of its own module, named in ``COMMANDS`` (``cli_validate``,
 ``cli_kuranishi``, ...); ``main`` imports only that one. ``read_argv``
 reads a plain argv straight from the table; ``cli_help`` builds argparse
@@ -17,6 +21,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse error (bad file or
 bad usage), 3 computation precondition failure.
 """
 
+import gc
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -133,5 +138,18 @@ def main(argv=None) -> int:
     return code
 
 
+def script() -> int:
+    """``main`` on ``sys.argv``: the ``nilcx`` console script and ``python -m nilcx.cli``."""
+    try:
+        return main()
+    finally:
+        # The process ends next, and CPython promises no __del__ for objects
+        # alive at exit. Freezing them keeps the shutdown collections from
+        # walking the ~11k objects of the interpreter, site and nilcx, about
+        # 6 ms a job; atexit handlers and the flush of stdout and stderr still
+        # run. This runs on every way out: a return, an error, argparse's exit.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(script())

@@ -88,12 +88,17 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     harmonic vectors and D's columns are.
     The pass puts phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for
     r <= order, with D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built
-    as sparse columns on the first nonzero bracket.
+    as sparse columns on the first nonzero bracket. Once r exceeds twice
+    the highest degree with a term, every later bracket and term is zero,
+    so the pass stops there and leaves those degrees out of ``by_degree``.
     """
     table = _bracket_table(dc)
     brackets: dict = {}
     step = None
+    top = 1 if by_degree[1] else 0
     for r in range(2, order + 2):
+        if r > 2 * top:
+            break
         acc: dict = {}
         for s in range(1, r // 2 + 1):
             lower, upper = by_degree.get(s, ()), by_degree.get(r - s, ())
@@ -115,7 +120,7 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
             keys = dc.chain_basis(1)
             d = pinv(dc.dbar_matrix(1))
             step = [[(keys[i], -HALF * x) for i, x in enumerate(col) if x] for col in d.columns()]
-        by_degree[r] = []
+        terms = by_degree[r] = []
         for m in sorted(acc):
             phi: dict = {}
             for j, x in acc[m].items():
@@ -123,7 +128,9 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
                     phi[i] = phi.get(i, ZERO) + e * x
             phi = {i: v for i, v in phi.items() if v}
             if phi:
-                by_degree[r].append((m, phi))
+                terms.append((m, phi))
+        if terms:
+            top = r
     return brackets
 
 
@@ -215,7 +222,7 @@ def kuranishi_series(dc: DolbeaultComplex, order: int = 6) -> DeformationSeries:
     # copies, so that the series shares no dict with the cached harmonic basis
     by_degree = {1: [(m, dict(h.coeffs)) for m, h in zip(linear, coh.harmonic_basis)]}
     brackets = _bracket_pass(dc, by_degree, order)
-    coeffs = {m: f for r in range(1, order + 1) for m, f in by_degree[r]}
+    coeffs = {m: f for terms in by_degree.values() for m, f in terms}
     return DeformationSeries(dc, p, order, coeffs, brackets)
 
 

@@ -250,8 +250,8 @@ UNREACHED = {
         _API.format("catalog") + ": the catalog command reads --s and --t as rationals first",
     "catalog.get: n10 requires rational parameters s and t":
         _API.format("catalog") + ": the catalog command passes the defaults of --s and --t",
-    "cli: SystemExit(main())":
-        "test_cli.py::test_module_runs_as_script: python -m nilcx.cli exits through it, "
+    "cli: SystemExit(script())":
+        "test_cli.py::test_script_path_matches_main: python -m nilcx.cli exits through it, "
         "and the sweep calls main in-process",
     "cxs.AlmostComplexStructure.__init__: J must be square":
         _API.format("cxs") + ": J from .alg images is square",

@@ -5,7 +5,9 @@ parameters. Brackets are entered raw on purpose; the catalog module has its
 own construction path and its own tests.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from nilcx.cxs import AlmostComplexStructure
 from nilcx.lie import LieAlgebra
@@ -104,3 +106,13 @@ def error_of(call):
     except Exception as exc:
         return type(exc), str(exc)
     return None
+
+
+def main_block_calls(path) -> set:
+    """Names of the functions that the ``if __name__ == "__main__":`` block
+    of the module at ``path`` calls."""
+    tree = ast.parse(Path(path).read_text())
+    test = "__name__ == '__main__'"
+    blocks = [n for n in tree.body if isinstance(n, ast.If) and ast.unparse(n.test) == test]
+    calls = [n for block in blocks for n in ast.walk(block) if isinstance(n, ast.Call)]
+    return {n.func.id for n in calls if isinstance(n.func, ast.Name)}

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, JSON stability."""
 
+import gc
 import hashlib
 import io
 import json
@@ -8,13 +9,16 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
 from pathlib import Path
 
+import cli_sweep
 import pytest
+from conftest import main_block_calls
 from reference import reference_parser
 
 import nilcx
-from nilcx import cli_common
+from nilcx import cli, cli_common
 from nilcx.algfile import parse_text
 from nilcx.catalog import get, render_entry
 from nilcx.cli import COMMANDS, main, read_argv
@@ -548,18 +552,112 @@ def test_missing_structure_block(tmp_path, capsys):
     assert "no structure block" in err
 
 
-def test_module_runs_as_script():
-    # the child finds the package where this interpreter found it
+def _child_env() -> dict:
+    # the child finds the package where this interpreter found it, and argparse
+    # wraps help at 80 columns there as in-process
     src = str(Path(nilcx.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+
+
+def test_module_runs_as_script():
     proc = subprocess.run(
         [sys.executable, "-m", "nilcx.cli", "catalog"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("h9")
+
+
+# one argv per way out of a job, with its exit code: success, a validation
+# error, a parse error, an argparse usage error, a precondition and help
+EXIT_PATHS = [
+    (0, ["kuranishi", "h15.alg", "--order", "2", "--at=1/10,0,1/10,0,0", "--json"]),
+    (1, ["validate", "solvable.alg"]),
+    (2, ["validate", "syntax.alg"]),
+    (2, ["cohomology", "h15.alg"]),
+    (3, ["cohomology", "h15.alg", "--degree", "4"]),
+    (0, ["--help"]),
+]
+
+
+@pytest.fixture
+def job_dir(tmp_path, monkeypatch):
+    """A directory holding the inputs of EXIT_PATHS, as the working directory."""
+    (tmp_path / "h15.alg").write_text(render_entry(get("h15")))
+    for stem in ("solvable", "syntax"):
+        (tmp_path / f"{stem}.alg").write_text(cli_sweep.TEXT_FILES[stem])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    return tmp_path
+
+
+def _in_process(capsys, argv):
+    """Exit code, stdout and stderr bytes of ``main(argv)``, argparse's exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+@pytest.mark.parametrize("code, argv", EXIT_PATHS)
+def test_script_path_matches_main(job_dir, capsys, code, argv):
+    """python -m nilcx.cli exits through SystemExit(script()) with the exit
+    code and the bytes of main run in-process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilcx.cli", *argv],
+        capture_output=True,
+        cwd=job_dir,
+        env=_child_env(),
+    )
+    want = _in_process(capsys, argv)
+    assert want[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+# runs nilcx.cli as __main__ after registering an atexit handler, which runs
+# after the script's own way out and reports the collector's freeze count
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("nilcx.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("code, argv", EXIT_PATHS)
+def test_script_freezes_the_collector_on_every_way_out(job_dir, code, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        cwd=job_dir,
+        env=_child_env(),
+    )
+    assert proc.returncode == code
+    word, count = proc.stderr.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0
+
+
+@pytest.mark.parametrize("code, argv", EXIT_PATHS)
+def test_main_in_process_leaves_the_collector_alone(job_dir, capsys, code, argv):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert _in_process(capsys, argv)[0] == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["nilcx"]
+    module, _, name = target.partition(":")
+    entry = getattr(import_module(module), name)
+    called = [vars(cli)[n] for n in main_block_calls(cli.__file__) if n in vars(cli)]
+    assert called == [entry]
 
 
 @pytest.mark.parametrize(

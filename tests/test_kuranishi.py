@@ -15,6 +15,7 @@ deterministic degree-1 harmonic bases; for the second algebra these are
 so the coform-flat directions are exactly {t2 = t3 = 0}.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -37,12 +38,14 @@ from reference import (
     vanishes_at,
 )
 from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
-from nilcx.catalog import get
+from nilcx.catalog import get, render_entry
+from nilcx.cli import main
 from nilcx.dolbeault import DolbeaultComplex, chain_text
 from nilcx.errors import PreconditionError, ValidationError
 from nilcx.kuranishi import (
     DeformationSeries,
     DeformedStructure,
+    _bracket_pass,
     classify_deformation,
     deform_structure,
     kuranishi_series,
@@ -253,6 +256,47 @@ def test_series_deterministic_across_instances():
 def test_series_rejects_bad_order():
     with pytest.raises(PreconditionError):
         kuranishi_series(dc_h9(), order=0)
+
+
+class _CountedLookups(dict):
+    """A dict that counts its reads by key."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_bracket_pass_stops_where_the_series_ends(tmp_path, capsys):
+    """On h9 every bracket of two linear terms vanishes, so the series ends
+    at degree 1 and nothing past degree 2 can be nonzero: the pass reads
+    by_degree three times at order 1000, and the output at order 3000 is the
+    output at order 6."""
+    dc = dc_h9()
+    coh = dc.cohomology(1)
+    p = coh.dimension
+    monos = [tuple(int(j == k) for j in range(p)) for k in range(p)]
+    linear = [(m, h.coeffs) for m, h in zip(monos, coh.harmonic_basis)]
+    by_degree = _CountedLookups({1: linear})
+    assert _bracket_pass(dc, by_degree, 1000) == {}
+    assert by_degree.lookups == 3
+    assert by_degree == {1: linear, 2: []}
+
+    path = tmp_path / "h9.alg"
+    path.write_text(render_entry(get("h9")))
+    docs = []
+    for order in (6, 3000):
+        argv = ["kuranishi", str(path), "--order", str(order), "--at", "1/10,0,0", "--json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("order") == order
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_series_constructor_validation():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import cli_sweep
 import pytest
-from conftest import error_of
+from conftest import error_of, main_block_calls
 
 import nilcx
 from nilcx.catalog import get, render_entry
@@ -463,6 +463,7 @@ def test_every_library_function_has_a_caller():
 # when function F references it and F is entered or listed for another
 # kind of reason.
 UNENTERED = {
+    "cli.script": "script: the entry of python -m nilcx.cli and the nilcx console script",
     "dolbeault.DolbeaultComplex._dbar_adjoint_matrix": "via dolbeault.DolbeaultComplex.dbar_adjoint: its matrix",
     "dolbeault.DolbeaultComplex._to_vec": "via dolbeault.DolbeaultComplex.green: its input as a dense vector",
     "dolbeault.DolbeaultComplex.form": "perfbench: the probes build seeded forms with it",
@@ -543,6 +544,10 @@ def _reason_holds(name: str, reason: str, nodes: dict, entered: set) -> None:
         assert short in names, f"{name}: {caller} does not reference it"
         kept = caller in UNENTERED and not UNENTERED[caller].startswith("via ")
         assert caller in entered or kept, f"{name}: {caller} is not run"
+    elif kind == "script":
+        module = name.split(".", 1)[0]
+        called = main_block_calls(ROOT / "src" / "nilcx" / f"{module}.py")
+        assert short in called, f"{name}: the __main__ block of {module} does not call it"
     else:
         raise AssertionError(f"{name}: {kind!r} is not a checked kind of reason")
 
