@@ -1,7 +1,14 @@
-"""Coform brackets of a Dolbeault complex, and the first-order abelian test.
+"""Coform brackets of a Dolbeault complex, the bracket of degree-1 chains,
+and the first-order abelian test.
 
 The contraction table lists X_a _| d wb^l, read off the complex's own frame
-brackets. ``kuranishi`` builds the bracket of degree-1 forms from it, and
+brackets, and :func:`_coform_core` gives the coform brackets {mu, wb^l}
+from it. They are the one bracket ingredient: for degree-1 chains
+mu = sum mu_(l,v) wb^l (x) X_v and nu = sum nu_(k,c) wb^k (x) X_c,
+
+    {mu, nu} = sum mu_(l,v) {nu, wb^l} (x) X_v + sum nu_(k,c) {mu, wb^k} (x) X_c,
+
+which :func:`bracket` evaluates for ``kuranishi``.
 :func:`infinitesimal_abelian_locus` finds the degree-1 cohomology
 directions whose coform brackets {Phi, wb^l} all vanish, without loading
 the series (``kuranishi``) or ``poly``."""
@@ -33,29 +40,32 @@ def _contraction_table(dc: DolbeaultComplex) -> dict:
     return table
 
 
-def _wedge_pair(i: int, q: int):
-    """Sorted key and sign for wb^i ^ wb^q, or None when they collide."""
-    if i == q:
-        return None
-    if i < q:
-        return (i, q), False
-    return (q, i), True
-
-
 def _coform_core(table: dict, mu: dict, ell: int) -> dict:
     """{mu, wb^ell} = wb^i ^ (A _| d wb^ell) for a degree-1 chain mu, as a
-    scalar (0,2)-form {((), pair): c}."""
+    scalar (0,2)-form {pair: c} on sorted index pairs."""
     out: dict = {}
     for ((i,), a), cm in mu.items():
         for q, coef in table.get((ell, a), {}).items():
-            hit = _wedge_pair(i, q)
-            if hit is None:
-                continue
-            pair, flip = hit
-            val = cm * coef
-            key = ((), pair)
-            out[key] = out.get(key, ZERO) + (-val if flip else val)
-    return {key: c for key, c in out.items() if c}
+            if q != i:
+                # wb^i ^ wb^q, sorted
+                pair, val = ((i, q), cm * coef) if i < q else ((q, i), -(cm * coef))
+                out[pair] = out.get(pair, ZERO) + val
+    return {pair: c for pair, c in out.items() if c}
+
+
+def bracket(pos: dict, mu: dict, mu_cores: list, nu: dict, nu_cores: list) -> dict:
+    """{mu, nu} of two degree-1 chains, as sparse degree-2 rows {row: c}.
+
+    ``mu_cores[l]`` is ``_coform_core(table, mu, l)``, and likewise for nu;
+    ``pos`` maps a degree-2 chain key to its row (``dc._pos[2]``).
+    """
+    out: dict = {}
+    for chain, cores in ((mu, nu_cores), (nu, mu_cores)):
+        for ((ell,), v), x in chain.items():
+            for pair, c in cores[ell].items():
+                row = pos[(pair, v)]
+                out[row] = out.get(row, ZERO) + x * c
+    return {row: c for row, c in out.items() if c}
 
 
 def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
@@ -69,7 +79,7 @@ def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
     rows_by_key: dict = {}
     for idx, h in enumerate(coh.harmonic_basis):
         for ell in range(dc.n):
-            for (_, pair), c in _coform_core(table, h.coeffs, ell).items():
+            for pair, c in _coform_core(table, h.coeffs, ell).items():
                 row = rows_by_key.setdefault((ell, pair), [ZERO] * coh.dimension)
                 row[idx] = row[idx] + c
     if rows_by_key:

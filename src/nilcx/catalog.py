@@ -162,7 +162,7 @@ def get(name: str, s=None, t=None, n=None) -> CatalogEntry:
             params=(s, t),
         )
     if name == "torus":
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError("torus requires a positive half-dimension n")
         return CatalogEntry(
             name="torus",
@@ -191,10 +191,20 @@ def render(name: str, algebra: LieAlgebra, structures=()) -> str:
     """Deterministic text for an algebra and named structures.
 
     Renders the full bracket table sorted by index pair and every J column
-    in order; parsing the output reproduces the inputs exactly.
+    in order; parsing the output reproduces the inputs exactly. A name the
+    parser would not read back (empty, with whitespace or ``#``, or a
+    repeated structure name) raises :class:`ValidationError`.
     """
+    labels = [("algebra", name), *(("structure", sname) for sname, _ in structures)]
+    for k, (what, label) in enumerate(labels):
+        unreadable = not label or "#" in label or any(c.isspace() for c in label)
+        if unreadable or (what, label) in labels[:k]:
+            raise ValidationError(
+                f"{what} name {label!r} would not parse back (empty, repeated, or with "
+                "whitespace or '#')"
+            )
     lines = [f"algebra {name}", f"dim {algebra.dim}"]
-    for (i, j), targets in algebra._scalar_table().items():
+    for (i, j), targets in algebra.bracket_table().items():
         lines.append(f"bracket e{i} e{j} = {_terms_text(targets.items())}")
     for sname, j in structures:
         lines.append(f"structure {sname}")

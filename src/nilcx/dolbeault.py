@@ -217,8 +217,6 @@ class DolbeaultComplex:
         self._harm: dict[int, list[Vector]] = {}
         self._coh: dict[int, CohomologySpace] = {}
         self._green: dict[int, Matrix] = {}
-        # the bracket table, built by kuranishi on first use
-        self._brackets: dict | None = None
 
     # ------------------------------------------------------------ chains
 

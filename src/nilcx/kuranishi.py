@@ -6,8 +6,9 @@ basis in its linear term and extends order by order through
 
     phi_r = -1/2 * adjoint(green(sum_{s} {phi_s, phi_{r-s}}))
 
-where ``{.,.}`` is the graded bracket, applied by :func:`_bracket` from a
-table read off the complex's own frame brackets. Each phi_m is a degree-1
+where ``{.,.}`` is the graded bracket, applied by
+:func:`~nilcx.brackets.bracket` from the coform brackets {phi, wb^l} of each
+term, which the abelian locus reads too. Each phi_m is a degree-1
 chain, a coefficient dict {((i,), a): c} with no zero entries. Since
 dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
 inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .brackets import _contraction_table, _wedge_pair
+from .brackets import _coform_core, _contraction_table, bracket
 from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series, solve_j
 from .dolbeault import DolbeaultComplex
 from .errors import Frozen, PreconditionError, ValidationError
@@ -39,73 +40,42 @@ from .scalars import I, ZERO, GaussianRational
 HALF = GaussianRational("1/2")
 
 
-def _bracket_table(dc: DolbeaultComplex) -> dict:
-    """table[mu][nu] = {row: c}: the bracket of two degree-1 chain keys, on degree-2 rows.
-
-    Each contraction entry gives the term wb^k ^ (X_c _| d wb^l) (x) X_v of
-    {wb^l (x) X_v, wb^k (x) X_c}, in both orders. Built once per complex.
-    """
-    table = dc._brackets
-    if table is None:
-        table = {}
-        dc.chain_basis(2)
-        pos = dc._pos[2]
-        for (ell, c), legs in _contraction_table(dc).items():
-            for q, coef in legs.items():
-                for k in range(dc.n):
-                    hit = _wedge_pair(k, q)
-                    if hit is None:
-                        continue
-                    pair, flip = hit
-                    val = -coef if flip else coef
-                    for v in range(dc.n):
-                        mu, nu, row = ((ell,), v), ((k,), c), pos[(pair, v)]
-                        for x, y in ((mu, nu), (nu, mu)):
-                            out = table.setdefault(x, {}).setdefault(y, {})
-                            out[row] = out.get(row, ZERO) + val
-        dc._brackets = table
-    return table
-
-
-def _bracket(table: dict, mu: dict, nu: dict) -> dict:
-    """{mu, nu} of two degree-1 coefficient dicts, as sparse degree-2 rows."""
-    out: dict = {}
-    for r, x in mu.items():
-        for s, entries in table.get(r, {}).items():
-            y = nu.get(s)
-            if y is not None:
-                c = x * y
-                for k, e in entries.items():
-                    out[k] = out.get(k, ZERO) + c * e
-    return {k: v for k, v in out.items() if v}
-
-
 def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     """{Phi, Phi} through degree order + 1, each unordered pair of terms once.
 
     ``by_degree[s]`` lists (monomial, degree-1 chain) per degree-s term;
     brackets are sparse degree-2 rows of ``dc.chain_basis(2)``, as the
-    harmonic vectors and D's columns are.
-    The pass puts phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for
-    r <= order, with D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built
-    as sparse columns on the first nonzero bracket. Once r exceeds twice
-    the highest degree with a term, every later bracket and term is zero,
-    so the pass stops there and leaves those degrees out of ``by_degree``.
+    harmonic vectors and D's columns are. Each term's coform brackets
+    {phi, wb^l} are computed once, when its degree's terms exist, and each
+    bracket of two terms is read off theirs. The pass puts
+    phi_r = D {Phi, Phi}_r into ``by_degree[r]`` for r <= order, with
+    D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built as sparse columns
+    on the first nonzero bracket. Once r exceeds twice the highest degree
+    with a term, every later bracket and term is zero, so the pass stops
+    there and leaves those degrees out of ``by_degree``.
     """
-    table = _bracket_table(dc)
+    dc.chain_basis(2)
+    table, pos = _contraction_table(dc), dc._pos[2]
+
+    def cores_of(terms: list) -> list:
+        return [[_coform_core(table, f, ell) for ell in range(dc.n)] for _, f in terms]
+
+    linear = by_degree[1]
+    cores = {1: cores_of(linear)}
     brackets: dict = {}
     step = None
-    top = 1 if by_degree[1] else 0
+    top = 1 if linear else 0
     for r in range(2, order + 2):
         if r > 2 * top:
             break
         acc: dict = {}
         for s in range(1, r // 2 + 1):
             lower, upper = by_degree.get(s, ()), by_degree.get(r - s, ())
+            low_cores, up_cores = cores.get(s), cores.get(r - s)
             for x, (ma, fa) in enumerate(lower):
                 for y in range(x if 2 * s == r else 0, len(upper)):
                     mb, fb = upper[y]
-                    br = _bracket(table, fa, fb)
+                    br = bracket(pos, fa, low_cores[x], fb, up_cores[y])
                     if not br:
                         continue
                     twice = 2 * s != r or x != y
@@ -131,6 +101,7 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
                 terms.append((m, phi))
         if terms:
             top = r
+            cores[r] = cores_of(terms)
     return brackets
 
 
@@ -271,15 +242,16 @@ def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point)
     for m, f in series.coeffs.items():
         terms.setdefault(mono_degree(m), {})[m] = f
     parts = {s: _sum_terms(fs, pt) for s, fs in terms.items()}
-    d1, table, ones = dc.dbar_matrix(1), _bracket_table(dc), dc.chain_basis(1)
+    d1, ones, twos = dc.dbar_matrix(1), dc.chain_basis(1), dc.chain_basis(2)
+    table, pos = _contraction_table(dc), dc._pos[2]
+    cores = {s: [_coform_core(table, f, ell) for ell in range(dc.n)] for s, f in parts.items()}
     # each degree's sum as a dense row over dc.chain_basis(2) until the end
     out = {s: list(d1.matvec([f.get(k, ZERO) for k in ones])) for s, f in parts.items()}
     for s, fs in parts.items():
         for u, fu in parts.items():
             acc = out.setdefault(s + u, [ZERO] * d1.nrows)
-            for r, v in _bracket(table, fs, fu).items():
+            for r, v in bracket(pos, fs, cores[s], fu, cores[u]).items():
                 acc[r] = acc[r] + HALF * v
-    twos = dc.chain_basis(2)
     out = {d: {twos[r]: v for r, v in enumerate(row) if v} for d, row in sorted(out.items())}
     return {d: chain for d, chain in out.items() if chain}
 

@@ -11,8 +11,8 @@ matching the e_i naming convention; vectors are coordinate tuples over
 data) so the same linear algebra serves both the real and complexified
 pictures. The constants are held as real Gaussian rationals for both index
 orders, each ad_j is read off them as sparse rows, and the ascending
-central and J-ascending series run on those rows; ``Fraction`` values are
-built only by the accessors that return them.
+central and J-ascending series run on those rows; ``bracket_table``
+returns the constants as they are held.
 """
 
 from __future__ import annotations
@@ -73,17 +73,14 @@ class LieAlgebra(Frozen):
                 c[(j - 1, i - 1)] = {k: -x for k, x in row.items()}
         self._set(dim=dim, name=name, _c=c, _checked=None)
 
-    def _scalar_table(self) -> dict[tuple[int, int], dict[int, GaussianRational]]:
-        """Nonzero brackets with 1-based indices i < j and real scalar values."""
+    def bracket_table(self) -> dict[tuple[int, int], dict[int, GaussianRational]]:
+        """The nonzero brackets with 1-based indices i < j, sorted, and real
+        exact scalars as values; they compare and hash like ``Fraction``s."""
         return {
             (i + 1, j + 1): {k + 1: v for k, v in sorted(comps.items())}
             for (i, j), comps in sorted(self._c.items())
             if i < j
         }
-
-    def bracket_table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero brackets with 1-based indices i < j and Fraction values."""
-        return {ij: {k: v.re for k, v in c.items()} for ij, c in self._scalar_table().items()}
 
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""

@@ -27,9 +27,10 @@ class GaussianRational(Frozen):
     Held as one integer triple ``(a, b, d)`` meaning ``(a + b*i) / d``,
     canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have
     equal triples. Each operation is integer arithmetic plus at most one
-    ``math.gcd``; ``re`` builds the real part's ``Fraction`` on request.
-    Immutable and hashable. Arithmetic accepts plain ``int`` and
-    ``Fraction`` operands and coerces them to real Gaussian rationals.
+    ``math.gcd``. Immutable and hashable; a real value equals and hashes
+    like the ``int`` or ``Fraction`` of the same value. Arithmetic accepts
+    plain ``int`` and ``Fraction`` operands and coerces them to real
+    Gaussian rationals.
     Sums with a zero operand return the other operand unchanged, since
     most coefficients in the package's sparse matrices are zero.
     """
@@ -43,10 +44,6 @@ class GaussianRational(Frozen):
             z = scalar(re) + I * scalar(im)
             a, b, d = z._a, z._b, z._d
         self._set(_a=a, _b=b, _d=d)
-
-    @property
-    def re(self) -> Fraction:
-        return _fraction(self._a, self._d)
 
     def conjugate(self) -> "GaussianRational":
         if not self._b:

@@ -248,6 +248,9 @@ UNREACHED = {
         _API.format("package") + ": a name the package does not export",
     "catalog._rational: {what} must be rational":
         _API.format("catalog") + ": the catalog command reads --s and --t as rationals first",
+    "catalog.render: {what} name {label!r} would not parse back (empty, repeated, or with "
+    "whitespace or '#')":
+        _API.format("catalog") + ": the catalog command renders the catalog's own names",
     "catalog.get: n10 requires rational parameters s and t":
         _API.format("catalog") + ": the catalog command passes the defaults of --s and --t",
     "cli: SystemExit(script())":

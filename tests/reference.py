@@ -7,9 +7,9 @@ by rank, the center as the null space of every ad row, the sum, multiple
 and differential of ``VectorForm`` chains, their inner product, Laplacian,
 harmonic projection and the projector off the harmonic space of a
 Dolbeault complex, the check that its harmonic vectors span the
-Laplacian's kernel, the graded bracket and the truncated Maurer-Cartan
-residual on forms, and the hand-written argparse parser that
-``cli.COMMANDS`` replaced. The frame route derives invariant
+Laplacian's kernel, the graded bracket, one pair of keys at a time, and
+the truncated Maurer-Cartan residual on forms, and the hand-written
+argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
 (p,q)-forms and their differentials from an eigen-frame of J, and names
 the witness of a failed integrability test. ``verify_entry`` recomputes a
 catalog entry's facts, ``differentials_from_brackets`` reads an algebra's
@@ -39,8 +39,8 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex, VectorForm, _same_frame
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
-from nilcx.brackets import infinitesimal_abelian_locus
-from nilcx.kuranishi import DeformationSeries, _bracket, _bracket_table, residual_by_degree
+from nilcx.brackets import _contraction_table, infinitesimal_abelian_locus
+from nilcx.kuranishi import DeformationSeries, residual_by_degree
 from nilcx.lie import LieAlgebra, _null_space, validate_lie
 from nilcx.linalg import Matrix, Vector, inverse, is_zero_vector, kernel_basis, rank, rref
 from nilcx.poly import coerce_point, mono_add, mono_degree
@@ -140,13 +140,28 @@ def dbar(dc, mu: VectorForm) -> VectorForm:
     return dc._from_vec(mu.degree + 1, dc.dbar_matrix(mu.degree).matvec(dc._to_vec(mu)))
 
 
-def schouten(dc, mu: VectorForm, nu: VectorForm) -> VectorForm:
-    """The graded bracket of two degree-1 forms, symmetric, of degree 2:
+def schouten_chains(table: dict, mu: dict, nu: dict) -> dict:
+    """The graded bracket of two degree-1 chains as a degree-2 chain, one
+    pair of keys at a time, with X_a _| d wb^i = sum_q table[(i, a)][q] wb^q
+    read off the contraction table ``brackets._contraction_table(dc)``:
     {wb^i (x) A, wb^j (x) B} = wb^j ^ (B _| d wb^i) (x) A + wb^i ^ (A _| d wb^j) (x) B."""
+    out: dict = {}
+    for ((i,), a), x in mu.items():
+        for ((j,), b), y in nu.items():
+            for front, (ell, leg), v in ((j, (i, b), a), (i, (j, a), b)):
+                for q, c in table.get((ell, leg), {}).items():
+                    if q != front:
+                        key = ((min(front, q), max(front, q)), v)
+                        term = x * y * c if front < q else -(x * y * c)
+                        out[key] = out.get(key, ZERO) + term
+    return {key: c for key, c in out.items() if c}
+
+
+def schouten(dc, mu: VectorForm, nu: VectorForm) -> VectorForm:
+    """:func:`schouten_chains` on two degree-1 forms, symmetric, of degree 2."""
     if mu.degree != 1 or nu.degree != 1:
         raise PreconditionError("bracket arguments must have degree 1")
-    keys, rows = dc.chain_basis(2), _bracket(_bracket_table(dc), mu.coeffs, nu.coeffs)
-    return dc.form(2, {keys[r]: c for r, c in rows.items()})
+    return dc.form(2, schouten_chains(_contraction_table(dc), mu.coeffs, nu.coeffs))
 
 
 def mc_residual(dc, series, t_point) -> VectorForm:
@@ -241,16 +256,17 @@ def by_degree(series: DeformationSeries, r: int) -> list:
 def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationSeries:
     """A series from its coefficients alone: {Phi, Phi} through degree
     order + 1 from every ordered pair of terms, one bracket each."""
-    table = _bracket_table(dc)
+    dc.chain_basis(2)
+    table, pos = _contraction_table(dc), dc._pos[2]
     brackets: dict = {}
     for ma, fa in coeffs.items():
         for mb, fb in coeffs.items():
             m = mono_add(ma, mb)
             if mono_degree(m) > order + 1:
                 continue
-            for k, v in _bracket(table, fa, fb).items():
+            for key, v in schouten_chains(table, fa, fb).items():
                 row = brackets.setdefault(m, {})
-                row[k] = row.get(k, ZERO) + v
+                row[pos[key]] = row.get(pos[key], ZERO) + v
     brackets = {m: rows for m, rows in brackets.items() if any(rows.values())}
     return DeformationSeries(dc, params, order, coeffs, brackets)
 
@@ -298,7 +314,7 @@ def differentials_from_brackets(algebra: LieAlgebra) -> dict:
     """Coframe differentials of an algebra, {m: {(i, j): c}} with
     d e^m = sum c e^i ^ e^j over i < j, 1-based."""
     out: dict = {}
-    for (i, j), targets in algebra._scalar_table().items():
+    for (i, j), targets in algebra.bracket_table().items():
         for m, c in targets.items():
             out.setdefault(m, {})[(i, j)] = -c
     return out

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import h9, h15, j_std6, unit
+from conftest import h9, h15, j_std6, jst, n10, unit
 from reference import (
     abelian_routes,
     add,
@@ -40,10 +40,16 @@ from reference import (
     mc_residual,
     scaled,
     schouten,
+    schouten_chains,
     vanishes_at,
 )
 from nilcx.algfile import parse_text
-from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
+from nilcx.brackets import (
+    _coform_core,
+    _contraction_table,
+    bracket,
+    infinitesimal_abelian_locus,
+)
 from nilcx.catalog import get, render
 from nilcx.cxs import (
     AlmostComplexStructure,
@@ -355,7 +361,7 @@ def conjugated_pair(rng, algebra, acs):
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             w = pinv.matvec(algebra.bracket(p.column(i - 1), p.column(j - 1)))
-            entries = {k + 1: c.re for k, c in enumerate(w) if c != ZERO}
+            entries = {k + 1: c for k, c in enumerate(w) if c != ZERO}
             if any(not c.is_real for c in w):
                 raise AssertionError("complex structure constant")
             if entries:
@@ -524,6 +530,13 @@ def test_seeded_conjugates_keep_the_invariants(name):
         assert render(parsed.name, parsed.algebra, parsed.structures) == text
 
 
+def nine_conjugates() -> list:
+    """Three seeded conjugates each of h9, h15 and kodaira6, all abelian."""
+    rng = random.Random("abelian-routes")
+    templates = [(h9(), j_std6()), (h15(), j_std6()), (kodaira6(), j_std6())]
+    return [conjugated_pair(rng, *template) for template in templates for _ in range(3)]
+
+
 def test_the_two_abelian_routes_agree():
     """[Je_a, Je_b] = [e_a, e_b] for all pairs exactly when [Je_a, e_b] +
     [e_a, Je_b] = 0 for all pairs, on dense reference brackets, and
@@ -534,9 +547,7 @@ def test_the_two_abelian_routes_agree():
     params = [(1, 0), (1, F(1, 2)), (2, 1), (2, F(1, 3)), (F(1, 2), F(1, 3)), (2, F(-1, 3))]
     entries += [get("n10", s=s, t=t) for s, t in params]
     cases = [(e.algebra, j) for e in entries for _, j in e.structures]
-    rng = random.Random("abelian-routes")
-    for template in [(h9(), j_std6()), (h15(), j_std6()), (kodaira6(), j_std6())]:
-        cases += [conjugated_pair(rng, *template) for _ in range(3)]
+    cases += nine_conjugates()
     verdicts = []
     for algebra, acs in cases:
         real, imag = abelian_routes(algebra, acs)
@@ -544,6 +555,29 @@ def test_the_two_abelian_routes_agree():
         verdicts.append(real)
     # n10 is abelian only at (s, t) = (1, 0)
     assert verdicts == [True] * 6 + [False] * 5 + [True] * 9
+
+
+def test_bracket_is_the_bracket_taken_key_by_key():
+    """brackets.bracket, read off the coform brackets {mu, wb^l}, equals the
+    reference bracket taken one pair of keys at a time, on every ordered
+    pair of series terms: h9, h15 and torus n = 3 to order 5, n10(1,0) to
+    order 4 and the nine seeded conjugates to order 5."""
+    cases = [(complex_for(name)[2], 5) for name in ("h9", "h15")]
+    torus3 = get("torus", n=3)
+    cases.append((DolbeaultComplex(torus3.algebra, torus3.structures[0][1]), 5))
+    cases.append((DolbeaultComplex(n10(), jst(1, 0)), 4))
+    cases += [(DolbeaultComplex(alg, acs), 5) for alg, acs in nine_conjugates()]
+    nonzero = 0
+    for dc, order in cases:
+        terms = list(kuranishi_series(dc, order).coeffs.values())
+        table, keys = _contraction_table(dc), dc.chain_basis(2)
+        cores = [[_coform_core(table, f, ell) for ell in range(dc.n)] for f in terms]
+        for f, f_cores in zip(terms, cores):
+            for g, g_cores in zip(terms, cores):
+                rows = bracket(dc._pos[2], f, f_cores, g, g_cores)
+                assert {keys[r]: c for r, c in rows.items()} == schouten_chains(table, f, g)
+                nonzero += bool(rows)
+    assert nonzero > 0
 
 
 def test_criterion_7():

@@ -6,7 +6,14 @@ import pytest
 
 from conftest import error_of, h9, h15, jst, n10
 from reference import differentials_from_brackets, verify_entry
-from nilcx.catalog import CatalogEntry, brackets_from_differentials, get, standard_pairing
+from nilcx.algfile import parse_text
+from nilcx.catalog import (
+    CatalogEntry,
+    brackets_from_differentials,
+    get,
+    render,
+    standard_pairing,
+)
 from nilcx.cli import main
 from nilcx.errors import SelfCheckError, ValidationError
 from nilcx.scalars import gr
@@ -101,9 +108,10 @@ def test_n10_requires_parameters():
 
 
 def test_torus_parameter_guard():
-    for bad in (0, -2, "3", None):
-        with pytest.raises(ValidationError):
-            get("torus", n=bad)
+    for bad in (0, -2, "3", None, True, False):
+        assert error_of(lambda: get("torus", n=bad)) == (
+            ValidationError, "torus requires a positive half-dimension n"
+        )
 
 
 def test_unknown_name():
@@ -153,3 +161,24 @@ def test_api_error_messages():
         ValidationError, "n10 requires rational parameters s and t"
     )
     assert error_of(lambda: get("n10", s=0.5, t=0)) == (ValidationError, "s must be rational")
+    h9 = get("h9")
+    j = h9.structures[0][1]
+    rule = " would not parse back (empty, repeated, or with whitespace or '#')"
+    for name, structures, what in [
+        ("a#b", [("J", j)], "algebra name 'a#b'"),
+        ("a", [("J#x", j)], "structure name 'J#x'"),
+        ("", [], "algebra name ''"),
+        ("a b", [], "algebra name 'a b'"),
+        ("a", [("J", j), ("J", j)], "structure name 'J'"),
+    ]:
+        assert error_of(lambda: render(name, h9.algebra, structures)) == (
+            ValidationError, what + rule
+        )
+
+
+def test_render_reads_back_every_name_it_accepts():
+    h9 = get("h9")
+    j = h9.structures[0][1]
+    for name, sname in [("h9", "J"), ("a.b-c_1", "J'"), ("J", "J")]:
+        parsed = parse_text(render(name, h9.algebra, [(sname, j)]))
+        assert (parsed.name, parsed.structures[0][0]) == (name, sname)

@@ -226,7 +226,7 @@ def test_adapted_frame_level_prefixes_span_series():
         reals = []
         for i, lv in enumerate(f.levels):
             if lv <= ell:
-                reals.append(tuple(gr(x.re) for x in f.vectors[i]))
+                reals.append(tuple(gr(parts(x)[0]) for x in f.vectors[i]))
                 reals.append(tuple(gr(parts(x)[1]) for x in f.vectors[i]))
         assert row_space_basis(reals) == row_space_basis(flag.level(ell))
 
@@ -501,7 +501,7 @@ def _conjugate_pair(a, j, rng):
         for y in range(x + 1, a.dim):
             w = p_inv.matvec(a.bracket(cols[x], cols[y]))
             if any(w):
-                brackets[(x + 1, y + 1)] = {k + 1: c.re for k, c in enumerate(w) if c}
+                brackets[(x + 1, y + 1)] = {k + 1: c for k, c in enumerate(w) if c}
     return LieAlgebra(a.dim, brackets), AlmostComplexStructure(p_inv * j.matrix * p)
 
 

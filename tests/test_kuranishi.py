@@ -139,7 +139,8 @@ def test_schouten_rejects_wrong_degree():
 
 def coform_bracket(dc, mu, ell):
     """{mu, wb^ell} = wb^i ^ (A _| d wb^ell), the scalar (0,2)-form the locus reads."""
-    return InvariantForm(0, 2, dc.n, _coform_core(_contraction_table(dc), mu.coeffs, ell))
+    core = _coform_core(_contraction_table(dc), mu.coeffs, ell)
+    return InvariantForm(0, 2, dc.n, {((), pair): c for pair, c in core.items()})
 
 
 def test_coform_bracket_h9_all_flat():
@@ -389,16 +390,20 @@ def test_series_and_obstructions_match_the_ordered_pair_reference(build, order):
 def test_each_symmetric_bracket_is_computed_once(monkeypatch):
     import nilcx.kuranishi as kur
 
-    calls = []
-    core = kur._bracket
-    monkeypatch.setattr(kur, "_bracket", lambda *args: calls.append(1) or core(*args))
-    ser = kuranishi_series(dc_h15(), order=6)
+    calls, cores = [], []
+    pair, coform = kur.bracket, kur._coform_core
+    monkeypatch.setattr(kur, "bracket", lambda *args: calls.append(1) or pair(*args))
+    monkeypatch.setattr(kur, "_coform_core", lambda *args: cores.append(1) or coform(*args))
+    dc = dc_h15()
+    ser = kuranishi_series(dc, order=6)
     in_series = len(calls)
     obstructions(ser)
     # the series pass brackets each unordered pair of degree sum <= 7 once;
     # (105, 138) when obstructions bracketed the pairs again, and (199, 265)
     # when every ordered pair was bracketed
     assert (in_series, len(calls) - in_series) == (138, 0)
+    # and reads them off n coform brackets per term, each computed once
+    assert len(cores) == dc.n * len(ser.coeffs)
 
 
 def test_series_with_no_nonzero_bracket_builds_no_green_matrix():

@@ -472,8 +472,6 @@ UNENTERED = {
     "dolbeault.DolbeaultComplex.green_matrix": "via dolbeault.DolbeaultComplex.green: its matrix",
     "dolbeault.DolbeaultComplex.laplacian_matrix": "perfbench: the probes time the Laplacian's elimination",
     "dolbeault._same_frame": "via dolbeault.DolbeaultComplex.green: it checks the input's frame",
-    "lie.LieAlgebra.bracket_table": "perfbench: inputs.relabel permutes the constants",
-    "scalars.GaussianRational.re": "via lie.LieAlgebra.bracket_table: its Fraction values",
 }
 
 MODULE_HOOKS = {"__init__.__getattr__", "__init__.__dir__"}

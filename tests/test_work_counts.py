@@ -31,3 +31,9 @@ def test_work_counts_match_the_golden_file(tmp_path, monkeypatch):
         if want[argv].get(name) != n
     ]
     assert not moved, "\n".join(["calls that moved (golden -> now):", *moved])
+
+
+def test_every_hot_name_is_a_nilcx_function():
+    # a name that resolves to nothing would print 0 calls forever
+    missing = work_counts.unresolved()
+    assert not missing, "HOT names no function under src/nilcx/: " + ", ".join(missing)
