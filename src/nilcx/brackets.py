@@ -1,10 +1,13 @@
 """Coform brackets of a Dolbeault complex, the bracket of degree-1 chains,
 and the first-order abelian test.
 
-The contraction table lists X_a _| d wb^l, read off the complex's own frame
-brackets, and :func:`_coform_core` gives the coform brackets {mu, wb^l}
-from it. They are the one bracket ingredient: for degree-1 chains
-mu = sum mu_(l,v) wb^l (x) X_v and nu = sum nu_(k,c) wb^k (x) X_c,
+The complex's contraction table lists X_a _| d wb^l
+(:meth:`~nilcx.dolbeault.DolbeaultComplex.contraction_table`), and
+:func:`_coform_core` gives the coform brackets {mu, wb^l} from it. An ell
+with no row in the table has {mu, wb^l} = 0 for every mu, and
+:func:`coform_cores` skips it. The coform brackets are the one bracket
+ingredient: for degree-1 chains mu = sum mu_(l,v) wb^l (x) X_v and
+nu = sum nu_(k,c) wb^k (x) X_c,
 
     {mu, nu} = sum mu_(l,v) {nu, wb^l} (x) X_v + sum nu_(k,c) {mu, wb^k} (x) X_c,
 
@@ -20,26 +23,6 @@ from .linalg import Matrix, Vector, kernel_basis
 from .scalars import ZERO
 
 
-def _contraction_table(dc: DolbeaultComplex) -> dict:
-    """table[(l, a)][q] = c  where  d wb^l = sum_q c w^a ^ wb^q.
-
-    c = -wb^l([X_a, conj X_q]) is minus the conjugate of component l of
-    the (1,0) part of [conj X_a, X_q], which the complex keeps as
-    ``dc._dv[q][a]``. Contracting a frame vector into a conjugate coframe
-    differential only ever meets the holomorphic leg, so this table is the
-    whole bracket ingredient list.
-    """
-    table: dict = {}
-    n = dc.n
-    for ell in range(n):
-        for a in range(n):
-            for q in range(n):
-                c = dc._dv[q][a][ell]
-                if c:
-                    table.setdefault((ell, a), {})[q] = -c.conjugate()
-    return table
-
-
 def _coform_core(table: dict, mu: dict, ell: int) -> dict:
     """{mu, wb^ell} = wb^i ^ (A _| d wb^ell) for a degree-1 chain mu, as a
     scalar (0,2)-form {pair: c} on sorted index pairs."""
@@ -53,11 +36,18 @@ def _coform_core(table: dict, mu: dict, ell: int) -> dict:
     return {pair: c for pair, c in out.items() if c}
 
 
+def coform_cores(table: dict, n: int):
+    """mu -> [{mu, wb^l} for l < n], for :func:`bracket`; only the ells with a
+    row in ``table`` call :func:`_coform_core`, and the rest share one empty dict."""
+    ells, none = {ell for ell, _ in table}, {}
+    return lambda mu: [_coform_core(table, mu, ell) if ell in ells else none for ell in range(n)]
+
+
 def bracket(pos: dict, mu: dict, mu_cores: list, nu: dict, nu_cores: list) -> dict:
     """{mu, nu} of two degree-1 chains, as sparse degree-2 rows {row: c}.
 
-    ``mu_cores[l]`` is ``_coform_core(table, mu, l)``, and likewise for nu;
-    ``pos`` maps a degree-2 chain key to its row (``dc._pos[2]``).
+    ``mu_cores`` is what :func:`coform_cores` gives for mu, and likewise for
+    nu; ``pos`` maps a degree-2 chain key to its row (``dc.chain_index(2)``).
     """
     out: dict = {}
     for chain, cores in ((mu, nu_cores), (nu, mu_cores)):
@@ -75,11 +65,11 @@ def infinitesimal_abelian_locus(dc: DolbeaultComplex) -> list[Vector]:
     span is the tangent cone of the abelian deformations to first order.
     """
     coh = dc.cohomology(1)
-    table = _contraction_table(dc)
+    cores = coform_cores(dc.contraction_table(), dc.n)
     rows_by_key: dict = {}
     for idx, h in enumerate(coh.harmonic_basis):
-        for ell in range(dc.n):
-            for pair, c in _coform_core(table, h.coeffs, ell).items():
+        for ell, core in enumerate(cores(h.coeffs)):
+            for pair, c in core.items():
                 row = rows_by_key.setdefault((ell, pair), [ZERO] * coh.dimension)
                 row[idx] = row[idx] + c
     if rows_by_key:

@@ -35,13 +35,15 @@ def run(args) -> int:
         # a degenerate point is refused before any part of the report is printed
         deformed = deform_structure(dc, series, point)
         rep = classify_deformation(af.algebra, deformed)
-    linear = [
-        series.coeffs[tuple(int(i == k) for i in range(series.params))]
+    coordinates = [
+        chain_text(series.coeffs[tuple(int(i == k) for i in range(series.params))])
         for k in range(series.params)
     ]
-    higher = [(m, f) for m, f in series.coeffs.items() if sum(m) >= 2]
-    higher.sort(key=lambda mf: (sum(mf[0]), mf[0]))
+    higher = sorted((m for m in series.coeffs if sum(m) >= 2), key=lambda m: (sum(m), m))
     trivial = not higher and all(p.min_degree() is None for p in obs.polys)
+    # by degree, then monomial: the order the text lists them in
+    coefficients = {mono_str(m): chain_text(series.coeffs[m]) for m in higher}
+    polys = [str(p) for p in obs.polys]
 
     payload = {
         "schema": SCHEMA,
@@ -49,36 +51,32 @@ def run(args) -> int:
         "algebra": af.name,
         "structure": name,
         "order": args.order,
-        "coordinates": [chain_text(h) for h in linear],
-        "coefficients": {
-            mono_str(m): chain_text(f)
-            for m, f in series.coeffs.items()
-            if sum(m) >= 2
-        },
-        "obstructions": [str(p) for p in obs.polys],
+        "coordinates": coordinates,
+        "coefficients": coefficients,
+        "obstructions": polys,
     }
 
     if not args.json:
         print(f"algebra {af.name} (dim {af.algebra.dim}), structure {name}")
         print(f"order {args.order}")
         print(f"coordinates t1..t{series.params} (degree-one harmonic basis):")
-        for i, h in enumerate(linear):
-            print(f"  t{i + 1}: {chain_text(h)}")
+        for i, text in enumerate(coordinates):
+            print(f"  t{i + 1}: {text}")
         if trivial:
             print("φ_r = 0 for r ≥ 2; no obstructions")
         else:
             print("phi coefficients of degree >= 2:")
-            if higher:
-                for m, f in higher:
-                    print(f"  {mono_str(m)}: {chain_text(f)}")
-            else:
+            for m, text in coefficients.items():
+                print(f"  {m}: {text}")
+            if not higher:
                 print("  none")
             print("obstructions:")
-            for i, p in enumerate(obs.polys):
-                print(f"  f{i + 1} = {p}")
+            for i, text in enumerate(polys):
+                print(f"  f{i + 1} = {text}")
 
     if point is not None:
-        at = ", ".join(str(t) for t in point)
+        payload["point"] = [str(t) for t in point]
+        at = ", ".join(payload["point"])
         live = [f"f{i + 1}" for i, p in enumerate(obs.polys) if p.evaluate(point)]
         if live:
             print(
@@ -98,23 +96,14 @@ def run(args) -> int:
                     "the classification is of the truncated structure",
                     file=sys.stderr,
                 )
-        words = [
-            ("integrable" if rep.integrable else "not integrable"),
-            ("nilpotent" if rep.nilpotent else "not nilpotent"),
-            ("abelian" if rep.abelian else "not abelian"),
-        ]
-        payload["point"] = [str(t) for t in point]
-        payload["deformed_j"] = matrix_rows(deformed.j_new.matrix)
-        payload["classification"] = {
-            "integrable": rep.integrable,
-            "abelian": rep.abelian,
-            "nilpotent": rep.nilpotent,
-        }
+        payload["deformed_j"] = rows = matrix_rows(deformed.j_new.matrix)
+        payload["classification"] = verdict = rep._asdict()
         if not args.json:
             print(f"at t = ({at})")
             print("deformed J matrix:")
-            print_rows(matrix_rows(deformed.j_new.matrix))
-            print("classification: " + ", ".join(words))
+            print_rows(rows)
+            words = ("integrable", "nilpotent", "abelian")
+            print("classification: " + ", ".join([w if verdict[w] else f"not {w}" for w in words]))
 
     if args.json:
         emit_json(payload)

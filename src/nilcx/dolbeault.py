@@ -13,15 +13,16 @@ nothing else uses them. A chain is a coefficient dict {(anti, a): c} with
 no zero entries, which ``chain_text`` prints; a :class:`VectorForm` wraps
 one with its frame and degree.
 
-Everything is exact and deterministic; the differential, its adjoint,
-Laplacian, harmonic-space, cohomology and Green-matrix caches are written
-once per degree and never mutated after.
+Everything is exact and deterministic. The complex keeps what it derives
+in one dict, filled by :func:`_memo` once per method and arguments and
+never mutated after.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import wraps
 from itertools import combinations
 from math import comb
 
@@ -182,13 +183,29 @@ class CohomologySpace(
     __slots__ = ()
 
 
+def _memo(build):
+    """Keep what a method of the complex builds in the complex's ``_memo``
+    dict, under (method name, *args); a build that raises keeps nothing."""
+    name = build.__name__
+
+    @wraps(build)
+    def cached(self, *args):
+        key = (name, *args)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build(self, *args)
+        return got
+
+    return cached
+
+
 class DolbeaultComplex:
     """Differentials, metric, harmonic spaces and Laplacian for one (g, J).
 
     Construction insists on an abelian J (the degree-k extension rule is
-    only a complex in that case). Per-degree matrices and harmonic bases
-    are cached on first use; caches are never mutated afterwards, so
-    concurrent reads are safe once built.
+    only a complex in that case). What the methods derive is built on
+    first use and kept by :func:`_memo`; nothing kept is mutated
+    afterwards, so concurrent reads are safe once built.
     """
 
     def __init__(self, algebra: LieAlgebra, j: AlmostComplexStructure):
@@ -209,32 +226,22 @@ class DolbeaultComplex:
             )
             for a in range(n)
         )
-        self._chain: dict[int, tuple] = {}
-        self._pos: dict[int, dict] = {}
-        self._dbar: dict[int, Matrix] = {}
-        self._dbar_h: dict[int, Matrix] = {}
-        self._lap: dict[int, Matrix] = {}
-        self._harm: dict[int, list[Vector]] = {}
-        self._coh: dict[int, CohomologySpace] = {}
-        self._green: dict[int, Matrix] = {}
+        self._memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------ chains
 
     def chain_dim(self, k: int) -> int:
         return comb(self.n, k) * self.n if 0 <= k <= self.n else 0
 
+    @_memo
     def chain_basis(self, k: int) -> tuple:
         """Keys (anti, a), antiholomorphic block major, lexicographic."""
-        got = self._chain.get(k)
-        if got is None:
-            got = tuple(
-                (idx, a)
-                for idx in combinations(range(self.n), k)
-                for a in range(self.n)
-            )
-            self._chain[k] = got
-            self._pos[k] = {key: r for r, key in enumerate(got)}
-        return got
+        return tuple((idx, a) for idx in combinations(range(self.n), k) for a in range(self.n))
+
+    @_memo
+    def chain_index(self, k: int) -> dict:
+        """{key: row} of ``chain_basis(k)``."""
+        return {key: r for r, key in enumerate(self.chain_basis(k))}
 
     def form(self, degree: int, coeffs: dict) -> VectorForm:
         return VectorForm(self.frame, degree, coeffs)
@@ -250,18 +257,14 @@ class DolbeaultComplex:
 
     # ------------------------------------------------------ differentials
 
+    @_memo
     def dbar_matrix(self, k: int) -> Matrix:
         if not 0 <= k < self.n:
             raise PreconditionError(
                 f"no differential at this degree: dbar_{k} (differentials are "
                 f"dbar_0..dbar_{self.n - 1})"
             )
-        got = self._dbar.get(k)
-        if got is not None:
-            return got
-        src = self.chain_basis(k)
-        self.chain_basis(k + 1)
-        posd = self._pos[k + 1]
+        src, posd = self.chain_basis(k), self.chain_index(k + 1)
         data = [[ZERO] * len(src) for _ in range(self.chain_dim(k + 1))]
         for c, (idx, a) in enumerate(src):
             for jj in range(self.n):
@@ -275,17 +278,12 @@ class DolbeaultComplex:
                     if comp:
                         r = posd[(merged, b)]
                         data[r][c] = data[r][c] + sgn * comp
-        got = Matrix._of(tuple(map(tuple, data)))
-        self._dbar[k] = got
-        return got
+        return Matrix._of(tuple(map(tuple, data)))
 
+    @_memo
     def _dbar_adjoint_matrix(self, k: int) -> Matrix:
         """Conjugate transpose of dbar_k, from degree k+1 to degree k."""
-        got = self._dbar_h.get(k)
-        if got is None:
-            got = self.dbar_matrix(k).conj_transpose()
-            self._dbar_h[k] = got
-        return got
+        return self.dbar_matrix(k).conj_transpose()
 
     def dbar_adjoint(self, mu: VectorForm) -> VectorForm:
         if not _same_frame(mu.frame, self.frame):
@@ -298,28 +296,45 @@ class DolbeaultComplex:
         m = self._dbar_adjoint_matrix(k - 1)
         return self._from_vec(k - 1, m.matvec(self._to_vec(mu)))
 
+    @_memo
+    def contraction_table(self) -> dict:
+        """table[(l, a)][q] = c  where  d wb^l = sum_q c w^a ^ wb^q.
+
+        c = -wb^l([X_a, conj X_q]), minus the conjugate of component l of
+        ``_dv[q][a]``. A frame vector contracted into a conjugate coframe
+        differential meets only its holomorphic leg, so this table is all
+        that the coform brackets of :mod:`~nilcx.brackets` read.
+        """
+        table: dict = {}
+        for ell in range(self.n):
+            for a in range(self.n):
+                for q in range(self.n):
+                    c = self._dv[q][a][ell]
+                    if c:
+                        table.setdefault((ell, a), {})[q] = -c.conjugate()
+        return table
+
     # ------------------------------------------- Laplacian, Green, Hodge
 
     def _check_degree(self, k: int) -> None:
         if not 0 <= k <= self.n:
             raise PreconditionError(f"degree out of range: {k} (degrees are 0..{self.n})")
 
+    @_memo
     def laplacian_matrix(self, k: int) -> Matrix:
         """L_k = M M^H with M = [dbar_{k-1} | dbar*_k], the maps into degree k."""
         self._check_degree(k)
-        got = self._lap.get(k)
-        if got is None:
-            parts = [self.dbar_matrix(k - 1).rows] if k >= 1 else []
-            if k < self.n:
-                parts.append(self._dbar_adjoint_matrix(k).rows)
-            m = Matrix._of(tuple(sum(row, ()) for row in zip(*parts)))
-            got = self._lap[k] = m * m.conj_transpose()
-        return got
+        parts = [self.dbar_matrix(k - 1).rows] if k >= 1 else []
+        if k < self.n:
+            parts.append(self._dbar_adjoint_matrix(k).rows)
+        m = Matrix._of(tuple(sum(row, ()) for row in zip(*parts)))
+        return m * m.conj_transpose()
 
-    def _harmonic_vectors(self, k: int) -> list[Vector]:
-        got = self._harm.get(k)
-        if got is not None:
-            return got
+    @_memo
+    def harmonic_vectors(self, k: int) -> list[Vector]:
+        """Orthogonal basis of ker dbar_k ∩ (im dbar_{k-1})^⊥, as coordinate
+        vectors over ``chain_basis(k)``."""
+        self._check_degree(k)
         if k == self.n:
             ker = list(Matrix.identity(self.chain_dim(k)).rows)
         else:
@@ -332,35 +347,28 @@ class DolbeaultComplex:
                 f"dbar_{k} dbar_{k - 1} != 0 in degree {k}: im dbar_{k - 1} (dimension "
                 f"{len(image)}) is not contained in ker dbar_{k} (dimension {len(ker)})"
             ) from exc
-        got = self._harm[k] = gram_schmidt(harm)
-        return got
+        return gram_schmidt(harm)
 
+    @_memo
     def cohomology(self, k: int) -> CohomologySpace:
         """Harmonic representatives of degree k, unnormalized, with Gram."""
-        got = self._coh.get(k)
-        if got is not None:
-            return got
-        self._check_degree(k)
-        vecs = self._harmonic_vectors(k)
+        vecs = self.harmonic_vectors(k)
         basis = tuple(self._from_vec(k, v) for v in vecs)
         # Gram-Schmidt output is orthogonal, so its Gram is the squared norms
         norms = [hdot_support(v, nonzero_entries(v)) for v in vecs]
         gram = Matrix._of(
             tuple(tuple(x if i == j else ZERO for j in range(len(vecs))) for i, x in enumerate(norms))
         )
-        got = self._coh[k] = CohomologySpace(k, len(basis), basis, gram)
-        return got
+        return CohomologySpace(k, len(basis), basis, gram)
 
+    @_memo
     def green_matrix(self, k: int) -> Matrix:
         """G_k = L_k^+, the Moore-Penrose inverse of the Laplacian.
 
         Zero on harmonics, and G_k b is the x orthogonal to them with
         L_k x = b - H b. Built once per degree, from degree k alone.
         """
-        got = self._green.get(k)
-        if got is None:
-            got = self._green[k] = pinv(self.laplacian_matrix(k))
-        return got
+        return pinv(self.laplacian_matrix(k))
 
     def green(self, mu: VectorForm) -> VectorForm:
         """Green's operator: zero on harmonics, inverts the Laplacian off them."""

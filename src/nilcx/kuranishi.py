@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .brackets import _coform_core, _contraction_table, bracket
+from .brackets import bracket, coform_cores
 from .cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series, solve_j
 from .dolbeault import DolbeaultComplex
 from .errors import Frozen, PreconditionError, ValidationError
-from .lie import LieAlgebra
+from .lie import LieAlgebra, combine_rows
 from .linalg import pinv
 from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
 from .scalars import I, ZERO, GaussianRational
@@ -52,16 +52,15 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
     D = -1/2 dbar_1^+ (which is -1/2 dbar*_1 G_2) built as sparse columns
     on the first nonzero bracket. Once r exceeds twice the highest degree
     with a term, every later bracket and term is zero, so the pass stops
-    there and leaves those degrees out of ``by_degree``.
+    there and leaves those degrees out of ``by_degree``; with an empty
+    contraction table every bracket is zero, and it returns at once.
     """
-    dc.chain_basis(2)
-    table, pos = _contraction_table(dc), dc._pos[2]
-
-    def cores_of(terms: list) -> list:
-        return [[_coform_core(table, f, ell) for ell in range(dc.n)] for _, f in terms]
-
+    table = dc.contraction_table()
+    if not table:
+        return {}
+    pos, cores_of = dc.chain_index(2), coform_cores(table, dc.n)
     linear = by_degree[1]
-    cores = {1: cores_of(linear)}
+    cores = {1: [cores_of(f) for _, f in linear]}
     brackets: dict = {}
     step = None
     top = 1 if linear else 0
@@ -89,19 +88,15 @@ def _bracket_pass(dc: DolbeaultComplex, by_degree: dict, order: int) -> dict:
         if acc and step is None:
             keys = dc.chain_basis(1)
             d = pinv(dc.dbar_matrix(1))
-            step = [[(keys[i], -HALF * x) for i, x in enumerate(col) if x] for col in d.columns()]
+            step = [{keys[i]: -HALF * x for i, x in enumerate(col) if x} for col in d.columns()]
         terms = by_degree[r] = []
         for m in sorted(acc):
-            phi: dict = {}
-            for j, x in acc[m].items():
-                for i, e in step[j]:
-                    phi[i] = phi.get(i, ZERO) + e * x
-            phi = {i: v for i, v in phi.items() if v}
+            phi = combine_rows(acc[m].items(), step)
             if phi:
                 terms.append((m, phi))
         if terms:
             top = r
-            cores[r] = cores_of(terms)
+            cores[r] = [cores_of(f) for _, f in terms]
     return brackets
 
 
@@ -141,13 +136,7 @@ class DeformationSeries(Frozen):
 
 def _sum_terms(coeffs: dict, pt: tuple) -> dict:
     """sum of t^m phi_m over the (m, phi_m) of ``coeffs``, at the point ``pt``."""
-    out: dict = {}
-    for m, f in coeffs.items():
-        w = mono_eval(m, pt)
-        if w:
-            for key, c in f.items():
-                out[key] = out.get(key, ZERO) + w * c
-    return {key: c for key, c in out.items() if c}
+    return combine_rows([(m, w) for m in coeffs if (w := mono_eval(m, pt))], coeffs)
 
 
 class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
@@ -207,7 +196,7 @@ def obstructions(series: DeformationSeries) -> ObstructionSet:
     set is empty.
     """
     dc = series.dolbeault
-    harmonic = dc._harmonic_vectors(2) if dc.n >= 2 else []
+    harmonic = dc.harmonic_vectors(2) if dc.n >= 2 else []
     # row r -> (g, conjugate of entry r of harmonic vector g) where that is nonzero
     columns = enumerate(zip(*harmonic))
     conj = {r: [(g, x.conjugate()) for g, x in enumerate(col) if x] for r, col in columns}
@@ -243,8 +232,8 @@ def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point)
         terms.setdefault(mono_degree(m), {})[m] = f
     parts = {s: _sum_terms(fs, pt) for s, fs in terms.items()}
     d1, ones, twos = dc.dbar_matrix(1), dc.chain_basis(1), dc.chain_basis(2)
-    table, pos = _contraction_table(dc), dc._pos[2]
-    cores = {s: [_coform_core(table, f, ell) for ell in range(dc.n)] for s, f in parts.items()}
+    pos, cores_of = dc.chain_index(2), coform_cores(dc.contraction_table(), dc.n)
+    cores = {s: cores_of(f) for s, f in parts.items()}
     # each degree's sum as a dense row over dc.chain_basis(2) until the end
     out = {s: list(d1.matvec([f.get(k, ZERO) for k in ones])) for s, f in parts.items()}
     for s, fs in parts.items():

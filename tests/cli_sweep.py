@@ -342,7 +342,7 @@ UNREACHED = {
         "roadmap item 3(a): the quotients of a central series are abelian by definition",
     "dolbeault.orthogonal_complement: span(S) not contained in span(inside)":
         "roadmap item 3(a): its one caller passes im dbar_(k-1) inside ker dbar_k",
-    "dolbeault.DolbeaultComplex._harmonic_vectors: dbar_{k} dbar_{k - 1} != 0 in degree {k}: "
+    "dolbeault.DolbeaultComplex.harmonic_vectors: dbar_{k} dbar_{k - 1} != 0 in degree {k}: "
     "im dbar_{k - 1} (dimension {len(image)}) is not contained in ker dbar_{k} "
     "(dimension {len(ker)})":
         "roadmap item 3(a): dbar dbar = 0 for an abelian J, which the complex requires",

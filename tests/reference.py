@@ -39,7 +39,7 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex, VectorForm, _same_frame
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
-from nilcx.brackets import _contraction_table, infinitesimal_abelian_locus
+from nilcx.brackets import infinitesimal_abelian_locus
 from nilcx.kuranishi import DeformationSeries, residual_by_degree
 from nilcx.lie import LieAlgebra, _null_space, validate_lie
 from nilcx.linalg import Matrix, Vector, inverse, is_zero_vector, kernel_basis, rank, rref
@@ -143,7 +143,7 @@ def dbar(dc, mu: VectorForm) -> VectorForm:
 def schouten_chains(table: dict, mu: dict, nu: dict) -> dict:
     """The graded bracket of two degree-1 chains as a degree-2 chain, one
     pair of keys at a time, with X_a _| d wb^i = sum_q table[(i, a)][q] wb^q
-    read off the contraction table ``brackets._contraction_table(dc)``:
+    read off the contraction table ``dc.contraction_table()``:
     {wb^i (x) A, wb^j (x) B} = wb^j ^ (B _| d wb^i) (x) A + wb^i ^ (A _| d wb^j) (x) B."""
     out: dict = {}
     for ((i,), a), x in mu.items():
@@ -161,7 +161,7 @@ def schouten(dc, mu: VectorForm, nu: VectorForm) -> VectorForm:
     """:func:`schouten_chains` on two degree-1 forms, symmetric, of degree 2."""
     if mu.degree != 1 or nu.degree != 1:
         raise PreconditionError("bracket arguments must have degree 1")
-    return dc.form(2, schouten_chains(_contraction_table(dc), mu.coeffs, nu.coeffs))
+    return dc.form(2, schouten_chains(dc.contraction_table(), mu.coeffs, nu.coeffs))
 
 
 def mc_residual(dc, series, t_point) -> VectorForm:
@@ -208,7 +208,7 @@ def laplacian(dc, mu: VectorForm) -> VectorForm:
 
 def harmonic_projection(dc, mu: VectorForm) -> VectorForm:
     """The orthogonal projection of a chain onto the harmonic space."""
-    vec, harm = dc._to_vec(mu), dc._harmonic_vectors(mu.degree)
+    vec, harm = dc._to_vec(mu), dc.harmonic_vectors(mu.degree)
     terms = (scaled(hdot(vec, h) / hdot(h, h), dc._from_vec(mu.degree, h)) for h in harm)
     return add(dc.form(mu.degree, {}), *terms)
 
@@ -217,7 +217,7 @@ def check_harmonic_is_laplacian_kernel(dc) -> None:
     """Assert, in every degree k, that the harmonic vectors are a basis of
     ker L_k: L_k v = 0 for each of them, and there are dim ker L_k."""
     for k in range(dc.n + 1):
-        lap, vecs = dc.laplacian_matrix(k), dc._harmonic_vectors(k)
+        lap, vecs = dc.laplacian_matrix(k), dc.harmonic_vectors(k)
         for v in vecs:
             assert not any(lap.matvec(v)), f"L_{k} v != 0 for harmonic v = {v}"
         assert len(vecs) == len(kernel_basis(lap)), f"dim H^{k} != dim ker L_{k}"
@@ -228,12 +228,18 @@ def off_harmonic_projector(dc, k: int) -> Matrix:
     of degree k, built entry by entry from the harmonic basis."""
     dim = dc.chain_dim(k)
     rows = [[ONE if r == c else ZERO for c in range(dim)] for r in range(dim)]
-    for h in dc._harmonic_vectors(k):
+    for h in dc.harmonic_vectors(k):
         norm = hdot(h, h)
         for r in range(dim):
             for c in range(dim):
                 rows[r][c] = rows[r][c] - h[r] * h[c].conjugate() / norm
     return Matrix(rows)
+
+
+def kept(dc, name: str) -> dict:
+    """{args: value} of what ``dc`` keeps of its method ``name``, read off
+    the one dict that ``dolbeault._memo`` fills."""
+    return {key[1:]: v for key, v in dc._memo.items() if key[0] == name}
 
 
 def basis_vector_form(frame: ComplexFrame, anti, a: int) -> VectorForm:
@@ -256,8 +262,7 @@ def by_degree(series: DeformationSeries, r: int) -> list:
 def hand_built_series(dc, params: int, order: int, coeffs: dict) -> DeformationSeries:
     """A series from its coefficients alone: {Phi, Phi} through degree
     order + 1 from every ordered pair of terms, one bracket each."""
-    dc.chain_basis(2)
-    table, pos = _contraction_table(dc), dc._pos[2]
+    table, pos = dc.contraction_table(), dc.chain_index(2)
     brackets: dict = {}
     for ma, fa in coeffs.items():
         for mb, fb in coeffs.items():

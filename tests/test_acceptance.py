@@ -44,12 +44,7 @@ from reference import (
     vanishes_at,
 )
 from nilcx.algfile import parse_text
-from nilcx.brackets import (
-    _coform_core,
-    _contraction_table,
-    bracket,
-    infinitesimal_abelian_locus,
-)
+from nilcx.brackets import _coform_core, bracket, coform_cores, infinitesimal_abelian_locus
 from nilcx.catalog import get, render
 from nilcx.cxs import (
     AlmostComplexStructure,
@@ -176,7 +171,7 @@ def test_criterion_2():
     for name, dc in (("h9", dc9), ("h15", dc15)):
         series = kuranishi_series(dc, order=6)
         obs = obstructions(series)
-        table = _contraction_table(dc)
+        table = dc.contraction_table()
         for pt in itertools.product(grid, repeat=series.params):
             if not any(pt) or not vanishes_at(obs, pt):
                 continue
@@ -570,11 +565,11 @@ def test_bracket_is_the_bracket_taken_key_by_key():
     nonzero = 0
     for dc, order in cases:
         terms = list(kuranishi_series(dc, order).coeffs.values())
-        table, keys = _contraction_table(dc), dc.chain_basis(2)
-        cores = [[_coform_core(table, f, ell) for ell in range(dc.n)] for f in terms]
+        table, keys, pos = dc.contraction_table(), dc.chain_basis(2), dc.chain_index(2)
+        cores = list(map(coform_cores(table, dc.n), terms))
         for f, f_cores in zip(terms, cores):
             for g, g_cores in zip(terms, cores):
-                rows = bracket(dc._pos[2], f, f_cores, g, g_cores)
+                rows = bracket(pos, f, f_cores, g, g_cores)
                 assert {keys[r]: c for r, c in rows.items()} == schouten_chains(table, f, g)
                 nonzero += bool(rows)
     assert nonzero > 0

@@ -24,7 +24,6 @@ from reference import (
     parts,
 )
 
-from nilcx.brackets import _contraction_table
 from nilcx.cxs import (
     abelian_defect,
     AlmostComplexStructure,
@@ -569,13 +568,13 @@ def test_contraction_table_matches_the_frame_route():
     for a, j in cases:
         dc = DolbeaultComplex(a, j)
         want = _frame_contraction_table(a, dc.frame)
-        assert _contraction_table(dc) == want, a
+        assert dc.contraction_table() == want, a
         empty.append(not want)
     # only the torus and its conjugates have no bracket
     assert empty == [False] * 3 + [True] + [False] * 9 + [True] * 3
     # by hand on h15: d wb1 = 2 w2 ^ wb3, d wb2 = w3 ^ wb3, d wb3 = 0
     want = {(0, 1): {2: gr(2)}, (1, 2): {2: gr(1)}}
-    assert _contraction_table(DolbeaultComplex(h15(), j_std6())) == want
+    assert DolbeaultComplex(h15(), j_std6()).contraction_table() == want
 
 
 def test_real_structure_tests_match_the_frame_oracle():

@@ -28,6 +28,7 @@ from reference import (
     harmonic_projection,
     hdot,
     inner_product,
+    kept,
     laplacian,
     off_harmonic_projector,
     parts,
@@ -514,7 +515,7 @@ def test_harmonic_basis_is_the_laplacian_kernel(build):
 def test_a_differential_that_squares_to_nonzero_names_its_degree():
     dc = dc_h15()
     # a dbar_0 whose image, the first three chain vectors, leaves ker dbar_1
-    dc._dbar[0] = Matrix([row[:3] for row in Matrix.identity(9).rows])
+    dc._memo[("dbar_matrix", 0)] = Matrix([row[:3] for row in Matrix.identity(9).rows])
     with pytest.raises(PreconditionError) as info:
         dc.cohomology(1)
     assert str(info.value) == (
@@ -574,7 +575,7 @@ def test_green_matrix_commutes_with_the_adjoint(build):
 def test_green_matrix_builds_only_its_degree():
     dc = dc_h15()
     dc.green_matrix(2)
-    assert list(dc._green) == [2]
+    assert list(kept(dc, "green_matrix")) == [(2,)]
 
 
 def test_degree_errors_name_the_degree():
@@ -588,6 +589,20 @@ def test_degree_errors_name_the_degree():
         with pytest.raises(PreconditionError) as info:
             call(4)
         assert str(info.value) == "degree out of range: 4 (degrees are 0..3)"
+
+
+def test_a_refused_degree_keeps_nothing():
+    # the build raises before the memo stores anything, so a second call
+    # is refused with the same message
+    dc = dc_h9()
+    for call, k, message in (
+        (dc.dbar_matrix, 3, "no differential at this degree: dbar_3 "
+         "(differentials are dbar_0..dbar_2)"),
+        (dc.cohomology, 7, "degree out of range: 7 (degrees are 0..3)"),
+    ):
+        for _ in range(2):
+            assert error_of(lambda: call(k)) == (PreconditionError, message)
+        assert dc._memo == {}
 
 
 def test_api_error_messages():

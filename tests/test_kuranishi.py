@@ -17,6 +17,7 @@ so the coform-flat directions are exactly {t2 = t3 = 0}.
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,13 +32,14 @@ from reference import (
     eigenbasis_deformed_j,
     hand_built_series,
     inner_product,
+    kept,
     laplacian,
     mc_residual,
     scaled,
     schouten,
     vanishes_at,
 )
-from nilcx.brackets import _coform_core, _contraction_table, infinitesimal_abelian_locus
+from nilcx.brackets import _coform_core, infinitesimal_abelian_locus
 from nilcx.catalog import get, render_entry
 from nilcx.cli import main
 from nilcx.dolbeault import DolbeaultComplex, chain_text
@@ -139,7 +141,7 @@ def test_schouten_rejects_wrong_degree():
 
 def coform_bracket(dc, mu, ell):
     """{mu, wb^ell} = wb^i ^ (A _| d wb^ell), the scalar (0,2)-form the locus reads."""
-    core = _coform_core(_contraction_table(dc), mu.coeffs, ell)
+    core = _coform_core(dc.contraction_table(), mu.coeffs, ell)
     return InvariantForm(0, 2, dc.n, {((), pair): c for pair, c in core.items()})
 
 
@@ -388,12 +390,13 @@ def test_series_and_obstructions_match_the_ordered_pair_reference(build, order):
 
 
 def test_each_symmetric_bracket_is_computed_once(monkeypatch):
+    import nilcx.brackets as brk
     import nilcx.kuranishi as kur
 
     calls, cores = [], []
-    pair, coform = kur.bracket, kur._coform_core
+    pair, coform = kur.bracket, brk._coform_core
     monkeypatch.setattr(kur, "bracket", lambda *args: calls.append(1) or pair(*args))
-    monkeypatch.setattr(kur, "_coform_core", lambda *args: cores.append(1) or coform(*args))
+    monkeypatch.setattr(brk, "_coform_core", lambda *args: cores.append(1) or coform(*args))
     dc = dc_h15()
     ser = kuranishi_series(dc, order=6)
     in_series = len(calls)
@@ -402,15 +405,54 @@ def test_each_symmetric_bracket_is_computed_once(monkeypatch):
     # (105, 138) when obstructions bracketed the pairs again, and (199, 265)
     # when every ordered pair was bracketed
     assert (in_series, len(calls) - in_series) == (138, 0)
-    # and reads them off n coform brackets per term, each computed once
-    assert len(cores) == dc.n * len(ser.coeffs)
+    # and reads them off the coform brackets of each term, each computed
+    # once, for the ells with a row in the contraction table: h15 has rows
+    # for ell 0 and 1 only, so 2 per term (n = 3 per term when every ell was)
+    assert {ell for ell, _ in dc.contraction_table()} == {0, 1}
+    assert len(cores) == 2 * len(ser.coeffs)
 
 
 def test_series_with_no_nonzero_bracket_builds_no_green_matrix():
     dc = DolbeaultComplex(abelian(6), j_std6())
     ser = kuranishi_series(dc, order=3)
     assert not any(p.coeffs for p in obstructions(ser).polys)
-    assert dc._green == {}
+    assert kept(dc, "green_matrix") == {}
+
+
+def test_an_empty_contraction_table_brackets_nothing(monkeypatch):
+    import nilcx.brackets as brk
+    import nilcx.kuranishi as kur
+
+    calls = []
+    pair, coform = kur.bracket, brk._coform_core
+    monkeypatch.setattr(kur, "bracket", lambda *args: calls.append("bracket") or pair(*args))
+    monkeypatch.setattr(brk, "_coform_core", lambda *args: calls.append("core") or coform(*args))
+    dc = DolbeaultComplex(abelian(6), j_std6())
+    ser = kuranishi_series(dc, order=3)
+    obstructions(ser)
+    assert dc.contraction_table() == {} and ser.params == 9
+    assert calls == [] and ser.brackets == {}
+    assert all(mono_degree(m) == 1 for m in ser.coeffs)
+
+
+def test_one_contraction_table_per_complex():
+    build = DolbeaultComplex.contraction_table.__wrapped__.__code__
+    builds = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            builds.append(frame.f_locals["self"])
+
+    dc = dc_h15()
+    sys.setprofile(profile)
+    try:
+        ser = kuranishi_series(dc, order=4)
+        residual_by_degree(dc, ser, (0, 0, Fraction(1, 10), 0, 0))
+        infinitesimal_abelian_locus(dc)
+    finally:
+        sys.setprofile(None)
+    assert builds == [dc]
+    assert list(kept(dc, "contraction_table")) == [()]
 
 
 def _dc_n10():
@@ -435,7 +477,7 @@ def test_series_and_obstructions_build_no_laplacian(build, order):
     ser = kuranishi_series(dc, order=order)
     assert any(mono_degree(m) >= 2 for m in ser.coeffs)
     obstructions(ser)
-    assert dc._lap == {} and dc._green == {}
+    assert kept(dc, "laplacian_matrix") == {} and kept(dc, "green_matrix") == {}
 
 
 def test_hand_built_series_gets_the_brackets_of_its_coefficients():

@@ -459,11 +459,14 @@ def test_every_library_function_has_a_caller():
 # __getattr__ and __dir__ may go unentered. Every other function the sweep
 # misses is listed here. A reason starts with its kind, and the kind is
 # checked: "perfbench" holds when perfbench/ references the name,
-# "roadmap item N" when open item N of ROADMAP.md names it, and "via F"
+# "roadmap item N" when open item N of ROADMAP.md names it, "via F"
 # when function F references it and F is entered or listed for another
-# kind of reason.
+# kind of reason, "script" when the module's __main__ block calls it, and
+# "decorator" when the module applies it with @ (it runs at import, and the
+# sweep imports every module before the profile starts).
 UNENTERED = {
     "cli.script": "script: the entry of python -m nilcx.cli and the nilcx console script",
+    "dolbeault._memo": "decorator: it wraps the complex's kept methods when dolbeault loads",
     "dolbeault.DolbeaultComplex._dbar_adjoint_matrix": "via dolbeault.DolbeaultComplex.dbar_adjoint: its matrix",
     "dolbeault.DolbeaultComplex._to_vec": "via dolbeault.DolbeaultComplex.green: its input as a dense vector",
     "dolbeault.DolbeaultComplex.form": "perfbench: the probes build seeded forms with it",
@@ -546,6 +549,11 @@ def _reason_holds(name: str, reason: str, nodes: dict, entered: set) -> None:
         module = name.split(".", 1)[0]
         called = main_block_calls(ROOT / "src" / "nilcx" / f"{module}.py")
         assert short in called, f"{name}: the __main__ block of {module} does not call it"
+    elif kind == "decorator":
+        tree = ast.parse((ROOT / "src" / "nilcx" / f"{name.split('.', 1)[0]}.py").read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        applied = {getattr(d, "id", None) for n in defs for d in n.decorator_list}
+        assert short in applied, f"{name}: its module applies no @{short}"
     else:
         raise AssertionError(f"{name}: {kind!r} is not a checked kind of reason")
 
@@ -559,6 +567,10 @@ def test_every_library_function_is_entered(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     cli_sweep.write_inputs(tmp_path)
+    # what runs at import runs here, outside the profile, however many
+    # modules the tests before this one loaded
+    for path in (ROOT / "src" / "nilcx").glob("[!_]*.py"):
+        import_module(f"nilcx.{path.stem}")
     sys.setprofile(profile)
     try:
         codes = [cli_sweep.run(argv)[0] for argv in cli_sweep.ENTRY_ARGVS]
