@@ -1,5 +1,12 @@
 """``nilcx kuranishi``: the deformation series, its obstructions, and the
-structure it deforms to at an ``--at`` point."""
+structure it deforms to at an ``--at`` point.
+
+The deformed J is integrable exactly when the evaluated series solves the
+Maurer-Cartan equation (Kuranishi 1962). A note on stderr names the
+obstruction polynomials that do not vanish at the point; where they all
+vanish and J is not integrable, the series was cut too early, and the note
+says that instead.
+"""
 
 import sys
 
@@ -8,13 +15,7 @@ from .cli_common import SCHEMA, emit_json, parse_rational, pick_structure
 from .cli_complex import matrix_rows, open_complex, print_rows
 from .dolbeault import chain_text
 from .errors import ValidationError
-from .kuranishi import (
-    classify_deformation,
-    deform_structure,
-    kuranishi_series,
-    obstructions,
-    residual_by_degree,
-)
+from .kuranishi import classify_deformation, deform_structure, kuranishi_series, obstructions
 from .poly import mono_str
 
 
@@ -85,17 +86,13 @@ def run(args) -> int:
                 "Kuranishi deformation",
                 file=sys.stderr,
             )
-        else:
-            residual = residual_by_degree(dc, series, point)
-            if residual:
-                d, term = next(iter(residual.items()))
-                print(
-                    f"note: the order-{args.order} series does not solve the "
-                    f"Maurer-Cartan equation at t = ({at}): dbar Phi(t) + 1/2 "
-                    f"{{Phi(t), Phi(t)}} has the nonzero degree-{d} term {chain_text(term)}; "
-                    "the classification is of the truncated structure",
-                    file=sys.stderr,
-                )
+        elif not rep.integrable:
+            print(
+                f"note: the order-{args.order} series does not solve the "
+                f"Maurer-Cartan equation at t = ({at}): the deformed J is not integrable; "
+                "the classification is of the truncated structure",
+                file=sys.stderr,
+            )
         payload["deformed_j"] = rows = matrix_rows(deformed.j_new.matrix)
         payload["classification"] = verdict = rep._asdict()
         if not args.json:

@@ -13,12 +13,15 @@ chain, a coefficient dict {((i,), a): c} with no zero entries. Since
 dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
 inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
 with no Laplacian and no Green's operator. All coefficients are exact, so
-the truncated Maurer-Cartan residual and the obstruction polynomials are
-computed without rounding. At a parameter point the deformed (0,1)-space
-is the graph of Phi(t) over the old one, and eliminating the constraints
-that J is -i on it and +i on its conjugate gives a genuine almost complex
-structure on the same algebra, which the classifier inspects with the usual
-integrability and bracket tests; nothing is inferred from the series itself.
+the obstruction polynomials are computed without rounding. At a parameter
+point the deformed (0,1)-space is the graph of Phi(t) over the old one,
+and eliminating the constraints that J is -i on it and +i on its conjugate
+gives a genuine almost complex structure on the same algebra, which the
+classifier inspects with the usual integrability and bracket tests;
+nothing is inferred from the series itself. For an abelian J the graph is
+integrable exactly when dbar Phi + 1/2 {Phi, Phi} = 0 (Kuranishi 1962), so
+the Nijenhuis test on the deformed J is the one verdict on whether the
+evaluated series solves the Maurer-Cartan equation; no residual is computed.
 
 Hand-fed instances of :class:`DeformedStructure` (a structure obtained some
 other way, wrapped with its algebra) are accepted by the classifier.
@@ -130,13 +133,9 @@ class DeformationSeries(Frozen):
         self._set(dolbeault=dolbeault, params=params, order=order, coeffs=coeffs, brackets=brackets)
 
     def evaluate(self, t_point) -> dict:
-        """Phi at a parameter point, a single degree-1 chain."""
-        return _sum_terms(self.coeffs, coerce_point(t_point, self.params))
-
-
-def _sum_terms(coeffs: dict, pt: tuple) -> dict:
-    """sum of t^m phi_m over the (m, phi_m) of ``coeffs``, at the point ``pt``."""
-    return combine_rows([(m, w) for m in coeffs if (w := mono_eval(m, pt))], coeffs)
+        """Phi at a parameter point, sum of t^m phi_m, a single degree-1 chain."""
+        pt = coerce_point(t_point, self.params)
+        return combine_rows([(m, w) for m in self.coeffs if (w := mono_eval(m, pt))], self.coeffs)
 
 
 class ObstructionSet(namedtuple("ObstructionSet", "params order polys")):
@@ -209,42 +208,6 @@ def obstructions(series: DeformationSeries) -> ObstructionSet:
     return ObstructionSet(series.params, series.order, polys)
 
 
-def _owned_series(dc: DolbeaultComplex, series: DeformationSeries):
-    if series.dolbeault is not dc:
-        raise ValidationError("series does not belong to this complex")
-
-
-def residual_by_degree(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> dict:
-    """dbar Phi(t) + 1/2 {Phi(t), Phi(t)} with nothing cut, split by degree in t.
-
-    Phi_s(t) is the degree-s part of the evaluated series; degree d
-    collects dbar Phi_d(t) and 1/2 {Phi_s(t), Phi_u(t)} for s + u = d.
-    Returns {d: degree-2 chain} with only the nonzero parts, by increasing
-    degree; none means the evaluated series solves the Maurer-Cartan
-    equation exactly at t. With no degree-2 chains (n = 1) there are none.
-    """
-    _owned_series(dc, series)
-    pt = coerce_point(t_point, series.params)
-    if dc.n < 2:
-        return {}
-    terms: dict = {}
-    for m, f in series.coeffs.items():
-        terms.setdefault(mono_degree(m), {})[m] = f
-    parts = {s: _sum_terms(fs, pt) for s, fs in terms.items()}
-    d1, ones, twos = dc.dbar_matrix(1), dc.chain_basis(1), dc.chain_basis(2)
-    pos, cores_of = dc.chain_index(2), coform_cores(dc.contraction_table(), dc.n)
-    cores = {s: cores_of(f) for s, f in parts.items()}
-    # each degree's sum as a dense row over dc.chain_basis(2) until the end
-    out = {s: list(d1.matvec([f.get(k, ZERO) for k in ones])) for s, f in parts.items()}
-    for s, fs in parts.items():
-        for u, fu in parts.items():
-            acc = out.setdefault(s + u, [ZERO] * d1.nrows)
-            for r, v in bracket(pos, fs, cores[s], fu, cores[u]).items():
-                acc[r] = acc[r] + HALF * v
-    out = {d: {twos[r]: v for r, v in enumerate(row) if v} for d, row in sorted(out.items())}
-    return {d: chain for d, chain in out.items() if chain}
-
-
 def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> DeformedStructure:
     """Almost complex structure whose (0,1)-space is spanned by w_j = Xb_j + Phi(Xb_j).
 
@@ -252,7 +215,8 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
     which leave J undetermined where the space meets its conjugate (parameter
     values too large for the splitting to survive); at t = 0 they give the base J.
     """
-    _owned_series(dc, series)
+    if series.dolbeault is not dc:
+        raise ValidationError("series does not belong to this complex")
     pt = coerce_point(t_point, series.params)
     phi = series.evaluate(pt)
     n, frame = dc.n, dc.frame

@@ -298,7 +298,7 @@ UNREACHED = {
         _API.format("kuranishi") + ": a series given by hand",
     "kuranishi.kuranishi_series: order must be at least 1":
         _API.format("kuranishi") + ": the kuranishi command refuses --order 0 first",
-    "kuranishi._owned_series: series does not belong to this complex":
+    "kuranishi.deform_structure: series does not belong to this complex":
         _API.format("kuranishi") + ": the kuranishi command deforms along its own series",
     "lie.LieAlgebra.__init__: dimension must be nonnegative":
         _API.format("lie") + ": the parser refuses a dim below 1 first",

@@ -7,9 +7,11 @@ by rank, the center as the null space of every ad row, the sum, multiple
 and differential of ``VectorForm`` chains, their inner product, Laplacian,
 harmonic projection and the projector off the harmonic space of a
 Dolbeault complex, the check that its harmonic vectors span the
-Laplacian's kernel, the graded bracket, one pair of keys at a time, and
-the truncated Maurer-Cartan residual on forms, and the hand-written
-argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
+Laplacian's kernel, the graded bracket, one pair of keys at a time, the
+Maurer-Cartan residual of an evaluated series by degree on chains, which
+the package does not compute, and truncated on forms, Phi read back off
+a structure whose (0,1)-space is a graph (``phi_of``), and the
+hand-written argparse parser that ``cli.COMMANDS`` replaced. The frame route derives invariant
 (p,q)-forms and their differentials from an eigen-frame of J, and names
 the witness of a failed integrability test. ``verify_entry`` recomputes a
 catalog entry's facts, ``differentials_from_brackets`` reads an algebra's
@@ -39,11 +41,11 @@ from nilcx.cxs import (
 )
 from nilcx.dolbeault import DolbeaultComplex, VectorForm, _same_frame
 from nilcx.errors import NotSolvableError, PreconditionError, SelfCheckError, ValidationError
-from nilcx.brackets import infinitesimal_abelian_locus
-from nilcx.kuranishi import DeformationSeries, residual_by_degree
-from nilcx.lie import LieAlgebra, _null_space, validate_lie
+from nilcx.brackets import bracket, coform_cores, infinitesimal_abelian_locus
+from nilcx.kuranishi import HALF, DeformationSeries
+from nilcx.lie import LieAlgebra, _null_space, combine_rows, validate_lie
 from nilcx.linalg import Matrix, Vector, inverse, is_zero_vector, kernel_basis, rank, rref
-from nilcx.poly import coerce_point, mono_add, mono_degree
+from nilcx.poly import coerce_point, mono_add, mono_degree, mono_eval
 from nilcx.scalars import I as IMAG
 from nilcx.scalars import ONE, ZERO, GaussianRational
 
@@ -162,6 +164,67 @@ def schouten(dc, mu: VectorForm, nu: VectorForm) -> VectorForm:
     if mu.degree != 1 or nu.degree != 1:
         raise PreconditionError("bracket arguments must have degree 1")
     return dc.form(2, schouten_chains(dc.contraction_table(), mu.coeffs, nu.coeffs))
+
+
+def residual_by_degree(dc, series: DeformationSeries, t_point) -> dict:
+    """dbar Phi(t) + 1/2 {Phi(t), Phi(t)} with nothing cut, split by degree in t.
+
+    Phi_s(t) is the degree-s part of the evaluated series; degree d
+    collects dbar Phi_d(t) and 1/2 {Phi_s(t), Phi_u(t)} for s + u = d.
+    Returns {d: degree-2 chain} with only the nonzero parts, by increasing
+    degree; none means the evaluated series solves the Maurer-Cartan
+    equation exactly at t. With no degree-2 chains (n = 1) there are none.
+    For an abelian J that is the case exactly when the deformed J is
+    integrable, which the package decides by the Nijenhuis test alone.
+    """
+    if series.dolbeault is not dc:
+        raise ValidationError("series does not belong to this complex")
+    pt = coerce_point(t_point, series.params)
+    if dc.n < 2:
+        return {}
+    terms: dict = {}
+    for m, f in series.coeffs.items():
+        terms.setdefault(mono_degree(m), {})[m] = f
+    parts = {
+        s: combine_rows([(m, w) for m in fs if (w := mono_eval(m, pt))], fs)
+        for s, fs in terms.items()
+    }
+    d1, ones, twos = dc.dbar_matrix(1), dc.chain_basis(1), dc.chain_basis(2)
+    pos, cores_of = dc.chain_index(2), coform_cores(dc.contraction_table(), dc.n)
+    cores = {s: cores_of(f) for s, f in parts.items()}
+    # each degree's sum as a dense row over dc.chain_basis(2) until the end
+    out = {s: list(d1.matvec([f.get(k, ZERO) for k in ones])) for s, f in parts.items()}
+    for s, fs in parts.items():
+        for u, fu in parts.items():
+            acc = out.setdefault(s + u, [ZERO] * d1.nrows)
+            for r, v in bracket(pos, fs, cores[s], fu, cores[u]).items():
+                acc[r] = acc[r] + HALF * v
+    out = {d: {twos[r]: v for r, v in enumerate(row) if v} for d, row in sorted(out.items())}
+    return {d: chain for d, chain in out.items() if chain}
+
+
+def phi_of(dc, j: AlmostComplexStructure) -> dict:
+    """Phi read back off a structure whose (0,1)-space is a graph over that of ``dc``.
+
+    The kernel of J + i is the (0,1)-space of J. Written in the frame of
+    ``dc`` as the columns [A; B], A over the X_a and B over the Xb_j, its
+    graph basis Xb_j + sum_a Phi_ja X_a is [A B^-1; I], so Phi^T = A B^-1.
+    Returns the degree-1 chain {((j,), a): Phi_ja}, as
+    ``DeformationSeries.evaluate`` does. Refuses a J whose (0,1)-space
+    meets the (1,0)-space of ``dc``, where B is singular.
+    """
+    n, m = dc.n, 2 * dc.n
+    shifted = Matrix(
+        [[j.matrix[r, c] + (IMAG if r == c else ZERO) for c in range(m)] for r in range(m)]
+    )
+    cols = [dc.frame.to_frame(v) for v in kernel_basis(shifted)]
+    a = Matrix([[col[x] for col in cols] for x in range(n)])
+    b = Matrix([[col[n + x] for col in cols] for x in range(n)])
+    try:
+        phi_t = a * inverse(b)
+    except NotSolvableError:
+        raise PreconditionError("the (0,1)-space of J is not a graph over that of the complex") from None
+    return {((jj,), x): phi_t[x, jj] for jj in range(n) for x in range(n) if phi_t[x, jj]}
 
 
 def mc_residual(dc, series, t_point) -> VectorForm:

@@ -38,6 +38,7 @@ from reference import (
     inner_product,
     laplacian,
     mc_residual,
+    phi_of,
     scaled,
     schouten,
     schouten_chains,
@@ -78,10 +79,12 @@ def to_vec(dc, f):
 
 
 def checked_deform(dc, series, pt):
-    """deform_structure at pt, whose J must equal the eigenbasis route's exactly."""
+    """deform_structure at pt, whose J must equal the eigenbasis route's
+    exactly, and off which Phi(pt) must read back as a graph."""
     got = deform_structure(dc, series, pt)
     want = eigenbasis_deformed_j(dc, series, pt)
     assert got.j_new == want, f"J differs from B diag(i, -i) B^-1 at {pt}"
+    assert phi_of(dc, got.j_new) == series.evaluate(pt), f"Phi does not read back off J at {pt}"
     return got
 
 

@@ -15,6 +15,7 @@ deterministic degree-1 harmonic bases; for the second algebra these are
 so the coform-flat directions are exactly {t2 = t3 = 0}.
 """
 
+import itertools
 import json
 import random
 import sys
@@ -31,10 +32,13 @@ from reference import (
     dbar,
     eigenbasis_deformed_j,
     hand_built_series,
+    in_span,
     inner_product,
     kept,
     laplacian,
     mc_residual,
+    phi_of,
+    residual_by_degree,
     scaled,
     schouten,
     vanishes_at,
@@ -42,6 +46,7 @@ from reference import (
 from nilcx.brackets import _coform_core, infinitesimal_abelian_locus
 from nilcx.catalog import get, render_entry
 from nilcx.cli import main
+from nilcx.cxs import AlmostComplexStructure, is_abelian
 from nilcx.dolbeault import DolbeaultComplex, chain_text
 from nilcx.errors import PreconditionError, ValidationError
 from nilcx.kuranishi import (
@@ -52,9 +57,8 @@ from nilcx.kuranishi import (
     deform_structure,
     kuranishi_series,
     obstructions,
-    residual_by_degree,
 )
-from nilcx.linalg import pinv
+from nilcx.linalg import Matrix, pinv
 from nilcx.poly import Poly, mono_degree, mono_eval
 from nilcx.scalars import gr
 
@@ -708,14 +712,6 @@ def test_mc_residual_harmonic_part_matches_obstruction_values():
             assert inner_product(dc, r, gamma) == want
 
 
-def test_mc_residual_rejects_foreign_series():
-    dc = dc_h15()
-    other = dc_h15()
-    ser = kuranishi_series(other, order=2)
-    with pytest.raises(ValidationError):
-        mc_residual(dc, ser, (0, 0, 0, 0, 0))
-
-
 # ------------------------------------------------------- new structures
 
 
@@ -768,12 +764,9 @@ def _j_or_refusal(route, dc, series, pt):
         return str(exc)
 
 
-def test_deformed_j_is_the_eigenbasis_route_at_every_sweep_point():
-    """The constraint elimination of deform_structure and the reference
-    B diag(i, -i) B^-1 give the same J, or the same refusal, at every --at
-    point of the golden sweep that reaches deform_structure, at each order
-    the sweep deforms it."""
-    points, refused = set(), set()
+def _sweep_points():
+    """(stem, text, dc, series, pt) for each --at point of the golden sweep
+    that reaches deform_structure, at each order the sweep deforms it."""
     for stem, texts in cli_sweep.POINTS.items():
         name, params = cli_sweep.CATALOG_FILES[stem]
         entry = get(name, **params)
@@ -785,15 +778,24 @@ def test_deformed_j_is_the_eigenbasis_route_at_every_sweep_point():
                     pt = tuple(Fraction(x) for x in text.split(","))
                 except (ValueError, ZeroDivisionError):
                     continue
-                if len(pt) != series.params:
-                    continue
-                got = _j_or_refusal(lambda *a: deform_structure(*a).j_new, dc, series, pt)
-                assert got == _j_or_refusal(eigenbasis_deformed_j, dc, series, pt), (
-                    f"{stem} --order {order} --at {text}"
-                )
-                points.add((stem, text))
-                if isinstance(got, str):
-                    refused.add((stem, text, got))
+                if len(pt) == series.params:
+                    yield stem, text, dc, series, pt
+
+
+def test_deformed_j_is_the_eigenbasis_route_at_every_sweep_point():
+    """The constraint elimination of deform_structure and the reference
+    B diag(i, -i) B^-1 give the same J, or the same refusal, at every --at
+    point of the golden sweep that reaches deform_structure, at each order
+    the sweep deforms it."""
+    points, refused = set(), set()
+    for stem, text, dc, series, pt in _sweep_points():
+        got = _j_or_refusal(lambda *a: deform_structure(*a).j_new, dc, series, pt)
+        assert got == _j_or_refusal(eigenbasis_deformed_j, dc, series, pt), (
+            f"{stem} --order {series.order} --at {text}"
+        )
+        points.add((stem, text))
+        if isinstance(got, str):
+            refused.add((stem, text, got))
     assert len(points) == 17
     assert refused == {
         ("h9", "1,0,0", "parameter too large: deformed (0,1)-space degenerate at t = (1, 0, 0)")
@@ -809,10 +811,12 @@ def test_deform_provenance():
 
 
 def test_deform_rejects_foreign_series():
+    # another algebra's series, and that of a twin complex on the same algebra and J
     dc = dc_h9()
-    ser = kuranishi_series(dc_h15(), order=2)
-    with pytest.raises(ValidationError):
-        deform_structure(dc, ser, (0, 0, 0, 0, 0))
+    for other in (dc_h15(), dc_h9()):
+        ser = kuranishi_series(other, order=2)
+        with pytest.raises(ValidationError, match="^series does not belong to this complex$"):
+            deform_structure(dc, ser, (0,) * ser.params)
 
 
 def test_classify_hand_fed_structure():
@@ -830,6 +834,91 @@ def test_classify_hand_fed_abelian_member():
     d = DeformedStructure(t_point=(), j_new=jst(1, 0), algebra=algebra)
     rep = classify_deformation(algebra, d)
     assert rep.integrable and rep.abelian and rep.nilpotent
+
+
+# ------------------------------------------- the graph chart, both ways
+
+
+def test_phi_reads_back_off_the_deformed_j_at_every_sweep_point():
+    # the J that deform_structure builds has the graph of Phi(t) as its
+    # (0,1)-space, read off J alone; the criteria check it at their points
+    points = set()
+    for stem, text, dc, series, pt in _sweep_points():
+        try:
+            j = deform_structure(dc, series, pt).j_new
+        except PreconditionError:
+            continue
+        assert phi_of(dc, j) == series.evaluate(pt), f"{stem} --order {series.order} --at {text}"
+        points.add((stem, text))
+    assert len(points) == 16
+
+
+def test_phi_of_refuses_a_structure_that_is_not_a_graph():
+    # -J has the (1,0)-space of J as its (0,1)-space
+    dc = dc_h15()
+    flipped = AlmostComplexStructure(Matrix([[-x for x in row] for row in dc.j.matrix.rows]))
+    assert phi_of(dc, dc.j) == {}
+    assert error_of(lambda: phi_of(dc, flipped)) == (
+        PreconditionError, "the (0,1)-space of J is not a graph over that of the complex"
+    )
+
+
+def test_the_nijenhuis_verdict_is_the_maurer_cartan_residual():
+    """The graph of Phi over an abelian J is integrable exactly when
+    dbar Phi + 1/2 {Phi, Phi} = 0 (Kuranishi 1962). classify_deformation
+    reads the Nijenhuis tensor off the structure constants; the reference
+    residual reads the contraction table through brackets.bracket. At
+    seeded points of the truncated series, obstructed or not, they agree."""
+    rng = random.Random(20261021)
+    outcomes: dict = {}
+    for name, build in (("h15", dc_h15), ("h9", dc_h9), ("n10", _dc_n10)):
+        dc = build()
+        for order in (1, 2, 3):
+            ser = kuranishi_series(dc, order=order)
+            for _ in range(8):
+                pt = [0] * ser.params
+                for i in rng.sample(range(ser.params), 2):
+                    pt[i] = Fraction(rng.choice((1, -1)), rng.choice((7, 10)))
+                rep = classify_deformation(dc.algebra, deform_structure(dc, ser, pt))
+                flat = not residual_by_degree(dc, ser, pt)
+                assert rep.integrable == flat, f"{name} --order {order} at {pt}"
+                outcomes.setdefault(name, set()).add(flat)
+    assert outcomes["h15"] == outcomes["n10"] == {True, False}
+
+
+def test_deformations_stay_abelian_exactly_along_the_first_order_locus():
+    """The paper's characterisation of the deformations that stay abelian:
+    at an unobstructed point where the series ends, the deformed J is
+    abelian exactly when t lies in the span of infinitesimal_abelian_locus.
+    The series of h9 and h15 end at degree 2; on n10(1,0) the points are
+    those where the reference residual is zero."""
+    grid = (Fraction(-1, 7), 0, Fraction(1, 10))
+    rng = random.Random(1962)
+    outcomes: dict = {}
+    for name, build, order in (("h9", dc_h9, 2), ("h15", dc_h15, 2), ("n10", _dc_n10, 3)):
+        dc = build()
+        ser = kuranishi_series(dc, order=order)
+        obs, locus = obstructions(ser), infinitesimal_abelian_locus(dc)
+        if name == "n10":
+            points = []
+            for _ in range(24):
+                pt = [0] * ser.params
+                for i in rng.sample(range(ser.params), 2):
+                    pt[i] = rng.choice(grid[::2])
+                points.append(tuple(pt))
+        else:
+            points = list(itertools.product(grid, repeat=ser.params))
+        checked = 0
+        for pt in points:
+            if not vanishes_at(obs, pt) or residual_by_degree(dc, ser, pt):
+                continue
+            abelian = is_abelian(dc.algebra, deform_structure(dc, ser, pt).j_new)
+            first_order = in_span(tuple(gr(x) for x in pt), locus)
+            assert abelian == first_order, f"{name} at {pt}"
+            outcomes.setdefault(name, set()).add(abelian)
+            checked += 1
+        assert checked >= 10, name
+    assert outcomes == {"h9": {True}, "h15": {True, False}, "n10": {True, False}}
 
 
 # ------------------------------------------------------------ the locus
