@@ -712,6 +712,14 @@ def test_mc_residual_harmonic_part_matches_obstruction_values():
             assert inner_product(dc, r, gamma) == want
 
 
+def test_mc_residual_rejects_foreign_series():
+    dc = dc_h15()
+    other = dc_h15()
+    ser = kuranishi_series(other, order=2)
+    with pytest.raises(ValidationError):
+        mc_residual(dc, ser, (0, 0, 0, 0, 0))
+
+
 # ------------------------------------------------------- new structures
 
 
