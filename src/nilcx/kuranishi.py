@@ -13,15 +13,15 @@ chain, a coefficient dict {((i,), a): c} with no zero entries. Since
 dbar_2 dbar_1 = 0, adjoint(green(.)) on degree 2 is the Moore-Penrose
 inverse dbar_1^+ (Penrose 1955), so the step is built from degree 1 alone,
 with no Laplacian and no Green's operator. All coefficients are exact, so
-the obstruction polynomials are computed without rounding. At a parameter
-point the deformed (0,1)-space is the graph of Phi(t) over the old one,
-and eliminating the constraints that J is -i on it and +i on its conjugate
-gives a genuine almost complex structure on the same algebra, which the
-classifier inspects with the usual integrability and bracket tests;
-nothing is inferred from the series itself. For an abelian J the graph is
-integrable exactly when dbar Phi + 1/2 {Phi, Phi} = 0 (Kuranishi 1962), so
-the Nijenhuis test on the deformed J is the one verdict on whether the
-evaluated series solves the Maurer-Cartan equation; no residual is computed.
+the obstruction polynomials are computed without rounding. The chart
+:func:`deformed_structure` needs no series: the deformed (0,1)-space is the
+graph of a degree-1 chain Phi over the old one, and eliminating the
+constraints that J is -i on it and +i on its conjugate gives a genuine
+almost complex structure on the same algebra, which the classifier
+inspects with the usual integrability and bracket tests; nothing is
+inferred from the series itself. For an abelian J the graph is integrable
+exactly when dbar Phi + 1/2 {Phi, Phi} = 0 (Kuranishi 1962), so the
+Nijenhuis test on the deformed J is that verdict; no residual is computed.
 
 Hand-fed instances of :class:`DeformedStructure` (a structure obtained some
 other way, wrapped with its algebra) are accepted by the classifier.
@@ -37,7 +37,7 @@ from .dolbeault import DolbeaultComplex
 from .errors import Frozen, PreconditionError, ValidationError
 from .lie import LieAlgebra, combine_rows
 from .linalg import pinv
-from .poly import Poly, coerce_point, mono_add, mono_degree, mono_eval
+from .poly import Poly, coerce_point, coerce_scalar, mono_add, mono_degree, mono_eval
 from .scalars import I, ZERO, GaussianRational
 
 HALF = GaussianRational("1/2")
@@ -208,17 +208,17 @@ def obstructions(series: DeformationSeries) -> ObstructionSet:
     return ObstructionSet(series.params, series.order, polys)
 
 
-def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> DeformedStructure:
+def deformed_structure(dc: DolbeaultComplex, phi: dict, t_point) -> DeformedStructure:
     """Almost complex structure whose (0,1)-space is spanned by w_j = Xb_j + Phi(Xb_j).
 
+    ``phi`` is a degree-1 chain of ``dc``, and ``t_point`` is only recorded.
     :func:`~nilcx.cxs.solve_j` reads J off J w_j = -i w_j and J wb_j = i wb_j,
-    which leave J undetermined where the space meets its conjugate (parameter
-    values too large for the splitting to survive); at t = 0 they give the base J.
+    which leave J undetermined where the space meets its conjugate.
     """
-    if series.dolbeault is not dc:
-        raise ValidationError("series does not belong to this complex")
-    pt = coerce_point(t_point, series.params)
-    phi = series.evaluate(pt)
+    if not dc.chain_index(1).keys() >= phi.keys():
+        raise ValidationError("Phi must be a degree-1 chain")
+    phi = {k: coerce_scalar(c) for k, c in phi.items()}
+    pt = tuple(map(coerce_scalar, t_point))
     n, frame = dc.n, dc.frame
     rows = []
     for jj in range(n):
@@ -237,6 +237,14 @@ def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -
             f"parameter too large: deformed (0,1)-space degenerate at t = ({t})"
         ) from None
     return DeformedStructure(t_point=pt, j_new=AlmostComplexStructure(j_matrix), algebra=dc.algebra)
+
+
+def deform_structure(dc: DolbeaultComplex, series: DeformationSeries, t_point) -> DeformedStructure:
+    """:func:`deformed_structure` along Phi(t), the series evaluated at ``t_point``."""
+    if series.dolbeault is not dc:
+        raise ValidationError("series does not belong to this complex")
+    pt = tuple(t_point)
+    return deformed_structure(dc, series.evaluate(pt), pt)
 
 
 def classify_deformation(algebra: LieAlgebra, deformed: DeformedStructure) -> DeformationReport:

@@ -17,7 +17,7 @@ Monomial = tuple[int, ...]
 def coerce_scalar(x) -> GaussianRational:
     try:
         return scalar(x)
-    except TypeError:
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("coefficient is not rational") from None
 
 

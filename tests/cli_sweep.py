@@ -298,6 +298,8 @@ UNREACHED = {
         _API.format("kuranishi") + ": a series given by hand",
     "kuranishi.kuranishi_series: order must be at least 1":
         _API.format("kuranishi") + ": the kuranishi command refuses --order 0 first",
+    "kuranishi.deformed_structure: Phi must be a degree-1 chain":
+        _API.format("kuranishi") + ": a Phi given by hand",
     "kuranishi.deform_structure: series does not belong to this complex":
         _API.format("kuranishi") + ": the kuranishi command deforms along its own series",
     "lie.LieAlgebra.__init__: dimension must be nonnegative":

@@ -18,9 +18,11 @@ catalog entry's facts, ``differentials_from_brackets`` reads an algebra's
 coframe differentials, and ``abelian_routes`` runs both real abelianness
 tests on dense brackets. ``hand_built_series`` brackets coefficients given
 by hand, ``vanishes_at`` tells whether every obstruction vanishes at a
-point, and ``eigenbasis_deformed_j`` builds a deformed J as
-B diag(i, -i) B^-1 on an eigenbasis, where the package eliminates
-constraints. Nothing in the package calls them.
+point, ``eigenbasis_deformed_j`` builds the deformed J of a degree-1
+chain as B diag(i, -i) B^-1 on an eigenbasis, where the package
+eliminates constraints, and ``two_step_abelian`` generates seeded
+two-step algebras with an abelian J, test inputs beyond the catalog.
+Nothing in the package calls them.
 
 Sign convention of the frame route: for an invariant 1-form,
 d a(X, Y) = -a([X, Y]). tests/test_cxs.py::test_realified_structure_equations_roundtrip
@@ -32,6 +34,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 
+from nilcx.catalog import standard_pairing
 from nilcx.cxs import (
     AlmostComplexStructure,
     ComplexFrame,
@@ -344,15 +347,15 @@ def vanishes_at(obs, t_point) -> bool:
     return all(not p.evaluate(t_point) for p in obs.polys)
 
 
-def eigenbasis_deformed_j(dc, series: DeformationSeries, t_point) -> AlmostComplexStructure:
+def eigenbasis_deformed_j(dc, phi: dict, t_point) -> AlmostComplexStructure:
     """The deformed J as B diag(i, -i) B^-1, B the columns conj(w_j), w_j.
 
     w_j = Xb_j + sum_a phi_ja X_a spans the deformed (0,1)-space, so J is -i
-    on the w_j and +i on their conjugates. Refuses, as ``deform_structure``
-    does, where B is singular: the (0,1)-space meets its conjugate.
+    on the w_j and +i on their conjugates. ``phi`` is a degree-1 chain, as
+    ``deformed_structure`` takes it, and ``t_point`` is named in the refusal
+    only. Refuses, as ``deformed_structure`` does, where B is singular: the
+    (0,1)-space meets its conjugate.
     """
-    pt = coerce_point(t_point, series.params)
-    phi = series.evaluate(pt)
     n, frame = dc.n, dc.frame
     cols = []
     for jj in range(n):
@@ -368,11 +371,34 @@ def eigenbasis_deformed_j(dc, series: DeformationSeries, t_point) -> AlmostCompl
     except NotSolvableError:
         raise PreconditionError(
             "parameter too large: deformed (0,1)-space degenerate at t = ("
-            + ", ".join(str(x) for x in pt)
+            + ", ".join(str(x) for x in t_point)
             + ")"
         ) from None
     scaled_rows = [[(IMAG if i < n else -IMAG) * x for x in binv.rows[i]] for i in range(2 * n)]
     return AlmostComplexStructure(basis * Matrix(scaled_rows))
+
+
+def two_step_abelian(rng, m: int, k: int) -> tuple[LieAlgebra, AlmostComplexStructure]:
+    """A seeded two-step algebra V + Z of real dimensions 2m and 2k, with an abelian J.
+
+    J is the standard pairing on V + Z, and [x, y] = sum_z omega_z(x, y) z
+    for x, y in V, with omega_z = A_z + A_z(J., J.) for a random integer
+    skew A_z. Each omega_z is J-invariant, so [Jx, Jy] = [x, y] and J is
+    abelian by construction; every bracket is central, so Jacobi holds.
+    """
+    v, sign = 2 * m, (1, -1)
+    brackets: dict = {}
+    for z in range(v, v + 2 * k):
+        a = [[0] * v for _ in range(v)]
+        for p, q in combinations(range(v), 2):
+            a[p][q] = rng.randint(-2, 2)
+            a[q][p] = -a[p][q]
+        # J e_p = sign[p % 2] e_(p ^ 1), so A(J e_p, J e_q) = sign sign A[p ^ 1][q ^ 1]
+        for p, q in combinations(range(v), 2):
+            c = a[p][q] + sign[p % 2] * sign[q % 2] * a[p ^ 1][q ^ 1]
+            if c:
+                brackets.setdefault((p + 1, q + 1), {})[z + 1] = c
+    return LieAlgebra(v + 2 * k, brackets), standard_pairing(v + 2 * k)
 
 
 # ------------------------------------------------- catalog facts, live

@@ -41,20 +41,23 @@ from reference import (
     residual_by_degree,
     scaled,
     schouten,
+    two_step_abelian,
     vanishes_at,
 )
 from nilcx.brackets import _coform_core, infinitesimal_abelian_locus
 from nilcx.catalog import get, render_entry
 from nilcx.cli import main
-from nilcx.cxs import AlmostComplexStructure, is_abelian
+from nilcx.cxs import AlmostComplexStructure, is_abelian, is_integrable, j_ascending_series
 from nilcx.dolbeault import DolbeaultComplex, chain_text
 from nilcx.errors import PreconditionError, ValidationError
 from nilcx.kuranishi import (
+    HALF,
     DeformationSeries,
     DeformedStructure,
     _bracket_pass,
     classify_deformation,
     deform_structure,
+    deformed_structure,
     kuranishi_series,
     obstructions,
 )
@@ -728,6 +731,9 @@ def test_deform_at_zero_reproduces_base_exactly():
         ser = kuranishi_series(dc, order=2)
         d = deform_structure(dc, ser, (0,) * ser.params)
         assert d.j_new.matrix == dc.j.matrix
+        # the chart of Phi = 0 records a point of any arity
+        d = deformed_structure(dc, {}, ("1/2", 3))
+        assert d.j_new == dc.j and d.t_point == (gr(Fraction(1, 2)), gr(3))
 
 
 def test_deform_h9_point_stays_abelian():
@@ -798,9 +804,8 @@ def test_deformed_j_is_the_eigenbasis_route_at_every_sweep_point():
     points, refused = set(), set()
     for stem, text, dc, series, pt in _sweep_points():
         got = _j_or_refusal(lambda *a: deform_structure(*a).j_new, dc, series, pt)
-        assert got == _j_or_refusal(eigenbasis_deformed_j, dc, series, pt), (
-            f"{stem} --order {series.order} --at {text}"
-        )
+        want = _j_or_refusal(eigenbasis_deformed_j, dc, series.evaluate(pt), pt)
+        assert got == want, f"{stem} --order {series.order} --at {text}"
         points.add((stem, text))
         if isinstance(got, str):
             refused.add((stem, text, got))
@@ -816,6 +821,9 @@ def test_deform_provenance():
     d = deform_structure(dc, ser, (Fraction(1, 8), 0, 0))
     assert d.algebra is dc.algebra
     assert d.t_point == (gr(Fraction(1, 8)), gr(0), gr(0))
+    # a one-shot iterable point is summed and recorded alike
+    once = deform_structure(dc, ser, iter((Fraction(1, 8), 0, 0)))
+    assert once.t_point == d.t_point and once.j_new == d.j_new
 
 
 def test_deform_rejects_foreign_series():
@@ -869,6 +877,33 @@ def test_phi_of_refuses_a_structure_that_is_not_a_graph():
     assert error_of(lambda: phi_of(dc, flipped)) == (
         PreconditionError, "the (0,1)-space of J is not a graph over that of the complex"
     )
+
+
+def _chain_residual(dc, phi: dict) -> dict:
+    """dbar Phi + 1/2 {Phi, Phi} of one degree-1 chain, from the reference
+    dbar and the key-by-key bracket, with nothing cut."""
+    f = dc.form(1, phi)
+    return add(dbar(dc, f), scaled(HALF, schouten(dc, f, f))).coeffs
+
+
+def test_the_n10_family_reads_back_as_graphs_over_j_1_0():
+    """Six members J(s, t) of the n10 family are graphs over J(1, 0) whose
+    Phi solves the Maurer-Cartan equation, and the chart rebuilds each one
+    exactly from its Phi. Evidence on the family, not on criterion 5."""
+    dc = _dc_n10()
+    members = [
+        (1, Fraction(1, 100)), (1, Fraction(1, 10)), (1, Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), 1), (2, 1),
+    ]
+    for s, t in members:
+        j = jst(s, t)
+        phi = phi_of(dc, j)
+        assert len(phi) == 4, (s, t)
+        assert _chain_residual(dc, phi) == {}, (s, t)
+        deformed = deformed_structure(dc, phi, (s, t))
+        assert deformed.j_new == j, (s, t)
+        rep = classify_deformation(dc.algebra, deformed)
+        assert (rep.integrable, rep.nilpotent, rep.abelian) == (True, True, False), (s, t)
 
 
 def test_the_nijenhuis_verdict_is_the_maurer_cartan_residual():
@@ -927,6 +962,49 @@ def test_deformations_stay_abelian_exactly_along_the_first_order_locus():
             checked += 1
         assert checked >= 10, name
     assert outcomes == {"h9": {True}, "h15": {True, False}, "n10": {True, False}}
+
+
+def test_generated_two_step_structures_obey_both_theorems():
+    """Seeded two-step algebras V + Z with an abelian J, beyond the catalog.
+    At seeded points of the order-3 series and one point on the first-order
+    abelian locus: the reference residual by degree, built on brackets.bracket,
+    sums to the one built on the key-by-key bracket; the Nijenhuis verdict
+    is that residual; and Phi reads back off the deformed J. Where the
+    residual is zero, the deformed J is abelian exactly on the locus, and in
+    real dimension 6 it is J-nilpotent."""
+    rng = random.Random(10)
+    verdicts, outcomes = set(), {}
+    for shape in ((2, 1), (3, 1), (2, 2)):
+        for count in range(3):
+            algebra, j = two_step_abelian(rng, *shape)
+            dc = DolbeaultComplex(algebra, j)
+            ser, locus = kuranishi_series(dc, order=3), infinitesimal_abelian_locus(dc)
+            points = []
+            for _ in range(3):
+                pt = [0] * ser.params
+                for i in rng.sample(range(ser.params), 2):
+                    pt[i] = rng.choice((Fraction(1, 10), Fraction(-1, 7)))
+                points.append(tuple(gr(x) for x in pt))
+            points.append(tuple(gr(Fraction(1, 10)) * x for x in locus[0]))
+            for pt in points:
+                where = f"shape {shape}, algebra {count} at ({', '.join(map(str, pt))})"
+                deformed, phi = deform_structure(dc, ser, pt), ser.evaluate(pt)
+                parts = residual_by_degree(dc, ser, pt).values()
+                residual = add(dc.form(2, {}), *(dc.form(2, v) for v in parts)).coeffs
+                assert residual == _chain_residual(dc, phi), where
+                exact = not residual
+                assert is_integrable(algebra, deformed.j_new) == exact, where
+                assert phi_of(dc, deformed.j_new) == phi, where
+                verdicts.add(exact)
+                if not exact:
+                    continue
+                abelian = is_abelian(algebra, deformed.j_new)
+                assert abelian == in_span(pt, locus), where
+                if shape == (2, 1):
+                    assert j_ascending_series(algebra, deformed.j_new)[1], where
+                outcomes.setdefault(shape, set()).add(abelian)
+    assert verdicts == {True, False}
+    assert outcomes == {shape: {True, False} for shape in ((2, 1), (3, 1), (2, 2))}
 
 
 # ------------------------------------------------------------ the locus
@@ -991,3 +1069,8 @@ def test_api_error_messages():
     assert error_of(lambda: deform_structure(twin, series, (0, 0, 0))) == (
         ValidationError, "series does not belong to this complex"
     )
+    # a degree-2 key, and frame indices out of range
+    for phi in ({((0, 1), 0): 1}, {((3,), 0): 1}, {((0,), 3): 1}):
+        assert error_of(lambda: deformed_structure(dc, phi, ())) == (
+            ValidationError, "Phi must be a degree-1 chain"
+        )

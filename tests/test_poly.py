@@ -6,7 +6,7 @@ import pytest
 
 from conftest import error_of
 from nilcx.errors import ValidationError
-from nilcx.poly import Poly, mono_add, mono_degree, mono_eval, mono_str
+from nilcx.poly import Poly, coerce_scalar, mono_add, mono_degree, mono_eval, mono_str
 from nilcx.scalars import gr
 
 
@@ -84,7 +84,13 @@ def test_api_error_messages():
         ValidationError, "exponents must be nonnegative integers"
     )
     f = Poly(2, {(1, 0): 1})
-    assert error_of(lambda: f.evaluate((0.5, 0))) == (ValidationError, "coefficient is not rational")
+    not_rational = (ValidationError, "coefficient is not rational")
+    assert error_of(lambda: f.evaluate((0.5, 0))) == not_rational
+    # text that is not a rational, and a zero denominator, are refused the same way
+    for text in ("x", "1/0"):
+        assert error_of(lambda: coerce_scalar(text)) == not_rational
+        assert error_of(lambda: Poly(1, {(1,): text})) == not_rational
+        assert error_of(lambda: f.evaluate((text, 0))) == not_rational
     assert error_of(lambda: f.evaluate((0,))) == (
         ValidationError, "wrong number of parameters: got 1, expected 2"
     )

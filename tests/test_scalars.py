@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import error_of
-from reference import parts
+from reference import parts, phi_of
 
 from nilcx.errors import ValidationError
 from nilcx.scalars import I, ONE, ZERO, GaussianRational, gr, scalar
@@ -289,7 +289,7 @@ def test_text_and_fraction_values_keep_the_eq_hash_contract():
 INTAKES = [
     "GaussianRational", "gr", "Matrix", "Matrix.from_columns", "Matrix.matvec", "LieAlgebra",
     "AlmostComplexStructure.from_images", "dc.form", "Poly", "deform_structure point",
-    "catalog.get(s=...)",
+    "deformed_structure point", "deformed_structure phi", "catalog.get(s=...)",
 ]
 
 
@@ -301,7 +301,7 @@ def intakes():
     from nilcx.catalog import get
     from nilcx.cxs import AlmostComplexStructure
     from nilcx.dolbeault import DolbeaultComplex
-    from nilcx.kuranishi import deform_structure, kuranishi_series
+    from nilcx.kuranishi import deform_structure, deformed_structure, kuranishi_series
     from nilcx.lie import LieAlgebra
     from nilcx.linalg import Matrix
     from nilcx.poly import Poly
@@ -328,6 +328,15 @@ def intakes():
         # t2 = 1 keeps the deformed (0,1)-space nondegenerate on h15
         "deform_structure point": (
             lambda x: deform_structure(dc, series, (0, x, 0, 0, 0)).t_point[1],
+            *not_rational,
+        ),
+        # the point is only recorded, so it may have any arity
+        "deformed_structure point": (
+            lambda x: deformed_structure(dc, {}, (x,)).t_point[0], *not_rational
+        ),
+        # Phi = x wb^0 (x) X_1 keeps the (0,1)-space off its conjugate for every x
+        "deformed_structure phi": (
+            lambda x: phi_of(dc, deformed_structure(dc, {((0,), 1): x}, ()).j_new)[((0,), 1)],
             *not_rational,
         ),
         "catalog.get(s=...)": (
